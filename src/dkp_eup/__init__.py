@@ -11,7 +11,7 @@ from .model import (Branch, ModelParams, Parity, QuantumNumbers,
 from .spectrum import (EnergyLevel, Formula, HypergeomData, abc,
                        energy_natural, energy_natural_limit,
                        energy_unnatural_h0, energy_unnatural_phi, exponents,
-                       level_spacing)
+                       level, level_spacing)
 from .wavefunction import (RadialSolution, count_nodes, deformed_norm,
                            evaluate_primary, gauss2f1_terminating,
                            natural_solution, residual_first_order,

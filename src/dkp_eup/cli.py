@@ -14,10 +14,10 @@ import os
 import sys
 import time
 
-from . import algebra, figures, oracle, spectrum, wavefunction
+from . import figures, spectrum, verify, wavefunction
 from .errors import (ComplexEnergy, ComplexExponent, ComplexShift, DkpError,
                      UnsupportedRegime)
-from .model import Branch, ModelParams, Parity, validate
+from .model import Branch, ModelParams, validate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,21 +63,20 @@ def _fill(args: argparse.Namespace) -> argparse.Namespace:
             continue
         if getattr(args, key) is None:
             setattr(args, key, cfg.get(key, default))
+    if getattr(args, "n_max", 0) < 0:
+        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     return args
 
 
 def _params(args) -> ModelParams:
-    return ModelParams(m=args.m, alpha=args.alpha,
-                       lambda0=args.lambda0, lambda_r=args.lambdaR)
-
-
-def _check_params(params: ModelParams) -> int | None:
+    """The model parameters of the command line; invalid ones raise."""
+    params = ModelParams(m=args.m, alpha=args.alpha,
+                         lambda0=args.lambda0, lambda_r=args.lambdaR)
     report = validate(params)
     if not report.passed:
-        print(f"invalid parameters {params}: violated "
-              f"{', '.join(report.violations)}", file=sys.stderr)
-        return EXIT_INVALID
-    return None
+        raise ValueError(f"invalid parameters {params}: violated "
+                         f"{', '.join(report.violations)}")
+    return params
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -85,7 +84,8 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, help="deformation parameter")
     p.add_argument("--lambda0", type=float, help="time-component coupling")
     p.add_argument("--lambdaR", type=float, help="radial coupling")
-    p.add_argument("--config", help="key = value config file")
+    p.add_argument("--J", type=int)
+    p.add_argument("--out")
 
 
 def _write_lines(path, lines):
@@ -97,38 +97,20 @@ def _write_lines(path, lines):
         sys.stdout.write(text)
 
 
-def _energy(params: ModelParams, sector: str, n: int, J: int, branch: Branch):
-    if sector == "natural":
-        if params.alpha == 0:
-            return spectrum.energy_natural_limit(params, n, J, branch)
-        return spectrum.energy_natural(params, n, J, branch)
-    if sector == "phi":
-        return spectrum.energy_unnatural_phi(params, n, branch)
-    if sector == "h0":
-        return spectrum.energy_unnatural_h0(params, n, branch)
-    raise UnsupportedRegime(f"unknown sector {sector!r}")
-
-
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    rc = _check_params(params)
-    if rc is not None:
-        return rc
     branch = Branch.PLUS if args.branch == "plus" else Branch.MINUS
     lines = ["n,J,parity,branch,E"]
     for n in range(args.n_max + 1):
-        level = _energy(params, args.sector, n, args.J, branch)
-        parity = "natural" if level.qn.parity is Parity.NATURAL else "unnatural"
-        lines.append(f"{n},{level.qn.J},{parity},{args.branch},{level.value:.12g}")
+        level = spectrum.level(params, args.sector, n, args.J, branch)
+        lines.append(f"{n},{level.qn.J},{level.qn.parity.value},{args.branch},"
+                     f"{level.value:.12g}")
     _write_lines(args.out, lines)
     return EXIT_OK
 
 
 def cmd_spacing(args) -> int:
     params = _params(args)
-    rc = _check_params(params)
-    if rc is not None:
-        return rc
     lines = ["n,J,spacing"]
     for n in range(args.n_max + 1):
         lines.append(f"{n},{args.J},{spectrum.level_spacing(params, n, args.J):.12g}")
@@ -138,9 +120,6 @@ def cmd_spacing(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     params = _params(args)
-    rc = _check_params(params)
-    if rc is not None:
-        return rc
     grid_size = args.grid_size or wavefunction.DEFAULT_GRID_SIZE
     if args.sector == "natural":
         sol = wavefunction.natural_solution(params, args.n, args.J, grid_size)
@@ -157,95 +136,22 @@ def cmd_wavefunction(args) -> int:
 # --- verification suite -----------------------------------------------------
 
 VERIFY_CHECKS = ("algebra", "commutators", "closure", "oracle")
-REFERENCE_ALPHAS = (0.05, 0.1, 0.2)
-REFERENCE_LAMBDA0 = (0.0, 0.5)
-REFERENCE_J = (0, 1, 2)
-REFERENCE_NMAX = 4
-UNNATURAL_ALPHAS = (0.05, 0.1)
-
-
-def _verify_algebra(failures: list[str]):
-    mats = algebra.build_matrices()
-    report = algebra.verify_algebra(mats)
-    if not report.passed:
-        failures.append(f"algebra: {len(report.violations)} violated triples")
-    proj = algebra.build_projector(mats)
-    want = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
-    if proj.diagonal() != [complex(v) for v in want]:
-        failures.append("algebra: projector diagonal mismatch")
-
-
-def _verify_commutators(failures: list[str]):
-    report = algebra.check_deformed_commutators(alpha=0.1)
-    if not report.passed:
-        failures.append(
-            f"commutators: residuals xx={report.worst_position_position:.2e} "
-            f"xp={report.worst_position_momentum:.2e} "
-            f"pp={report.worst_momentum_momentum:.2e}")
-
-
-def _analytic_natural(params: ModelParams, n: int, J: int, mutate: str | None):
-    e = spectrum.energy_natural(params, n, J).value
-    if mutate == "jj-term":
-        # test hook: misweight the rotational term by 10 percent
-        e = (e * e + 0.1 * params.alpha * J * (J + 1)) ** 0.5
-    return e
-
-
-def _verify_closure(failures: list[str], mutate: str | None):
-    worst = 0.0
-    for l0 in REFERENCE_LAMBDA0:
-        for al in REFERENCE_ALPHAS:
-            for J in REFERENCE_J:
-                params = ModelParams(m=1.0, alpha=al, lambda0=l0, lambda_r=1.0)
-                for n in range(REFERENCE_NMAX + 1):
-                    e = _analytic_natural(params, n, J, mutate)
-                    data = spectrum.abc(params, J, e)
-                    worst = max(worst, abs(data.B + n))
-    if worst > 1e-9:
-        failures.append(f"closure: |B + n| = {worst:.3e} > 1e-9")
-
-
-def _verify_oracle(failures: list[str], grid_size: int, tol: float,
-                   mutate: str | None):
-    for l0 in REFERENCE_LAMBDA0:
-        for al in REFERENCE_ALPHAS:
-            for J in REFERENCE_J:
-                params = ModelParams(m=1.0, alpha=al, lambda0=l0, lambda_r=1.0)
-                analytic = [_analytic_natural(params, n, J, mutate)
-                            for n in range(REFERENCE_NMAX + 1)]
-                rep = oracle.compare(params, oracle.Sector.natural(J),
-                                     analytic, grid_size, tol)
-                if not rep.passed:
-                    failures.append(f"oracle: {rep.summary()} "
-                                    f"(lambda0={l0}, alpha={al})")
-    for al in UNNATURAL_ALPHAS:
-        params = ModelParams(m=1.0, alpha=al, lambda0=0.0, lambda_r=1.0)
-        for sector, fn in ((oracle.Sector.phi(), spectrum.energy_unnatural_phi),
-                           (oracle.Sector.h0(), spectrum.energy_unnatural_h0)):
-            analytic = [fn(params, n).value for n in range(REFERENCE_NMAX + 1)]
-            rep = oracle.compare(params, sector, analytic, grid_size, tol)
-            if not rep.passed:
-                failures.append(f"oracle: {rep.summary()} (alpha={al})")
 
 
 def cmd_verify(args) -> int:
-    checks = VERIFY_CHECKS if args.only is None else (args.only,)
     grid_size = args.grid_size or 4096
     tol = args.tol or 1e-5
+    cells = verify.NATURAL_CELLS + verify.UNNATURAL_CELLS
+    run = {"algebra": verify.check_algebra,
+           "commutators": verify.check_commutators,
+           "closure": lambda: verify.check_closure(args.mutate),
+           "oracle": lambda: verify.check_oracle(cells, grid_size, tol, args.mutate)}
     failures: list[str] = []
-    for check in checks:
-        before = len(failures)
+    for check in VERIFY_CHECKS if args.only is None else (args.only,):
         t0 = time.perf_counter()
-        if check == "algebra":
-            _verify_algebra(failures)
-        elif check == "commutators":
-            _verify_commutators(failures)
-        elif check == "closure":
-            _verify_closure(failures, args.mutate)
-        elif check == "oracle":
-            _verify_oracle(failures, grid_size, tol, args.mutate)
-        status = "PASS" if len(failures) == before else "FAIL"
+        result = run[check]()
+        failures += result.failures
+        status = "PASS" if result.passed else "FAIL"
         print(f"{status} {check} ({time.perf_counter() - t0:.2f} s)")
     if failures:
         print(json.dumps({"failures": failures}))
@@ -280,27 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form energy levels as CSV")
     _add_param_flags(p)
-    p.add_argument("--J", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--sector", choices=("natural", "phi", "h0"))
     p.add_argument("--branch", choices=("plus", "minus"))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("spacing", help="level spacing E_{n+1} - E_n as CSV")
     _add_param_flags(p)
-    p.add_argument("--J", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spacing)
 
     p = sub.add_parser("wavefunction", help="sampled radial solution as CSV")
     _add_param_flags(p)
-    p.add_argument("--J", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--sector", choices=("natural", "phi", "h0"))
     p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -309,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--mutate", choices=("jj-term",),
                    help="test hook: corrupt the analytic J(J+1) term")
-    p.add_argument("--config", help="key = value config file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figures", help="emit reference figures (CSV + SVG)")
@@ -319,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lambda0 sweep for fig1")
     p.add_argument("--alpha-set", dest="alpha_set",
                    help="comma-separated alpha sweep for fig2/fig3/fig4")
-    p.add_argument("--config", help="key = value config file")
     p.set_defaults(func=cmd_figures)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value config file")
     return parser
 
 

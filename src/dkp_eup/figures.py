@@ -18,9 +18,7 @@ import os
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .spectrum import (energy_natural, energy_natural_limit,
-                       energy_unnatural_h0, energy_unnatural_phi,
-                       level_spacing)
+from .spectrum import level, level_spacing
 from .svgplot import write_svg
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
@@ -44,85 +42,64 @@ class FigureData:
     title: str
 
 
-def _natural_energy(m, alpha, lambda0, lambda_r, n, J):
-    p = ModelParams(m=m, alpha=alpha, lambda0=lambda0, lambda_r=lambda_r)
-    if alpha == 0:
-        return energy_natural_limit(p, n, J).value
-    return energy_natural(p, n, J).value
+def _table(fig_id: str, ns: list, columns: list, y_label: str,
+           title: str, extra_series=()) -> FigureData:
+    """FigureData from columns of (CSV header, SVG series name, values)."""
+    header = ["n"] + [head for head, _, _ in columns]
+    rows = [(n, *(vals[i] for _, _, vals in columns)) for i, n in enumerate(ns)]
+    series = [(name, ns, vals) for _, name, vals in columns]
+    return FigureData(fig_id, header, rows, series + list(extra_series),
+                      "n", y_label, title)
 
 
 def fig1_data(lambda0_values=FIG1_LAMBDA0, n_max=FIG12_NMAX) -> FigureData:
     ns = list(range(n_max + 1))
-    cols = [[_natural_energy(1.0, 0.0, l0, 1.0, n, 0) for n in ns]
+    cols = [(f"E[lambda0={l0:g}]", f"lambda0={l0:g}",
+             [level(ModelParams(1.0, 0.0, l0, 1.0), "natural", n).value for n in ns])
             for l0 in lambda0_values]
-    header = ["n"] + [f"E[lambda0={l0:g}]" for l0 in lambda0_values]
-    rows = [(n, *(col[i] for col in cols)) for i, n in enumerate(ns)]
-    series = [(f"lambda0={l0:g}", ns, col)
-              for l0, col in zip(lambda0_values, cols)]
-    return FigureData("fig1", header, rows, series, "n", "E",
-                      "undeformed levels vs n")
+    return _table("fig1", ns, cols, "E", "undeformed levels vs n")
 
 
 def fig2_data(alpha_values=FIG2_ALPHA, n_max=FIG12_NMAX) -> FigureData:
     ns = list(range(n_max + 1))
-    cols = [[_natural_energy(1.0, al, 0.5, 1.0, n, 0) for n in ns]
+    cols = [(f"E[alpha={al:g}]", f"alpha={al:g}",
+             [level(ModelParams(1.0, al, 0.5, 1.0), "natural", n).value for n in ns])
             for al in alpha_values]
-    header = ["n"] + [f"E[alpha={al:g}]" for al in alpha_values]
-    rows = [(n, *(col[i] for col in cols)) for i, n in enumerate(ns)]
-    series = [(f"alpha={al:g}", ns, col)
-              for al, col in zip(alpha_values, cols)]
-    return FigureData("fig2", header, rows, series, "n", "E",
-                      "levels vs n for several deformations")
+    return _table("fig2", ns, cols, "E", "levels vs n for several deformations")
 
 
 def fig3_data(alpha_values=FIG2_ALPHA, n_max=FIG3_NMAX) -> FigureData:
     ns = list(range(n_max + 1))
-    cols = []
-    for al in alpha_values:
-        p = ModelParams(m=1.0, alpha=al, lambda0=0.5, lambda_r=1.0)
-        cols.append([level_spacing(p, n, 0) for n in ns])
-    header = ["n"] + [f"dE[alpha={al:g}]" for al in alpha_values]
-    rows = [(n, *(col[i] for col in cols)) for i, n in enumerate(ns)]
-    series = [(f"alpha={al:g}", ns, col)
-              for al, col in zip(alpha_values, cols)]
+    cols = [(f"dE[alpha={al:g}]", f"alpha={al:g}",
+             [level_spacing(ModelParams(1.0, al, 0.5, 1.0), n, 0) for n in ns])
+            for al in alpha_values]
     # horizontal asymptotes 2 sqrt(alpha) for the deformed curves (SVG only)
-    for al in alpha_values:
-        if al > 0:
-            asym = 2.0 * al ** 0.5
-            series.append((f"2 sqrt({al:g})", [0, n_max], [asym, asym],
-                           "dashed"))
-    return FigureData("fig3", header, rows, series, "n", "dE",
-                      "level spacing vs n (plateaus at 2 sqrt(alpha))")
+    asymptotes = [(f"2 sqrt({al:g})", [0, n_max], [2.0 * al ** 0.5] * 2, "dashed")
+                  for al in alpha_values if al > 0]
+    return _table("fig3", ns, cols, "dE",
+                  "level spacing vs n (plateaus at 2 sqrt(alpha))", asymptotes)
 
 
 def fig4_data(alpha_values=FIG4_ALPHA, n_max=FIG4_NMAX) -> FigureData:
     ns = list(range(n_max + 1))
-    cols = []
-    names = []
-    for al in alpha_values:
-        p = ModelParams(m=1.0, alpha=al, lambda0=0.0, lambda_r=1.0)
-        cols.append([energy_unnatural_phi(p, n).value for n in ns])
-        names.append(f"E_phi[alpha={al:g}]")
-        cols.append([energy_unnatural_h0(p, n).value for n in ns])
-        names.append(f"E_h0[alpha={al:g}]")
-    header = ["n"] + names
-    rows = [(n, *(col[i] for col in cols)) for i, n in enumerate(ns)]
-    series = [(name, ns, col) for name, col in zip(names, cols)]
-    return FigureData("fig4", header, rows, series, "n", "E",
-                      "unnatural-parity levels vs n")
+    cols = [(f"E_{sector}[alpha={al:g}]", f"E_{sector}[alpha={al:g}]",
+             [level(ModelParams(1.0, al, 0.0, 1.0), sector, n).value for n in ns])
+            for al in alpha_values for sector in ("phi", "h0")]
+    return _table("fig4", ns, cols, "E", "unnatural-parity levels vs n")
+
+
+_BUILDERS = dict(zip(FIGURE_IDS, (fig1_data, fig2_data, fig3_data, fig4_data)))
 
 
 def build_figure(fig_id: str, lambda0_set=None, alpha_set=None) -> FigureData:
-    """Build one figure; sweep sets default to the package choices."""
-    if fig_id == "fig1":
-        return fig1_data(tuple(lambda0_set) if lambda0_set else FIG1_LAMBDA0)
-    if fig_id == "fig2":
-        return fig2_data(tuple(alpha_set) if alpha_set else FIG2_ALPHA)
-    if fig_id == "fig3":
-        return fig3_data(tuple(alpha_set) if alpha_set else FIG2_ALPHA)
-    if fig_id == "fig4":
-        return fig4_data(tuple(alpha_set) if alpha_set else FIG4_ALPHA)
-    raise ValueError(f"unknown figure id {fig_id!r}")
+    """Build one figure; sweep sets default to the package choices.
+
+    fig1 sweeps lambda0, the others sweep alpha.
+    """
+    if fig_id not in _BUILDERS:
+        raise ValueError(f"unknown figure id {fig_id!r}")
+    sweep = lambda0_set if fig_id == "fig1" else alpha_set
+    return _BUILDERS[fig_id](tuple(sweep)) if sweep else _BUILDERS[fig_id]()
 
 
 def write_csv(data: FigureData, path) -> None:

@@ -73,11 +73,15 @@ class ValidationReport:
 def validate(params: ModelParams) -> ValidationReport:
     """Check every domain constraint; report-style, never raises.
 
+    Every parameter must be finite, so no NaN or infinity reaches a formula.
     The sign constraint 0 <= lambda0 <= lambda_r keeps the stated coupling
     domain.  Spectra depend on lambda0 only through its square; that symmetry
     is exercised by tests rather than silently accepted here.
     """
-    bad = []
+    bad = [f"{name} finite" for name, value in (
+        ("m", params.m), ("alpha", params.alpha),
+        ("lambda0", params.lambda0), ("lambdaR", params.lambda_r))
+        if not math.isfinite(value)]
     if not params.m > 0:
         bad.append("m > 0")
     if params.alpha < 0:

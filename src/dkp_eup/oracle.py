@@ -1,7 +1,8 @@
 """Independent numerical eigensolver for the reduced second-order equations.
 
 Validates every closed-form spectrum without touching the analytic-spectrum
-code path: this module depends only on :mod:`dkp_eup.model`.
+code path: this module depends only on :mod:`dkp_eup.model` and
+:mod:`dkp_eup.errors`.
 
 Each solved sector reduces, after factoring the known endpoint behavior
 rho^a (1-rho)^b out of the radial function, to the operator
@@ -29,7 +30,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
-from .errors import ComplexExponent, NonConvergence, UnsupportedRegime
+from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
+                     UnsupportedRegime)
 from .model import ModelParams
 
 
@@ -176,9 +178,11 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,
                     grid_size: int = 8192, s_cut: float = 1.0) -> np.ndarray:
-    """Plus-branch energies of the n_levels lowest states."""
+    """Plus-branch energies of the n_levels lowest states; E^2 < 0 raises."""
     e2 = solve_lowest(discretize(params, sector, grid_size, s_cut), n_levels)
-    return np.sqrt(np.maximum(e2, 0.0))
+    if e2.min() < 0:
+        raise ComplexEnergy(float(e2.min()))
+    return np.sqrt(e2)
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,8 @@ class ComparisonReport:
 
     @property
     def worst(self) -> float:
-        return max(r.rel_error for r in self.rows)
+        """Largest relative error; NaN if any row is NaN, so that it fails."""
+        return float(np.max([r.rel_error for r in self.rows]))
 
     @property
     def passed(self) -> bool:

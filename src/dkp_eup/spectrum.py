@@ -52,10 +52,19 @@ class EnergyLevel:
     formula: Formula
 
 
-def _q_shift(params: ModelParams) -> float:
-    """Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4)."""
-    return (params.lambda_r ** 2 - params.lambda0 ** 2
-            + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0)
+def _sqrt_q(params: ModelParams) -> float:
+    """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4).
+
+    Guards every deformed formula: requires alpha > 0 and D >= 0.
+    """
+    if params.alpha <= 0:
+        raise UnsupportedRegime(
+            "deformed formulas need alpha > 0; alpha = 0 has the limit formula")
+    q = (params.lambda_r ** 2 - params.lambda0 ** 2
+         + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0)
+    if q < 0:
+        raise ComplexExponent(4.0 * q / params.alpha ** 2)
+    return math.sqrt(q)
 
 
 def exponents(params: ModelParams, J: int) -> tuple[float, float]:
@@ -63,13 +72,8 @@ def exponents(params: ModelParams, J: int) -> tuple[float, float]:
 
     a = (J+1)/2 and b = 1/4 + sqrt(D)/4; requires alpha > 0 and D >= 0.
     """
-    if params.alpha <= 0:
-        raise UnsupportedRegime("exponents need alpha > 0")
-    q = _q_shift(params)
-    if q < 0:
-        raise ComplexExponent(4.0 * q / params.alpha ** 2)
     a = (J + 1) / 2.0
-    b = 0.25 + 0.5 * math.sqrt(q) / params.alpha
+    b = 0.25 + 0.5 * _sqrt_q(params) / params.alpha
     return a, b
 
 
@@ -105,15 +109,10 @@ def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> Ener
 def energy_natural(params: ModelParams, n: int, J: int,
                    branch: Branch = Branch.PLUS) -> EnergyLevel:
     """Deformed natural-parity level E_{n;J}; requires alpha > 0."""
-    if params.alpha <= 0:
-        raise UnsupportedRegime(
-            "energy_natural needs alpha > 0; use energy_natural_limit at alpha = 0")
-    q = _q_shift(params)
-    if q < 0:
-        raise ComplexExponent(4.0 * q / params.alpha ** 2)
+    sqrt_q = _sqrt_q(params)
     beta = n + (2 * J + 3) / 4.0
     e2 = (params.m ** 2 + params.lambda_r + params.alpha / 4.0
-          + 4.0 * params.alpha * beta * beta + 4.0 * beta * math.sqrt(q)
+          + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
           - params.alpha * J * (J + 1))
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     return _energy_from_square(e2, qn, Formula.NATURAL_DEFORMED)
@@ -137,12 +136,8 @@ def energy_natural_limit(params: ModelParams, n: int, J: int,
 
 def level_spacing(params: ModelParams, n: int, J: int) -> float:
     """E_{n+1;J} - E_{n;J} on the plus branch; tends to 2 sqrt(alpha)."""
-    if params.alpha > 0:
-        lo = energy_natural(params, n, J)
-        hi = energy_natural(params, n + 1, J)
-    else:
-        lo = energy_natural_limit(params, n, J)
-        hi = energy_natural_limit(params, n + 1, J)
+    lo = level(params, "natural", n, J)
+    hi = level(params, "natural", n + 1, J)
     return hi.value - lo.value
 
 
@@ -180,3 +175,23 @@ def energy_unnatural_h0(params: ModelParams, n: int,
           + 4.0 * (n + 0.5) * params.lambda_r)
     qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_H0)
+
+
+def level(params: ModelParams, sector: str, n: int, J: int = 0,
+          branch: Branch = Branch.PLUS) -> EnergyLevel:
+    """The closed-form level of ``sector``: "natural", "phi" or "h0".
+
+    The one place that maps a sector to its formula and sends natural
+    alpha = 0 to the limit formula; ``formula`` records the route.  The
+    unnatural sectors ignore J.  Formulas are looked up as module globals
+    per call, so patching or tracing one of them reaches every caller.
+    """
+    if sector == "natural":
+        if params.alpha == 0:
+            return energy_natural_limit(params, n, J, branch)
+        return energy_natural(params, n, J, branch)
+    if sector == "phi":
+        return energy_unnatural_phi(params, n, branch)
+    if sector == "h0":
+        return energy_unnatural_h0(params, n, branch)
+    raise UnsupportedRegime(f"unknown sector {sector!r}")

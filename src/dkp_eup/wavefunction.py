@@ -25,8 +25,7 @@ from scipy.special import roots_jacobi
 
 from .errors import BadC, DivergentNorm, GridTooCoarse, UnsupportedRegime
 from .model import ModelParams, xi_zeta
-from .spectrum import (EnergyLevel, energy_natural, energy_unnatural_h0,
-                       energy_unnatural_phi, exponents)
+from .spectrum import EnergyLevel, energy_natural, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -171,19 +170,17 @@ def _natural_components(params: ModelParams, J: int, energy: float,
 
 
 def _unnatural_sector_data(params: ModelParams, which: str):
-    """(a, b, C, c_wall, c_const_of_E2) for the decoupled J = 0 sectors."""
+    """(a, b, C, c_wall, c_const_of_E2) of the decoupled sector "phi" or "h0"."""
     al, lr = params.alpha, params.lambda_r
     x = lr / al
     if which == "phi":
         c_wall = x * (x + 1.0) / 4.0
         def c_const(e2):
             return (e2 - params.m ** 2) / (4 * al) + 0.25 + (lr / (4 * al)) * (x - 2.0)
-    elif which == "h0":
+    else:
         c_wall = x * (x - 1.0) / 4.0
         def c_const(e2):
             return (e2 - params.m ** 2) / (4 * al) + x * x / 4.0
-    else:
-        raise ValueError(f"unknown unnatural sector {which!r}")
     a = 0.5
     b = 0.25 + 0.25 * math.sqrt(1.0 + 16.0 * c_wall)
     return a, b, 0.5 + 2.0 * a, c_wall, c_const
@@ -205,19 +202,21 @@ def _raw_norm_integral(a: float, b: float, coeffs: np.ndarray,
         np.sum(w * poly * poly))
 
 
+def _normalized_series(a: float, b: float, big_c: float, n: int,
+                       alpha: float) -> tuple[np.ndarray, float]:
+    """Coefficients of the degree-n series 2F1(-n, n + 2(a+b); C; rho) and
+    the constant normalizing rho^a (1-rho)^b Poly(rho)."""
+    coeffs = terminating_series_coefficients(n + 2.0 * (a + b), n, big_c)
+    return coeffs, 1.0 / math.sqrt(_raw_norm_integral(a, b, coeffs, alpha))
+
+
 def natural_solution(params: ModelParams, n: int, J: int,
                      grid_size: int = DEFAULT_GRID_SIZE,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
     """Normalized natural-parity solution and its first-order-system residual."""
     level = energy_natural(params, n, J)
     a, b = exponents(params, J)
-    big_a = n + 2.0 * (a + b)
-    big_c = 0.5 + 2.0 * a
-    coeffs = terminating_series_coefficients(big_a, n, big_c)
-
-    norm_raw = _raw_norm_integral(a, b, coeffs, params.alpha)
-    n1 = 1.0 / math.sqrt(norm_raw)
-
+    coeffs, n1 = _normalized_series(a, b, 0.5 + 2.0 * a, n, params.alpha)
     rho = chebyshev_grid(grid_size)
     f, _, h_plus, h_minus, g0, _, _ = _natural_components(
         params, J, level.value, a, b, coeffs, rho, n1)
@@ -229,7 +228,7 @@ def natural_solution(params: ModelParams, n: int, J: int,
         norm_constant=n1, residual_sup=0.0,
         exponent_a=a, exponent_b=b, series_coeffs=coeffs)
     sol.residual_sup = residual_first_order(params, level, sol)
-    if sol.residual_sup > tol:
+    if not sol.residual_sup <= tol:
         raise GridTooCoarse(
             f"residual {sol.residual_sup:.3e} above tolerance {tol:.1e} "
             f"at grid size {grid_size}")
@@ -245,31 +244,23 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     the sector; the printed first-order unnatural system is not mutually
     consistent and is not used here.
     """
-    if which == "phi":
-        level = energy_unnatural_phi(params, n)
-    elif which == "h0":
-        level = energy_unnatural_h0(params, n)
-    else:
+    if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")
+    energy = level(params, which, n).value
     a, b, big_c, c_wall, c_const = _unnatural_sector_data(params, which)
-    big_a = n + 2.0 * (a + b)
-    coeffs = terminating_series_coefficients(big_a, n, big_c)
-
-    norm_raw = _raw_norm_integral(a, b, coeffs, params.alpha)
-    n1 = 1.0 / math.sqrt(norm_raw)
-
+    coeffs, n1 = _normalized_series(a, b, big_c, n, params.alpha)
     rho = chebyshev_grid(grid_size)
     f, frho, frhorho = _prefactor_derivs(a, b, coeffs, rho)
     f, frho, frhorho = n1 * f, n1 * frho, n1 * frhorho
     resid = ((1.0 - rho) * rho * frhorho + (0.5 - rho) * frho
-             - c_wall * f / (1.0 - rho) + c_const(level.value ** 2) * f)
+             - c_wall * f / (1.0 - rho) + c_const(energy ** 2) * f)
     residual_sup = float(np.max(np.abs(resid)))
-    if residual_sup > tol:
+    if not residual_sup <= tol:
         raise GridTooCoarse(
             f"residual {residual_sup:.3e} above tolerance {tol:.1e}")
 
     return RadialSolution(
-        sector=which, n=n, J=0, energy=level.value, params=params,
+        sector=which, n=n, J=0, energy=energy, params=params,
         rho_grid=rho, primary=f, primary_name="phi" if which == "phi" else "H0",
         secondary={}, norm_constant=n1, residual_sup=residual_sup,
         exponent_a=a, exponent_b=b, series_coeffs=coeffs)
@@ -329,8 +320,9 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
     res07 = (-p * (zeta * (dh_plus + (J + 1) / r * h_plus + ar / p * h_plus)
                    + xi * (dh_minus - J / r * h_minus + ar / p * h_minus))
              + (energy ** 2 + a0 ** 2) * f / m - m * f)
-    return float(max(np.max(np.abs(res01)), np.max(np.abs(res02)),
-                     np.max(np.abs(res07)), np.max(np.abs(res08))))
+    # np.max, unlike the builtin max, propagates a NaN from any of the four
+    return float(np.max([np.max(np.abs(res))
+                         for res in (res01, res02, res07, res08)]))
 
 
 def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:

@@ -9,18 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from dkp_eup import algebra, figures, oracle
+from dkp_eup import algebra, figures, oracle, verify
 from dkp_eup.model import ModelParams
-from dkp_eup.spectrum import (abc, energy_natural, energy_natural_limit,
+from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
                               level_spacing)
 from dkp_eup.wavefunction import count_nodes, natural_solution
 
 REFERENCE = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
-SWEEP_LAMBDA0 = (0.0, 0.5)
-SWEEP_ALPHA = (0.05, 0.1, 0.2)
-SWEEP_J = (0, 1, 2)
-N_MAX = 4
 
 
 def _report(k: int, desc: str):
@@ -57,18 +53,9 @@ def test_criterion_2_deformed_commutators():
 
 def test_criterion_3_oracle_equivalence_natural():
     t0 = time.perf_counter()
-    worst = 0.0
-    for lambda0 in SWEEP_LAMBDA0:
-        for alpha in SWEEP_ALPHA:
-            for J in SWEEP_J:
-                params = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0,
-                                     lambda_r=1.0)
-                analytic = [energy_natural(params, n, J).value
-                            for n in range(N_MAX + 1)]
-                rep = oracle.compare(params, oracle.Sector.natural(J),
-                                     analytic, grid_size=8192, tol=1e-5)
-                assert rep.passed, rep.summary()
-                worst = max(worst, rep.worst)
+    result = verify.check_oracle(verify.NATURAL_CELLS, grid_size=8192, tol=1e-5)
+    assert result.passed, result.failures
+    worst = result.worst
     # the frozen reference point
     ref = energy_natural(REFERENCE, 0, 0).value
     assert ref == pytest.approx(2.2405, abs=5e-5)
@@ -82,17 +69,13 @@ def test_criterion_3_oracle_equivalence_natural():
 
 
 def test_criterion_4_oracle_equivalence_unnatural():
-    worst = 0.0
-    for alpha in (0.05, 0.1):
+    result = verify.check_oracle(verify.UNNATURAL_CELLS, grid_size=8192,
+                                 tol=1e-5)
+    assert result.passed, result.failures
+    worst = result.worst
+    for alpha in verify.UNNATURAL_ALPHAS:
         params = ModelParams(m=1.0, alpha=alpha, lambda0=0.0, lambda_r=1.0)
-        for sector, formula in ((oracle.Sector.phi(), energy_unnatural_phi),
-                                (oracle.Sector.h0(), energy_unnatural_h0)):
-            analytic = [formula(params, n).value for n in range(N_MAX + 1)]
-            rep = oracle.compare(params, sector, analytic,
-                                 grid_size=8192, tol=1e-5)
-            assert rep.passed, rep.summary()
-            worst = max(worst, rep.worst)
-        for n in range(N_MAX + 1):
+        for n in range(verify.REFERENCE_NMAX + 1):
             assert energy_unnatural_phi(params, n).value > \
                 energy_unnatural_h0(params, n).value
     _report(4, f"both unnatural sectors match at 1e-5 (worst {worst:.2e}) "
@@ -133,16 +116,7 @@ def test_criterion_6_spacing_law():
 
 
 def test_criterion_7_quantization_closure():
-    worst = 0.0
-    for lambda0 in SWEEP_LAMBDA0:
-        for alpha in SWEEP_ALPHA:
-            for J in SWEEP_J:
-                params = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0,
-                                     lambda_r=1.0)
-                for n in range(N_MAX + 1):
-                    level = energy_natural(params, n, J)
-                    data = abc(params, J, level.value)
-                    worst = max(worst, abs(data.B + n))
+    worst = verify.check_closure().worst
     assert worst < 1e-9
     _report(7, f"B recomputed at every returned energy equals -n "
                f"(worst |B+n| = {worst:.2e})")

@@ -134,3 +134,11 @@ def test_alpha_must_be_positive():
 def test_monomial_basis_size():
     assert len(monomial_basis(6)) == 84  # C(9,3)
     assert len(monomial_basis(0)) == 1
+
+
+def test_nan_residual_fails_the_commutator_check():
+    # a NaN coefficient makes every residual NaN; it must not be dropped
+    report = check_deformed_commutators(
+        0.1, test_fns=[{(0, 1, 0, 0): complex(float("nan"))}])
+    assert np.isnan(report.worst_position_momentum)
+    assert not report.passed

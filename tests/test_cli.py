@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dkp_eup import cli
 from dkp_eup.errors import ComplexEnergy
 
@@ -159,3 +161,26 @@ def test_bad_config_line_is_invalid_input(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--config", str(cfg))
     assert code == 2
     assert "bad config line" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--alpha", "nan"),
+    ("spectrum", "--alpha", "inf"),
+    ("spacing", "--lambda0", "nan"),
+    ("spectrum", "--n-max", "-3"),
+    ("spacing", "--n-max", "-1"),
+])
+def test_non_finite_parameters_and_negative_n_max_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nan" in err or "inf" in err or "n_max" in err
+
+
+def test_negative_n_max_from_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = -3\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "n_max" in err

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pathlib
 
 import pytest
 
@@ -45,3 +47,13 @@ def test_csv_floats_carry_12_significant_digits(tmp_path):
     figures.write_csv(figures.fig2_data(n_max=2), path)
     cell = path.read_text().splitlines()[1].split(",")[2]
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) == 12
+
+
+def test_figures_match_the_pinned_digests(tmp_path):
+    pinned = pathlib.Path(__file__).resolve().parents[1] / "bench" / "figures.sha256"
+    want = dict(reversed(line.split()) for line in pinned.read_text().splitlines())
+    for fig in figures.FIGURE_IDS:
+        figures.emit_figure(fig, tmp_path)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert got == want

@@ -96,3 +96,13 @@ def test_minimum_momentum_uncertainty():
     assert minimum_momentum_uncertainty(0.0) == 0.0
     with pytest.raises(ValueError):
         minimum_momentum_uncertainty(-1.0)
+
+
+@pytest.mark.parametrize("field,label", [("m", "m"), ("alpha", "alpha"),
+                                         ("lambda0", "lambda0"),
+                                         ("lambda_r", "lambdaR")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, label, value):
+    kwargs = dict(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
+    kwargs[field] = value
+    assert f"{label} finite" in validate(ModelParams(**kwargs)).violations

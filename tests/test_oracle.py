@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dkp_eup import oracle
-from dkp_eup.errors import ComplexExponent, UnsupportedRegime
+from dkp_eup.errors import ComplexEnergy, ComplexExponent, UnsupportedRegime
 from dkp_eup.model import ModelParams
 from dkp_eup.oracle import (Sector, auto_cut, compare, discretize,
                             apply_operator, extrapolated_limit_energy,
@@ -148,3 +149,35 @@ def test_unnatural_sectors_against_formulas(sector, formula):
     analytic = [formula(p, n).value for n in range(4)]
     report = compare(p, sector, analytic, grid_size=4096, tol=1e-6)
     assert report.passed, report.summary()
+
+
+def test_nan_analytic_energy_fails_the_comparison():
+    rep = compare(REF, Sector.natural(0), [2.2405195372709, math.nan],
+                  grid_size=1024, tol=1e-5)
+    assert math.isnan(rep.worst)
+    assert not rep.passed
+
+
+def test_negative_e2_raises_complex_energy():
+    # lambda_r < 0 puts the h0 ground state below E^2 = 0
+    p = ModelParams(m=1.0, alpha=0.1, lambda0=0.0, lambda_r=-1.0)
+    with pytest.raises(ComplexEnergy) as info:
+        lowest_energies(p, Sector.h0(), 1, grid_size=256)
+    assert info.value.radicand == pytest.approx(-0.9, abs=1e-6)
+
+
+def test_oracle_imports_only_model_and_errors():
+    # independence of the cross-check: no path into the formula layer
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package |= ({node.module} if node.module else
+                        {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("dkp_eup"):
+            package.add(node.module.split(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            package |= {a.name.split(".", 1)[-1] for a in node.names
+                        if a.name.startswith("dkp_eup")}
+    assert package <= {"model", "errors"}
+    assert package

@@ -240,3 +240,20 @@ def test_h0_massless_ground_state():
     p = ModelParams(m=0.0, alpha=0.1, lambda0=0.0, lambda_r=1.0)
     assert energy_unnatural_h0(p, 0).value == pytest.approx(
         math.sqrt(0.1 + 2.0), abs=1e-14)
+
+
+def test_level_routes_each_sector_and_records_the_route():
+    from dkp_eup.spectrum import Formula, level
+    unnat = ModelParams(m=1.0, alpha=0.1, lambda0=0.0, lambda_r=1.0)
+    cases = [(REF, "natural", Formula.NATURAL_DEFORMED, energy_natural(REF, 2, 1)),
+             (ModelParams(1.0, 0.0, 0.5, 1.0), "natural", Formula.NATURAL_LIMIT,
+              energy_natural_limit(ModelParams(1.0, 0.0, 0.5, 1.0), 2, 1)),
+             (unnat, "phi", Formula.UNNATURAL_PHI, energy_unnatural_phi(unnat, 2)),
+             (unnat, "h0", Formula.UNNATURAL_H0, energy_unnatural_h0(unnat, 2))]
+    for params, sector, formula, want in cases:
+        got = level(params, sector, 2, 1)
+        assert got.formula is formula
+        assert got == want
+    assert level(REF, "natural", 0, 0, Branch.MINUS).value < 0
+    with pytest.raises(UnsupportedRegime):
+        level(REF, "vector", 0)

@@ -240,3 +240,14 @@ def test_csv_export(tmp_path):
     assert len(lines) == 65
     first = [float(tok) for tok in lines[1].split(",")]
     assert len(first) == 7 and all(np.isfinite(first))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("build", [
+    lambda p: natural_solution(p, 0, 0),
+    lambda p: unnatural_solution(dataclasses.replace(p, lambda0=0.0), 0, "phi"),
+])
+def test_nan_residual_fails_the_residual_gate(build):
+    # at alpha = 1e-6 the norm quadrature overflows and the residual is NaN
+    with pytest.raises(GridTooCoarse, match="nan"):
+        build(ModelParams(m=1.0, alpha=1e-6, lambda0=0.5, lambda_r=1.0))
