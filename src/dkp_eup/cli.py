@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 
 Flag values override a ``--config`` file (plain ``key = value`` lines),
 which overrides built-in defaults.
+
+Only ``wavefunction`` and ``verify`` import numpy and scipy, inside their
+commands, so the closed-form commands start without them.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import os
 import sys
 import time
 
-from . import figures, spectrum, verify, wavefunction
+from . import figures, spectrum
 from .errors import (ComplexEnergy, ComplexExponent, ComplexShift, DkpError,
                      UnsupportedRegime)
 from .model import Branch, ModelParams, validate
@@ -119,6 +122,7 @@ def cmd_spacing(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from . import wavefunction
     params = _params(args)
     grid_size = args.grid_size or wavefunction.DEFAULT_GRID_SIZE
     if args.sector == "natural":
@@ -139,6 +143,7 @@ VERIFY_CHECKS = ("algebra", "commutators", "closure", "oracle")
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     grid_size = args.grid_size or 4096
     tol = args.tol or 1e-5
     cells = verify.NATURAL_CELLS + verify.UNNATURAL_CELLS

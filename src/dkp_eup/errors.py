@@ -32,6 +32,15 @@ class ComplexEnergy(DkpError):
         super().__init__(f"energy radicand {radicand} < 0")
 
 
+class NonFiniteParameter(DkpError):
+    """An input to a closed-form formula is NaN or infinite."""
+
+    def __init__(self, name: str, value: float):
+        self.name = name
+        self.value = value
+        super().__init__(f"parameter {name} = {value} is not finite")
+
+
 class UnsupportedRegime(DkpError):
     """Parameter/quantum-number combination outside the solved regimes."""
 
@@ -45,7 +54,8 @@ class GridTooCoarse(DkpError):
 
 
 class DivergentNorm(DkpError):
-    """Endpoint exponents make the norm integral non-integrable."""
+    """The norm integral is non-integrable at an endpoint, or its value
+    under the endpoint weights is not a positive finite float."""
 
 
 class OutOfDomain(DkpError):

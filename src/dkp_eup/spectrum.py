@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ComplexEnergy, ComplexExponent, ComplexShift, UnsupportedRegime
+from .errors import (ComplexEnergy, ComplexExponent, ComplexShift,
+                     NonFiniteParameter, UnsupportedRegime)
 from .model import Branch, ModelParams, Parity, QuantumNumbers
 
 
@@ -52,17 +53,26 @@ class EnergyLevel:
     formula: Formula
 
 
+def _require_finite(params: ModelParams):
+    """Raise NonFiniteParameter naming the first NaN or infinite parameter."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise NonFiniteParameter(name, value)
+
+
 def _sqrt_q(params: ModelParams) -> float:
     """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4).
 
-    Guards every deformed formula: requires alpha > 0 and D >= 0.
+    Guards every deformed formula: requires finite parameters, alpha > 0
+    and D >= 0.
     """
+    _require_finite(params)
     if params.alpha <= 0:
         raise UnsupportedRegime(
             "deformed formulas need alpha > 0; alpha = 0 has the limit formula")
     q = (params.lambda_r ** 2 - params.lambda0 ** 2
          + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0)
-    if q < 0:
+    if not q >= 0:
         raise ComplexExponent(4.0 * q / params.alpha ** 2)
     return math.sqrt(q)
 
@@ -85,11 +95,13 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     callers can confirm the root selection annihilated the singular terms.
     """
     a, b = exponents(params, J)
+    if not math.isfinite(energy):
+        raise NonFiniteParameter("energy", energy)
     al = params.alpha
     radicand = ((energy ** 2 - params.m ** 2) / (4.0 * al)
                 + J * (J + 1) / 4.0
                 + (params.lambda_r ** 2 - params.lambda0 ** 2) / (4.0 * al ** 2))
-    if radicand < 0:
+    if not radicand >= 0:
         raise ComplexShift(radicand)
     s = math.sqrt(radicand)
     v1 = a * (a - 0.5) - J * (J + 1) / 4.0
@@ -100,7 +112,7 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
 
 
 def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> EnergyLevel:
-    if e2 < 0:
+    if not e2 >= 0:
         raise ComplexEnergy(e2)
     e = math.sqrt(e2)
     return EnergyLevel(qn, e if qn.branch is Branch.PLUS else -e, formula)
@@ -120,14 +132,15 @@ def energy_natural(params: ModelParams, n: int, J: int,
 
 def energy_natural_limit(params: ModelParams, n: int, J: int,
                          branch: Branch = Branch.PLUS) -> EnergyLevel:
-    """Undeformed natural-parity level; alpha is ignored.
+    """Undeformed natural-parity level; alpha is ignored but must be finite.
 
     E = sqrt(m^2 + lr + (4n + 2J + 3) sqrt(lr^2 - l0^2)), the alpha -> 0
     limit of the deformed level (a radial oscillator with angular momentum
     J).  At lambda0 = lambda_r every level collapses to sqrt(m^2 + lr).
     """
+    _require_finite(params)
     gap2 = params.lambda_r ** 2 - params.lambda0 ** 2
-    if gap2 < 0:
+    if not gap2 >= 0:
         raise ComplexEnergy(gap2)
     e2 = params.m ** 2 + params.lambda_r + (4 * n + 2 * J + 3) * math.sqrt(gap2)
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
@@ -142,6 +155,7 @@ def level_spacing(params: ModelParams, n: int, J: int) -> float:
 
 
 def _require_unnatural(params: ModelParams):
+    _require_finite(params)
     if params.lambda0 != 0:
         raise UnsupportedRegime("unnatural-parity spectra require lambda0 = 0")
     if params.alpha <= 0:

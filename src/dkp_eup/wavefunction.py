@@ -191,6 +191,8 @@ def _raw_norm_integral(a: float, b: float, coeffs: np.ndarray,
     """int_0^1 [rho^a (1-rho)^b P]^2 rho^{-1/2} (1-rho)^{-1/2} drho / (2 sqrt(alpha)).
 
     Exact Gauss-Jacobi quadrature: weight exponents 2b - 1/2 and 2a - 1/2.
+    A value that is not a positive finite float (the quadrature weights
+    overflow for very large b, i.e. small alpha) raises DivergentNorm.
     """
     if 2.0 * b - 0.5 <= -1.0:
         raise DivergentNorm(f"wall exponent 2b - 1/2 = {2*b - 0.5} <= -1")
@@ -198,8 +200,13 @@ def _raw_norm_integral(a: float, b: float, coeffs: np.ndarray,
     x, w = roots_jacobi(nodes, 2.0 * b - 0.5, 2.0 * a - 0.5)
     rho = 0.5 * (x + 1.0)
     poly = _polyval(coeffs, rho)
-    return (0.5 ** (2 * a + 2 * b)) / (2.0 * math.sqrt(alpha)) * float(
+    value = (0.5 ** (2 * a + 2 * b)) / (2.0 * math.sqrt(alpha)) * float(
         np.sum(w * poly * poly))
+    if not 0.0 < value < math.inf:
+        raise DivergentNorm(
+            f"norm integral is {value} under the Gauss-Jacobi weight "
+            f"exponents 2b - 1/2 = {2*b - 0.5:.6g}, 2a - 1/2 = {2*a - 0.5:.6g}")
+    return value
 
 
 def _normalized_series(a: float, b: float, big_c: float, n: int,

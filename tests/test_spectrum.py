@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
-from dkp_eup.errors import ComplexEnergy, ComplexExponent, UnsupportedRegime
+from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonFiniteParameter,
+                            UnsupportedRegime)
 from dkp_eup.model import Branch, ModelParams
 from dkp_eup.spectrum import (abc, energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
@@ -257,3 +259,30 @@ def test_level_routes_each_sector_and_records_the_route():
     assert level(REF, "natural", 0, 0, Branch.MINUS).value < 0
     with pytest.raises(UnsupportedRegime):
         level(REF, "vector", 0)
+
+
+UNNAT = ModelParams(m=1.0, alpha=0.1, lambda0=0.0, lambda_r=1.0)
+ENTRY_POINTS = {
+    "energy_natural": lambda p: energy_natural(p, 1, 1),
+    "energy_natural_limit": lambda p: energy_natural_limit(p, 1, 1),
+    "energy_unnatural_phi": lambda p: energy_unnatural_phi(p, 1),
+    "energy_unnatural_h0": lambda p: energy_unnatural_h0(p, 1),
+    "exponents": lambda p: exponents(p, 1),
+    "abc": lambda p: abc(p, 1, 2.0),
+    "level_spacing": lambda p: level_spacing(p, 1, 1),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["m", "alpha", "lambda0", "lambda_r"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_parameter_is_rejected_by_name(entry, field, value):
+    params = dataclasses.replace(UNNAT, **{field: value})
+    with pytest.raises(NonFiniteParameter, match=f"parameter {field} = {value} "):
+        ENTRY_POINTS[entry](params)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf])
+def test_non_finite_energy_is_rejected_by_abc(energy):
+    with pytest.raises(NonFiniteParameter, match="parameter energy"):
+        abc(REF, 0, energy)

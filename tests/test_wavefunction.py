@@ -6,6 +6,7 @@ import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
 
+from dkp_eup import wavefunction
 from dkp_eup.errors import (BadC, DivergentNorm, GridTooCoarse,
                             UnsupportedRegime)
 from dkp_eup.model import ModelParams
@@ -242,12 +243,26 @@ def test_csv_export(tmp_path):
     assert len(first) == 7 and all(np.isfinite(first))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("build", [
+BUILDS = [
     lambda p: natural_solution(p, 0, 0),
     lambda p: unnatural_solution(dataclasses.replace(p, lambda0=0.0), 0, "phi"),
-])
-def test_nan_residual_fails_the_residual_gate(build):
-    # at alpha = 1e-6 the norm quadrature overflows and the residual is NaN
+]
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_nan_residual_fails_the_residual_gate(build, monkeypatch):
+    # every sampled component, and so the residual, is NaN
+    def nan_derivs(a, b, coeffs, rho):
+        return (np.full_like(rho, np.nan),) * 3
+    monkeypatch.setattr(wavefunction, "_prefactor_derivs", nan_derivs)
     with pytest.raises(GridTooCoarse, match="nan"):
-        build(ModelParams(m=1.0, alpha=1e-6, lambda0=0.5, lambda_r=1.0))
+        build(REF)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+@pytest.mark.parametrize("build", BUILDS)
+def test_overflowing_norm_raises_divergent_norm(build, alpha):
+    # the Gauss-Jacobi weights overflow for wall exponents b in the thousands
+    with pytest.raises(DivergentNorm, match=r"nan under .* 2b - 1/2 = \d"):
+        build(ModelParams(m=1.0, alpha=alpha, lambda0=0.5, lambda_r=1.0))
