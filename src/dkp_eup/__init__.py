@@ -3,7 +3,7 @@ vector coupling: exact matrix algebra, closed-form spectra, explicit
 eigenfunctions, and an independent numerical eigensolver for cross-checks.
 
 The closed-form layer imports only the standard library.  The eigenfunction
-names load ``wavefunction``, and with it numpy and scipy, on first use.
+names load ``wavefunction``, and with it numpy, on first use.
 """
 
 from .errors import (AlgebraInconsistent, BadC, ComplexEnergy, ComplexExponent,

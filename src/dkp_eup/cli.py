@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 Flag values override a ``--config`` file (plain ``key = value`` lines),
 which overrides built-in defaults.
 
-Only ``wavefunction`` and ``verify`` import numpy and scipy, inside their
-commands, so the closed-form commands start without them.
+Only ``wavefunction`` and ``verify`` import numpy (and only ``verify`` scipy),
+inside their commands, so the closed-form commands start without them.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import sys
 import time
 
 from . import figures, spectrum
-from .errors import (ComplexEnergy, ComplexExponent, ComplexShift, DkpError,
-                     UnsupportedRegime)
+from .errors import ComplexEnergy, ComplexExponent, ComplexShift, DkpError
 from .model import Branch, ModelParams, validate
 
 EXIT_OK = 0
@@ -238,9 +237,6 @@ def main(argv=None) -> int:
     except (ComplexEnergy, ComplexExponent, ComplexShift) as exc:
         print(f"no real spectrum: {exc}", file=sys.stderr)
         return EXIT_NO_SPECTRUM
-    except UnsupportedRegime as exc:
-        print(f"unsupported regime: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (DkpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

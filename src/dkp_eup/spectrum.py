@@ -60,18 +60,30 @@ def _require_finite(params: ModelParams):
             raise NonFiniteParameter(name, value)
 
 
+def _finite(name: str, compute) -> float:
+    """``compute()``; UnsupportedRegime naming ``name`` if it overflows."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):  # x ** 2 over- or underflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise UnsupportedRegime(f"{name} overflows the float range")
+    return value
+
+
 def _sqrt_q(params: ModelParams) -> float:
     """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4).
 
-    Guards every deformed formula: requires finite parameters, alpha > 0
-    and D >= 0.
+    Guards every deformed formula: requires finite parameters, alpha > 0,
+    a finite Q and D >= 0.
     """
     _require_finite(params)
     if params.alpha <= 0:
         raise UnsupportedRegime(
             "deformed formulas need alpha > 0; alpha = 0 has the limit formula")
-    q = (params.lambda_r ** 2 - params.lambda0 ** 2
-         + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0)
+    q = _finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4", lambda: (
+        params.lambda_r ** 2 - params.lambda0 ** 2
+        + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0))
     if not q >= 0:
         raise ComplexExponent(4.0 * q / params.alpha ** 2)
     return math.sqrt(q)
@@ -83,7 +95,8 @@ def exponents(params: ModelParams, J: int) -> tuple[float, float]:
     a = (J+1)/2 and b = 1/4 + sqrt(D)/4; requires alpha > 0 and D >= 0.
     """
     a = (J + 1) / 2.0
-    b = 0.25 + 0.5 * _sqrt_q(params) / params.alpha
+    sqrt_q = _sqrt_q(params)
+    b = _finite("wall exponent b", lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
     return a, b
 
 
@@ -98,15 +111,15 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     if not math.isfinite(energy):
         raise NonFiniteParameter("energy", energy)
     al = params.alpha
-    radicand = ((energy ** 2 - params.m ** 2) / (4.0 * al)
-                + J * (J + 1) / 4.0
-                + (params.lambda_r ** 2 - params.lambda0 ** 2) / (4.0 * al ** 2))
+    radicand = _finite("shift radicand", lambda: (
+        (energy ** 2 - params.m ** 2) / (4.0 * al) + J * (J + 1) / 4.0
+        + (params.lambda_r ** 2 - params.lambda0 ** 2) / (4.0 * al ** 2)))
     if not radicand >= 0:
         raise ComplexShift(radicand)
     s = math.sqrt(radicand)
     v1 = a * (a - 0.5) - J * (J + 1) / 4.0
-    v2 = b * (b - 0.5) - ((params.lambda_r / al) ** 2 + params.lambda_r / al
-                          - (params.lambda0 / al) ** 2) / 4.0
+    v2 = _finite("v2", lambda: b * (b - 0.5) - ((params.lambda_r / al) ** 2
+                 + params.lambda_r / al - (params.lambda0 / al) ** 2) / 4.0)
     return HypergeomData(a=a, b=b, A=a + b + s, B=a + b - s, C=0.5 + 2.0 * a,
                          u=(a + b) ** 2 - radicand, v1=v1, v2=v2)
 
@@ -123,9 +136,9 @@ def energy_natural(params: ModelParams, n: int, J: int,
     """Deformed natural-parity level E_{n;J}; requires alpha > 0."""
     sqrt_q = _sqrt_q(params)
     beta = n + (2 * J + 3) / 4.0
-    e2 = (params.m ** 2 + params.lambda_r + params.alpha / 4.0
-          + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
-          - params.alpha * J * (J + 1))
+    e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r + params.alpha / 4.0
+                 + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
+                 - params.alpha * J * (J + 1))
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     return _energy_from_square(e2, qn, Formula.NATURAL_DEFORMED)
 
@@ -139,10 +152,11 @@ def energy_natural_limit(params: ModelParams, n: int, J: int,
     J).  At lambda0 = lambda_r every level collapses to sqrt(m^2 + lr).
     """
     _require_finite(params)
-    gap2 = params.lambda_r ** 2 - params.lambda0 ** 2
+    gap2 = _finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
     if not gap2 >= 0:
         raise ComplexEnergy(gap2)
-    e2 = params.m ** 2 + params.lambda_r + (4 * n + 2 * J + 3) * math.sqrt(gap2)
+    e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r
+                 + (4 * n + 2 * J + 3) * math.sqrt(gap2))
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     return _energy_from_square(e2, qn, Formula.NATURAL_LIMIT)
 
@@ -170,9 +184,9 @@ def energy_unnatural_phi(params: ModelParams, n: int,
     product is expanded so no 1/alpha survives.
     """
     _require_unnatural(params)
-    e2 = (params.m ** 2 + 4.0 * params.lambda_r
-          + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
-          + 4.0 * (n + 0.5) * params.lambda_r)
+    e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
+                 + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
+                 + 4.0 * (n + 0.5) * params.lambda_r)
     qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_PHI)
 
@@ -184,9 +198,8 @@ def energy_unnatural_h0(params: ModelParams, n: int,
     E^2 = m^2 + 4 alpha (n + 1/2)(n + 1/2 + lr/alpha).
     """
     _require_unnatural(params)
-    e2 = (params.m ** 2
-          + 4.0 * params.alpha * (n + 0.5) ** 2
-          + 4.0 * (n + 0.5) * params.lambda_r)
+    e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
+                 + 4.0 * (n + 0.5) * params.lambda_r)
     qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_H0)
 

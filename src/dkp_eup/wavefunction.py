@@ -4,16 +4,16 @@ Every solved component has the closed form
 
     F(rho) = N * rho^a (1-rho)^b * Poly(rho),      rho = alpha r^2 in (0, 1),
 
-where Poly is a terminating Gauss hypergeometric series (degree n).  All
-derivatives used anywhere in this module are obtained by term-by-term
-differentiation of Poly plus the product rule on the prefactor; no finite
-differences enter, so residuals isolate formula errors rather than
-discretization error.
+where Poly = 2F1(-n, n + 2a + 2b; 2a + 1/2; rho) = n!/(ja+1)_n P_n^(ja,jb)(1-2rho)
+is a Jacobi polynomial, ja = 2a - 1/2, jb = 2b - 1/2.  It is evaluated by the
+three-term recurrence (DLMF 18.9.2), which stays accurate at high n where the
+power basis cancels, and differentiated by the shift identity (DLMF 18.9.15)
+and the product rule; no finite differences enter, so residuals isolate
+formula errors rather than discretization error.
 
 Normalization uses the deformed measure: the line integral
-int_0^{1/sqrt(alpha)} |F(r)|^2 (1 - alpha r^2)^{-1/2} dr, which in rho
-becomes a Jacobi-weighted integral evaluated exactly by Gauss-Jacobi
-quadrature on the polynomial part.
+int_0^{1/sqrt(alpha)} |F(r)|^2 (1 - alpha r^2)^{-1/2} dr, which in rho carries
+the Jacobi weight rho^ja (1-rho)^jb, so it is the Jacobi norm h_n (DLMF 18.3).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import BadC, DivergentNorm, GridTooCoarse, UnsupportedRegime
 from .model import ModelParams, xi_zeta
@@ -29,7 +28,6 @@ from .spectrum import EnergyLevel, energy_natural, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
-_NORM_NODES = 256
 
 
 def terminating_series_coefficients(A: float, n: int, C: float) -> np.ndarray:
@@ -52,21 +50,30 @@ def terminating_series_coefficients(A: float, n: int, C: float) -> np.ndarray:
 def gauss2f1_terminating(A: float, n: int, C: float, rho) -> np.ndarray | float:
     """Evaluate the terminating series 2F1(A, -n; C; rho) on 0 <= rho < 1."""
     c = terminating_series_coefficients(A, n, C)
-    return _polyval(c, np.asarray(rho, dtype=float)) if np.ndim(rho) else \
-        float(_polyval(c, np.asarray([rho], dtype=float))[0])
+    return np.polynomial.polynomial.polyval(rho, c)
 
 
-def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = np.zeros_like(x)
-    for ck in c[::-1]:
-        y = y * x + ck
-    return y
+def _jacobi(n: int, ja: float, jb: float, x: np.ndarray) -> np.ndarray:
+    """P_n^(ja,jb)(x) by the three-term recurrence (DLMF 18.9.2); 0 for n < 0."""
+    if n <= 0:
+        return np.full_like(x, float(n == 0))
+    prev, cur = np.ones_like(x), (ja + 1.0) + (ja + jb + 2.0) * (x - 1.0) / 2.0
+    for k in range(1, n):
+        s = 2 * k + ja + jb
+        prev, cur = cur, ((s + 1) * ((s + 2) * s * x + ja * ja - jb * jb) * cur
+                          - 2 * (k + ja) * (k + jb) * (s + 2) * prev) \
+            / (2 * (k + 1) * (k + ja + jb + 1) * s)
+    return cur
 
 
-def _polyder(c: np.ndarray) -> np.ndarray:
-    if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c))
+def _poly(a: float, b: float, n: int, rho: np.ndarray, k: int = 0) -> np.ndarray:
+    """k-th rho-derivative of Poly = n!/(ja+1)_n P_n^(ja,jb)(1 - 2 rho): the i-th
+    derivative multiplies by -(n+ja+jb+1+i) and moves to P_{n-1-i}^(ja+1+i,
+    jb+1+i) (DLMF 18.9.15)."""
+    ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
+    scale = math.prod([(i + 1) / (ja + 1 + i) for i in range(n)]
+                      + [-(n + ja + jb + 1 + i) for i in range(k)])
+    return scale * _jacobi(n - k, ja + k, jb + k, 1.0 - 2.0 * rho)
 
 
 def chebyshev_grid(size: int) -> np.ndarray:
@@ -103,14 +110,10 @@ class RadialSolution:
 # --- analytic derivative kernels ------------------------------------------
 
 
-def _prefactor_derivs(a: float, b: float, coeffs: np.ndarray, rho: np.ndarray):
+def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
     """F, dF/drho, d2F/drho2 for F = rho^a (1-rho)^b Poly(rho) (unnormalized)."""
     q = 1.0 - rho
-    dc = _polyder(coeffs)
-    ddc = _polyder(dc)
-    p0 = _polyval(coeffs, rho)
-    p1 = _polyval(dc, rho)
-    p2 = _polyval(ddc, rho)
+    p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
     f = rho ** a * q ** b * p0
     g1 = (a * q - b * rho) * p0 + rho * q * p1
     fr = rho ** (a - 1.0) * q ** (b - 1.0) * g1
@@ -120,16 +123,8 @@ def _prefactor_derivs(a: float, b: float, coeffs: np.ndarray, rho: np.ndarray):
     return f, fr, frr
 
 
-def _radial_derivs(a, b, coeffs, rho, alpha):
-    """F and its first two derivatives with respect to r (chain rule in rho)."""
-    f, frho, frhorho = _prefactor_derivs(a, b, coeffs, rho)
-    df_dr = 2.0 * np.sqrt(alpha * rho) * frho
-    d2f_dr2 = 2.0 * alpha * frho + 4.0 * alpha * rho * frhorho
-    return f, df_dr, d2f_dr2
-
-
 def _natural_components(params: ModelParams, J: int, energy: float,
-                        a: float, b: float, coeffs: np.ndarray,
+                        a: float, b: float, n: int,
                         rho: np.ndarray, scale: float):
     """F0, H+1, H-1, G0 and the r-derivatives of the H components.
 
@@ -142,8 +137,9 @@ def _natural_components(params: ModelParams, J: int, energy: float,
     """
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
     xi, zeta = xi_zeta(J)
-    f, df, ddf = _radial_derivs(a, b, coeffs, rho, al)
-    f, df, ddf = scale * f, scale * df, scale * ddf
+    f, frho, frhorho = (scale * d for d in _prefactor_derivs(a, b, n, rho))
+    df = 2.0 * np.sqrt(al * rho) * frho  # chain rule in rho
+    ddf = 2.0 * al * frho + 4.0 * al * rho * frhorho
     r = np.sqrt(rho / al)
     q = 1.0 - rho
     p = np.sqrt(q)
@@ -170,7 +166,7 @@ def _natural_components(params: ModelParams, J: int, energy: float,
 
 
 def _unnatural_sector_data(params: ModelParams, which: str):
-    """(a, b, C, c_wall, c_const_of_E2) of the decoupled sector "phi" or "h0"."""
+    """(a, b, c_wall, c_const_of_E2) of the decoupled sector "phi" or "h0"."""
     al, lr = params.alpha, params.lambda_r
     x = lr / al
     if which == "phi":
@@ -183,38 +179,33 @@ def _unnatural_sector_data(params: ModelParams, which: str):
             return (e2 - params.m ** 2) / (4 * al) + x * x / 4.0
     a = 0.5
     b = 0.25 + 0.25 * math.sqrt(1.0 + 16.0 * c_wall)
-    return a, b, 0.5 + 2.0 * a, c_wall, c_const
+    return a, b, c_wall, c_const
 
 
-def _raw_norm_integral(a: float, b: float, coeffs: np.ndarray,
-                       alpha: float) -> float:
-    """int_0^1 [rho^a (1-rho)^b P]^2 rho^{-1/2} (1-rho)^{-1/2} drho / (2 sqrt(alpha)).
+def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
+    """int_0^1 [rho^a (1-rho)^b Poly]^2 rho^{-1/2} (1-rho)^{-1/2} drho / (2 sqrt(alpha)),
 
-    Exact Gauss-Jacobi quadrature: weight exponents 2b - 1/2 and 2a - 1/2.
-    A value that is not a positive finite float (the quadrature weights
-    overflow for very large b, i.e. small alpha) raises DivergentNorm.
-    """
-    if 2.0 * b - 0.5 <= -1.0:
-        raise DivergentNorm(f"wall exponent 2b - 1/2 = {2*b - 0.5} <= -1")
-    nodes = max(_NORM_NODES, len(coeffs))
-    x, w = roots_jacobi(nodes, 2.0 * b - 0.5, 2.0 * a - 0.5)
-    rho = 0.5 * (x + 1.0)
-    poly = _polyval(coeffs, rho)
-    value = (0.5 ** (2 * a + 2 * b)) / (2.0 * math.sqrt(alpha)) * float(
-        np.sum(w * poly * poly))
+    the Jacobi norm (n!/(ja+1)_n)^2 h_n / 2^(ja+jb+1) (DLMF 18.3) through lgamma;
+    a value that is not a positive finite float raises DivergentNorm."""
+    ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
+    if jb <= -1.0:
+        raise DivergentNorm(f"wall exponent 2b - 1/2 = {jb} <= -1")
+    value = math.exp(
+        math.lgamma(n + 1) + 2.0 * math.lgamma(ja + 1) + math.lgamma(n + jb + 1)
+        - math.lgamma(n + ja + 1) - math.lgamma(n + ja + jb + 1)
+        - math.log(2 * n + ja + jb + 1)) / (2.0 * math.sqrt(alpha))
     if not 0.0 < value < math.inf:
-        raise DivergentNorm(
-            f"norm integral is {value} under the Gauss-Jacobi weight "
-            f"exponents 2b - 1/2 = {2*b - 0.5:.6g}, 2a - 1/2 = {2*a - 0.5:.6g}")
+        raise DivergentNorm(f"norm integral is {value} at the Jacobi "
+                            f"parameters 2b - 1/2 = {jb:.6g}, 2a - 1/2 = {ja:.6g}")
     return value
 
 
-def _normalized_series(a: float, b: float, big_c: float, n: int,
+def _normalized_series(a: float, b: float, n: int,
                        alpha: float) -> tuple[np.ndarray, float]:
-    """Coefficients of the degree-n series 2F1(-n, n + 2(a+b); C; rho) and
-    the constant normalizing rho^a (1-rho)^b Poly(rho)."""
-    coeffs = terminating_series_coefficients(n + 2.0 * (a + b), n, big_c)
-    return coeffs, 1.0 / math.sqrt(_raw_norm_integral(a, b, coeffs, alpha))
+    """Coefficients of the degree-n series 2F1(-n, n + 2(a+b); 2a + 1/2; rho)
+    and the constant normalizing rho^a (1-rho)^b Poly(rho)."""
+    coeffs = terminating_series_coefficients(n + 2.0 * (a + b), n, 0.5 + 2.0 * a)
+    return coeffs, 1.0 / math.sqrt(_raw_norm_integral(a, b, n, alpha))
 
 
 def natural_solution(params: ModelParams, n: int, J: int,
@@ -223,10 +214,10 @@ def natural_solution(params: ModelParams, n: int, J: int,
     """Normalized natural-parity solution and its first-order-system residual."""
     level = energy_natural(params, n, J)
     a, b = exponents(params, J)
-    coeffs, n1 = _normalized_series(a, b, 0.5 + 2.0 * a, n, params.alpha)
+    coeffs, n1 = _normalized_series(a, b, n, params.alpha)
     rho = chebyshev_grid(grid_size)
     f, _, h_plus, h_minus, g0, _, _ = _natural_components(
-        params, J, level.value, a, b, coeffs, rho, n1)
+        params, J, level.value, a, b, n, rho, n1)
 
     sol = RadialSolution(
         sector="natural", n=n, J=J, energy=level.value, params=params,
@@ -254,11 +245,10 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")
     energy = level(params, which, n).value
-    a, b, big_c, c_wall, c_const = _unnatural_sector_data(params, which)
-    coeffs, n1 = _normalized_series(a, b, big_c, n, params.alpha)
+    a, b, c_wall, c_const = _unnatural_sector_data(params, which)
+    coeffs, n1 = _normalized_series(a, b, n, params.alpha)
     rho = chebyshev_grid(grid_size)
-    f, frho, frhorho = _prefactor_derivs(a, b, coeffs, rho)
-    f, frho, frhorho = n1 * f, n1 * frho, n1 * frhorho
+    f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
     resid = ((1.0 - rho) * rho * frhorho + (0.5 - rho) * frho
              - c_wall * f / (1.0 - rho) + c_const(energy ** 2) * f)
     residual_sup = float(np.max(np.abs(resid)))
@@ -276,19 +266,18 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:
     """Evaluate the primary component analytically at arbitrary rho in (0, 1)."""
     rho = np.asarray(rho, dtype=float)
-    poly = _polyval(sol.series_coeffs, rho)
-    return sol.norm_constant * rho ** sol.exponent_a \
-        * (1.0 - rho) ** sol.exponent_b * poly
+    a, b = sol.exponent_a, sol.exponent_b
+    return sol.norm_constant * rho ** a * (1.0 - rho) ** b * _poly(a, b, sol.n, rho)
 
 
 def deformed_norm(sol: RadialSolution, params: ModelParams) -> float:
     """Norm of the primary component under the deformed measure.
 
-    Computed in the rho variable with the endpoint behavior folded into a
-    Gauss-Jacobi weight, so the polynomial part is integrated exactly.
+    In the rho variable the measure is a Jacobi weight, so the integral is
+    the closed-form Jacobi norm of the polynomial part.
     """
-    raw = _raw_norm_integral(sol.exponent_a, sol.exponent_b,
-                             sol.series_coeffs, params.alpha)
+    raw = _raw_norm_integral(sol.exponent_a, sol.exponent_b, sol.n,
+                             params.alpha)
     return sol.norm_constant ** 2 * raw
 
 
@@ -319,7 +308,7 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
 
     f, df, h_plus, h_minus, g0, dh_plus, dh_minus = _natural_components(
         params, J, energy, sol.exponent_a, sol.exponent_b,
-        sol.series_coeffs, rho, sol.norm_constant)
+        sol.n, rho, sol.norm_constant)
 
     res01 = zeta * (p * df - (J + 1) * (p / r) * f - ar * f) + m * h_plus
     res02 = xi * (p * df + J * (p / r) * f - ar * f) + m * h_minus

@@ -177,6 +177,23 @@ def test_non_finite_parameters_and_negative_n_max_exit_2(capsys, argv):
     assert "nan" in err or "inf" in err or "n_max" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--lambdaR", "1e200", "--lambda0", "0"),
+    ("spectrum", "--m", "1e200"),
+    ("spectrum", "--alpha", "0", "--lambdaR", "1e200", "--lambda0", "0"),
+    ("spectrum", "--sector", "phi", "--lambda0", "0", "--lambdaR", "1e308"),
+    ("spectrum", "--sector", "h0", "--lambda0", "0", "--alpha", "1e308",
+     "--branch", "minus"),
+    ("spacing", "--m", "1e200"),
+])
+def test_overflowing_parameters_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""          # in particular no inf or nan
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows the float range" in err
+
+
 def test_negative_n_max_from_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_max = -3\n")

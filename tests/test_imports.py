@@ -1,4 +1,5 @@
-"""The closed-form commands and the package import stay off numpy and scipy."""
+"""The closed-form commands and the package import stay off numpy and scipy,
+and the eigenfunctions off scipy."""
 import ast
 import os
 import pathlib
@@ -55,6 +56,16 @@ def test_closed_form_commands_load_no_numpy_or_scipy(argv, tmp_path):
     assert _loaded_after(code) == set()
 
 
+@pytest.mark.parametrize("code", [
+    "import dkp_eup.wavefunction",
+    "import contextlib, io\nfrom dkp_eup import cli\n"
+    "with contextlib.redirect_stderr(io.StringIO()):\n"
+    "    assert cli.main(['wavefunction', '--n', '3', '--out', {out!r}]) == 0",
+])
+def test_eigenfunctions_load_numpy_but_no_scipy(code, tmp_path):
+    assert _loaded_after(code.format(out=str(tmp_path / "wf.csv"))) == {"numpy"}
+
+
 def test_package_import_loads_no_numpy():
     assert _loaded_after("import dkp_eup") == set()
 
@@ -91,10 +102,13 @@ def _imports(path: pathlib.Path) -> tuple[set[str], set[str]]:
 
 
 STDLIB_ONLY = {"model", "errors", "spectrum", "figures", "svgplot"}
+# third-party imports allowed beyond the standard library, by module
+THIRD_PARTY = {**dict.fromkeys(STDLIB_ONLY, set()), "wavefunction": {"numpy"}}
 
 
-@pytest.mark.parametrize("module", sorted(STDLIB_ONLY))
+@pytest.mark.parametrize("module", sorted(THIRD_PARTY))
 def test_closed_form_layer_imports_only_the_standard_library(module):
     package, absolute = _imports(SRC / f"{module}.py")
     assert package <= STDLIB_ONLY
-    assert absolute <= set(sys.stdlib_module_names) | {"__future__"}
+    assert absolute <= (set(sys.stdlib_module_names) | {"__future__"}
+                        | THIRD_PARTY[module])

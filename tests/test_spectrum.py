@@ -286,3 +286,30 @@ def test_non_finite_parameter_is_rejected_by_name(entry, field, value):
 def test_non_finite_energy_is_rejected_by_abc(energy):
     with pytest.raises(NonFiniteParameter, match="parameter energy"):
         abc(REF, 0, energy)
+
+
+@pytest.mark.parametrize("entry,field,value,quantity", [
+    ("energy_natural", "lambda_r", 1e200, r"Q = lr\^2"),
+    ("energy_natural", "alpha", 1e200, r"Q = lr\^2"),
+    ("energy_natural", "m", 1e200, r"E\^2"),
+    ("energy_natural_limit", "lambda_r", 1e200, r"lr\^2 - l0\^2"),
+    ("energy_natural_limit", "m", 1e200, r"E\^2"),
+    ("energy_unnatural_phi", "m", 1e200, r"E\^2"),
+    ("energy_unnatural_phi", "lambda_r", 1e308, r"E\^2"),   # a sum overflows
+    ("energy_unnatural_h0", "alpha", 1e308, r"E\^2"),
+    ("exponents", "lambda_r", 1e200, r"Q = lr\^2"),
+    ("exponents", "alpha", 1e-320, "wall exponent b"),
+    ("abc", "m", 1e200, "shift radicand"),
+    ("abc", "alpha", 1e-170, "shift radicand"),   # alpha^2 underflows to 0
+    ("abc", "alpha", 5e-155, "v2"),
+    ("level_spacing", "m", 1e200, r"E\^2"),
+])
+def test_overflow_is_rejected_naming_the_quantity(entry, field, value, quantity):
+    params = dataclasses.replace(UNNAT, **{field: value})
+    with pytest.raises(UnsupportedRegime, match=f"^{quantity}.* overflows"):
+        ENTRY_POINTS[entry](params)
+
+
+def test_huge_parameters_with_a_representable_level_still_evaluate():
+    level = energy_unnatural_phi(dataclasses.replace(UNNAT, lambda_r=1e200), 0)
+    assert level.value == pytest.approx(math.sqrt(6e200), rel=1e-12)
