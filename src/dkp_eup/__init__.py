@@ -9,7 +9,7 @@ names load ``wavefunction``, and with it numpy, on first use.
 from .errors import (AlgebraInconsistent, BadC, ComplexEnergy, ComplexExponent,
                      ComplexShift, DivergentNorm, DkpError, GridTooCoarse,
                      NonConvergence, NonFiniteParameter, OutOfDomain,
-                     UnsupportedRegime)
+                     ResidualFloor, UnsupportedRegime)
 from .model import (Branch, ModelParams, Parity, QuantumNumbers,
                     ValidationReport, minimum_momentum_uncertainty, validate,
                     xi_zeta)

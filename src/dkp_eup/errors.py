@@ -53,6 +53,12 @@ class GridTooCoarse(DkpError):
     """Requested grid cannot reach the residual tolerance."""
 
 
+class ResidualFloor(DkpError):
+    """The residual tolerance lies below the floating-point floor of the
+    equation being checked: its terms are so large that their rounding
+    alone exceeds the tolerance, on any grid."""
+
+
 class DivergentNorm(DkpError):
     """The norm integral is non-integrable at an endpoint, or its value
     under the endpoint weights is not a positive finite float."""

@@ -19,7 +19,8 @@ finite-volume scheme on uniform s-cells has zero flux through both walls
 (P vanishes there), which encodes the boundedness condition with no extra
 boundary rows, and a diagonal similarity makes the matrix symmetric
 tridiagonal.  Because the discrete operator is symmetric, eigenvalues
-converge at twice the nominal second-order rate of the scheme.
+converge at twice the nominal second-order rate of the scheme.  The lowest
+levels come from a certified shift-invert Lanczos solve (``solve_lowest``).
 """
 from __future__ import annotations
 
@@ -28,11 +29,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 
 from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
                      UnsupportedRegime)
 from .model import ModelParams
+
+# Shift of the spectral transformation.  The zero-flux matrix is negative
+# semidefinite with its constant mode at lambda ~ 0, so sigma = 1 sits just
+# above the wanted end of the spectrum and sigma I - T is positive definite.
+SHIFT = 1.0
+RITZ_TOL = 1e-14
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,8 @@ def _sector_constants(params: ModelParams, sector: Sector):
     if sector.kind == "natural":
         q = lr * lr - l0 * l0 + al * lr + al * al / 4.0
         if q < 0:
-            raise ComplexExponent(4.0 * q / al ** 2)
+            # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
+            raise ComplexExponent(4.0 * q / al / al)
         J = sector.J
         c = J + 1.5
         sigma = (2 * J + 3) / 2.0 + math.sqrt(q) / al
@@ -142,6 +152,9 @@ def discretize(params: ModelParams, sector: Sector, grid_size: int,
     if s_cut < 1.0:
         # Dirichlet u = 0 at the cut face: one-sided half-cell flux
         diag[-1] -= 2.0 * np.exp(log_p[n] - log_w[-1] - l2h)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise UnsupportedRegime("matrix entries overflow the float range; "
+                                "cut the domain (auto_cut) at this alpha")
 
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
@@ -164,16 +177,88 @@ def apply_operator(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
 
 
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
-    """The k smallest E^2 values, ascending (largest matrix eigenvalues)."""
-    if k > problem.grid_size:
-        raise ValueError("k must not exceed grid_size")
+    """The k smallest E^2 values, ascending (largest matrix eigenvalues).
+
+    Spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980):
+    SHIFT I - T is factored once, and Lanczos with full reorthogonalization
+    runs on its inverse, whose largest eigenvalues theta give the wanted
+    lambda = SHIFT - 1/theta.  It stops when every Ritz bound |beta_j s_ji|,
+    mapped to lambda, is at most RITZ_TOL * max(1, |lambda|); the levels
+    are then certified by ``_certify`` or NonConvergence is raised.
+    """
+    if not 1 <= k <= problem.grid_size:
+        raise ValueError("k must be in 1..grid_size")
     n = problem.grid_size
-    try:
-        lam = eigvalsh_tridiagonal(problem.diag, problem.offdiag,
-                                   select="i", select_range=(n - k, n - 1))
-    except LinAlgError as exc:  # pragma: no cover - depends on LAPACK failure
-        raise NonConvergence(str(exc)) from exc
-    return problem.e2_offset + problem.e2_scale * lam[::-1]
+    d, e, info = dpttrf(SHIFT - problem.diag, -problem.offdiag)
+    if info != 0:
+        raise NonConvergence(f"SHIFT I - T is not positive definite "
+                             f"(dpttrf info {info})")
+    # 60 rows for k = 5: at grid 8192 the basis stays under the 4 MiB from
+    # which numpy backs an array with huge pages, which would raise the RSS
+    steps = min(n, 40 + 4 * k)
+    basis = np.empty((steps, n))
+    alphas, betas = np.empty(steps), np.empty(steps)
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w, _ = dpttrs(d, e, basis[j])
+        alphas[j] = basis[j] @ w
+        w -= alphas[j] * basis[j]
+        if j:
+            w -= betas[j - 1] * basis[j - 1]
+        h = basis[:j + 1] @ w          # full reorthogonalization
+        w -= h @ basis[:j + 1]
+        alphas[j] += h[j]
+        # a Krylov space of dimension n is invariant: its beta is 0
+        betas[j] = np.linalg.norm(w) if j + 1 < n else 0.0
+        if j + 1 >= k:
+            ritz, s = eigh_tridiagonal(alphas[:j + 1], betas[:j])
+            theta = ritz[:-k - 1:-1]
+            bound = np.abs(betas[j] * s[j, :-k - 1:-1])
+            lam = SHIFT - 1.0 / theta
+            # 1/(theta - bound) - 1/theta: the mapped lower half-width
+            if np.all((theta > bound) & (bound / (theta * (theta - bound))
+                      <= RITZ_TOL * np.maximum(1.0, np.abs(lam)))):
+                below = SHIFT - 1.0 / ritz[-k - 1] if j + 1 > k else -np.inf
+                _certify(problem, theta, bound + n * EPS * theta[0], below)
+                return problem.e2_offset + problem.e2_scale * lam
+        if not betas[j] > 0.0:
+            break
+        if j + 1 < steps:
+            basis[j + 1] = w / betas[j]
+    raise NonConvergence(f"Lanczos did not converge on {k} levels "
+                         f"in {j + 1} steps")
+
+
+def _certify(problem: DiscretizedProblem, theta: np.ndarray,
+             radius: np.ndarray, below: float) -> None:
+    """Certify that the descending Ritz values theta, each within radius of
+    an eigenvalue of (SHIFT I - T)^-1, are its k largest.
+
+    The radius adds to the Ritz bound an allowance of n eps ||A|| for the
+    rounding of the Lanczos recurrence.  Mapped to lambda, the k intervals
+    must be disjoint, so that each holds its own eigenvalue, and a Sturm
+    count (Barth, Martin & Wilkinson, Numer. Math. 1967) must find exactly
+    k eigenvalues of T in (lowest interval - margin, SHIFT], so that none
+    was missed.  The margin is half the gap down to ``below``, the next
+    Ritz value, and at most 1 + |lambda_k|, so rounding in the count would
+    have to move an eigenvalue by that much.  Anything else raises
+    NonConvergence.
+    """
+    if not np.all(theta > radius):
+        raise NonConvergence("a Ritz interval reaches theta = 0")
+    lo = SHIFT - 1.0 / (theta - radius)
+    hi = SHIFT - 1.0 / (theta + radius)
+    if not np.all(lo[:-1] > hi[1:]):
+        raise NonConvergence("Ritz intervals overlap")
+    vl = max(0.5 * (lo[-1] + below), lo[-1] - 1.0 - abs(lo[-1]))
+    # RANGE = 1 ('V') counts the eigenvalues in (vl, vu]; a tolerance as
+    # wide as the interval stops the bisection at once, leaving the count
+    count = dstebz(problem.diag, problem.offdiag, 1, vl, SHIFT, 0, 0,
+                   SHIFT - vl, b"E")[0]
+    if count != len(theta):
+        raise NonConvergence(f"Sturm count finds {count} eigenvalues above "
+                             f"{vl:.6g}, not {len(theta)}")
 
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,

@@ -85,7 +85,8 @@ def _sqrt_q(params: ModelParams) -> float:
         params.lambda_r ** 2 - params.lambda0 ** 2
         + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0))
     if not q >= 0:
-        raise ComplexExponent(4.0 * q / params.alpha ** 2)
+        # divided twice: alpha ** 2 underflows to 0 below alpha ~ 1e-162
+        raise ComplexExponent(4.0 * q / params.alpha / params.alpha)
     return math.sqrt(q)
 
 

@@ -22,12 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadC, DivergentNorm, GridTooCoarse, UnsupportedRegime
+from .errors import (BadC, DivergentNorm, GridTooCoarse, ResidualFloor,
+                     UnsupportedRegime)
 from .model import ModelParams, xi_zeta
 from .spectrum import EnergyLevel, energy_natural, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
+# Rounding of the rho-form residual in units of eps times its largest term,
+# over (n + 1)^2: measured up to ~2 at n = 0 and ~610 at n = 40 (alpha in
+# [1e-6, 1]), against the allowance 16 (n + 1)^2.
+FLOOR_ULPS = 16
 
 
 def terminating_series_coefficients(A: float, n: int, C: float) -> np.ndarray:
@@ -249,10 +255,17 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     coeffs, n1 = _normalized_series(a, b, n, params.alpha)
     rho = chebyshev_grid(grid_size)
     f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
-    resid = ((1.0 - rho) * rho * frhorho + (0.5 - rho) * frho
-             - c_wall * f / (1.0 - rho) + c_const(energy ** 2) * f)
-    residual_sup = float(np.max(np.abs(resid)))
+    terms = ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+             -c_wall * f / (1.0 - rho), c_const(energy ** 2) * f)
+    residual_sup = float(np.max(np.abs(sum(terms))))
     if not residual_sup <= tol:
+        # the terms grow like b ~ 1/alpha, and so does their rounding
+        term_max = float(np.max(np.abs(terms)))
+        if residual_sup <= FLOOR_ULPS * (n + 1) ** 2 * EPS * term_max:
+            raise ResidualFloor(
+                f"residual {residual_sup:.3e} above tolerance {tol:.1e} is "
+                f"rounding in the rho-form equation, whose terms reach "
+                f"{term_max:.2e}: no grid can reach the tolerance")
         raise GridTooCoarse(
             f"residual {residual_sup:.3e} above tolerance {tol:.1e}")
 

@@ -18,8 +18,8 @@ PUBLIC_API = {
     "ComplexShift", "DivergentNorm", "DkpError", "EnergyLevel", "Formula",
     "GridTooCoarse", "HypergeomData", "ModelParams", "NonConvergence",
     "NonFiniteParameter", "OutOfDomain", "Parity", "QuantumNumbers",
-    "RadialSolution", "UnsupportedRegime", "ValidationReport", "abc",
-    "count_nodes", "deformed_norm", "energy_natural", "energy_natural_limit",
+    "RadialSolution", "ResidualFloor", "UnsupportedRegime", "ValidationReport",
+    "abc", "count_nodes", "deformed_norm", "energy_natural", "energy_natural_limit",
     "energy_unnatural_h0", "energy_unnatural_phi", "errors", "evaluate_primary",
     "exponents", "gauss2f1_terminating", "level", "level_spacing",
     "minimum_momentum_uncertainty", "model", "natural_solution",
@@ -64,6 +64,15 @@ def test_closed_form_commands_load_no_numpy_or_scipy(argv, tmp_path):
 ])
 def test_eigenfunctions_load_numpy_but_no_scipy(code, tmp_path):
     assert _loaded_after(code.format(out=str(tmp_path / "wf.csv"))) == {"numpy"}
+
+
+def test_verification_loads_no_sparse_solver():
+    # the oracle needs only scipy.linalg; scipy.sparse would add to the
+    # set-up time of every verification run
+    loaded = _fresh("import sys\nimport dkp_eup.verify\n"
+                    "print(*[m for m in sys.modules if m.startswith('scipy.')])")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 def test_package_import_loads_no_numpy():

@@ -1,13 +1,18 @@
 import ast
+import dataclasses
 import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from dkp_eup import oracle
-from dkp_eup.errors import ComplexEnergy, ComplexExponent, UnsupportedRegime
+from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonConvergence,
+                            UnsupportedRegime)
 from dkp_eup.model import ModelParams
 from dkp_eup.oracle import (Sector, auto_cut, compare, discretize,
                             apply_operator, extrapolated_limit_energy,
@@ -181,3 +186,79 @@ def test_oracle_imports_only_model_and_errors():
                         if a.name.startswith("dkp_eup")}
     assert package <= {"model", "errors"}
     assert package
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: discretize(p, Sector.natural(0), 8),
+    lambda p: auto_cut(p, Sector.natural(0), 0),
+    lambda p: lowest_energies(p, Sector.natural(0), 1, 8),
+], ids=["discretize", "auto_cut", "lowest_energies"])
+def test_underflowed_alpha_still_raises_complex_exponent(call):
+    # alpha^2 underflows to 0; the discriminant is -inf, not a ZeroDivisionError
+    p = ModelParams(m=1.0, alpha=1e-170, lambda0=1.5, lambda_r=1.0)
+    with pytest.raises(ComplexExponent) as info:
+        call(p)
+    assert info.value.discriminant == -math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["natural", "phi", "h0"]),
+       J=st.integers(0, 4),
+       alpha=st.floats(0.05, 2.0),
+       lambda0=st.floats(0.0, 0.95),
+       grid=st.integers(2, 2048),
+       data=st.data())
+def test_solve_lowest_matches_tight_bisection(kind, J, alpha, lambda0, grid,
+                                              data):
+    k = data.draw(st.integers(1, min(grid, 8)), label="k")
+    p = ModelParams(m=1.0, alpha=alpha,
+                    lambda0=lambda0 if kind == "natural" else 0.0,
+                    lambda_r=1.0)
+    prob = discretize(p, Sector(kind, J), grid)
+    e2 = solve_lowest(prob, k)
+    lam = (e2 - prob.e2_offset) / prob.e2_scale
+    ref = eigvalsh_tridiagonal(prob.diag, prob.offdiag, select="i",
+                               select_range=(grid - k, grid - 1),
+                               tol=1e-11)[::-1]
+    assert np.all(np.diff(e2) > 0)
+    err = np.abs(lam - ref)
+    # 1e-7 absolute near the shift; far from it, shift-invert resolves
+    # lambda only to about eps (SHIFT - lambda)^2 (the certified radius)
+    assert np.all(err[np.abs(lam) <= 1e3] <= 1e-7)
+    assert np.all(err <= 1e-7 + grid * oracle.EPS * (oracle.SHIFT - lam) ** 2)
+
+
+def test_a_sturm_count_of_k_plus_one_raises_non_convergence(monkeypatch):
+    count = oracle.dstebz
+    monkeypatch.setattr(oracle, "dstebz", lambda *args: (count(*args)[0] + 1,))
+    with pytest.raises(NonConvergence, match="Sturm count finds 4"):
+        solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
+
+
+def test_an_unconverged_lanczos_raises_non_convergence(monkeypatch):
+    # a negative tolerance is never met; 0 would be, once s_ji underflows
+    monkeypatch.setattr(oracle, "RITZ_TOL", -1.0)
+    with pytest.raises(NonConvergence, match="did not converge"):
+        solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
+
+
+def test_a_shift_inside_the_spectrum_raises_non_convergence():
+    # SHIFT I - T must be positive definite for the factorization
+    prob = discretize(REF, Sector.natural(0), 256)
+    with pytest.raises(NonConvergence, match="positive definite"):
+        solve_lowest(dataclasses.replace(prob, diag=prob.diag + 2.0), 3)
+
+
+def test_overflowing_matrix_entries_raise_unsupported_regime():
+    # without a domain cut, the wall weight at alpha = 1e-9 overflows
+    weak = ModelParams(m=1.0, alpha=1e-9, lambda0=0.5, lambda_r=1.0)
+    with np.errstate(over="ignore"), \
+            pytest.raises(UnsupportedRegime, match="overflow"):
+        discretize(weak, Sector.natural(0), 64)
+
+
+def test_ground_level_on_the_finest_grid_is_below_1e_10():
+    # the old bisection stopped at eps * ||T||_1 and gave 7.5e-10 here
+    exact = energy_natural(REF, 0, 0).value
+    numeric = lowest_energies(REF, Sector.natural(0), 1, 16384)[0]
+    assert abs(numeric - exact) / exact < 1e-10

@@ -310,6 +310,17 @@ def test_overflow_is_rejected_naming_the_quantity(entry, field, value, quantity)
         ENTRY_POINTS[entry](params)
 
 
+@pytest.mark.parametrize("entry", ["energy_natural", "exponents", "abc",
+                                   "level_spacing"])
+def test_underflowed_alpha_still_raises_complex_exponent(entry):
+    # lambda0 > lambda_r leaves no real wall exponent; at alpha = 1e-170,
+    # alpha^2 underflows to 0 and D = 4Q/alpha^2 is beyond the float range
+    params = ModelParams(m=1.0, alpha=1e-170, lambda0=1.5, lambda_r=1.0)
+    with pytest.raises(ComplexExponent) as info:
+        ENTRY_POINTS[entry](params)
+    assert info.value.discriminant == -math.inf
+
+
 def test_huge_parameters_with_a_representable_level_still_evaluate():
     level = energy_unnatural_phi(dataclasses.replace(UNNAT, lambda_r=1e200), 0)
     assert level.value == pytest.approx(math.sqrt(6e200), rel=1e-12)

@@ -8,7 +8,7 @@ from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 
 from dkp_eup import wavefunction
 from dkp_eup.errors import (BadC, DivergentNorm, GridTooCoarse,
-                            UnsupportedRegime)
+                            ResidualFloor, UnsupportedRegime)
 from dkp_eup.model import ModelParams
 from dkp_eup.spectrum import energy_natural, energy_unnatural_phi, exponents
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
@@ -296,3 +296,24 @@ def test_small_alpha_builds_pass_every_check(build, alpha):
     assert sol.residual_sup <= 1e-8
     assert deformed_norm(sol, sol.params) == pytest.approx(1.0, abs=1e-9)
     assert count_nodes(sol) == sol.n == 0
+
+
+@pytest.mark.parametrize("which", ["phi", "h0"])
+def test_residual_at_the_rounding_floor_names_the_floor(which):
+    # at alpha = 1e-5 the rho-form terms reach ~2e9, so their rounding alone
+    # exceeds the 1e-8 gate: the build still fails, but not on the grid
+    p = ModelParams(m=1.0, alpha=1e-5, lambda0=0.0, lambda_r=1.0)
+    with pytest.raises(ResidualFloor, match="rounding") as info:
+        unnatural_solution(p, 0, which)
+    assert not isinstance(info.value, GridTooCoarse)
+
+
+def test_a_wrong_energy_is_not_mistaken_for_the_floor(monkeypatch):
+    real = wavefunction.level
+
+    def off_by_1e_6(*args):
+        lev = real(*args)
+        return dataclasses.replace(lev, value=lev.value * (1 + 1e-6))
+    monkeypatch.setattr(wavefunction, "level", off_by_1e_6)
+    with pytest.raises(GridTooCoarse):
+        unnatural_solution(UNNAT, 0, "phi")
