@@ -6,7 +6,7 @@ The closed-form layer imports only the standard library.  The eigenfunction
 names load ``wavefunction``, and with it numpy, on first use.
 """
 
-from .errors import (AlgebraInconsistent, BadC, ComplexEnergy, ComplexExponent,
+from .errors import (AlgebraInconsistent, ComplexEnergy, ComplexExponent,
                      ComplexShift, DivergentNorm, DkpError, GridTooCoarse,
                      NonConvergence, NonFiniteParameter, OutOfDomain,
                      ResidualFloor, UnsupportedRegime)
@@ -21,8 +21,7 @@ from .spectrum import (EnergyLevel, Formula, HypergeomData, abc,
 __version__ = "0.1.0"
 
 _LAZY = ("wavefunction", "RadialSolution", "count_nodes", "deformed_norm",
-         "evaluate_primary", "gauss2f1_terminating", "natural_solution",
-         "residual_first_order", "terminating_series_coefficients",
+         "evaluate_primary", "natural_solution", "residual_first_order",
          "unnatural_solution")
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")}

@@ -3,7 +3,8 @@
 Two independent verification layers live here:
 
 * the 10x10 matrix representation (four beta matrices, spin matrices,
-  projector) over Gaussian integers, checked with exact integer arithmetic;
+  projector) over Gaussian integers, checked in complex128 arithmetic that
+  is asserted exact;
 * the deformed position/momentum operators X_i = x_i/sqrt(1 - alpha r^2),
   P_i = -i sqrt(1 - alpha r^2) d_i, whose commutation relations are checked
   by applying both operator orderings symbolically to polynomial test
@@ -21,77 +22,21 @@ from .errors import AlgebraInconsistent, OutOfDomain
 METRIC = (1, -1, -1, -1)
 
 
-@dataclass(frozen=True)
-class GaussianMatrix:
-    """Dense matrix over Gaussian integers, stored as int64 (re, im) pairs.
-
-    Entries of all matrices handled here stay in {0, +-1, +-i}; int64
-    products of triple chains are therefore exact with huge margin.
-    """
-
-    re: np.ndarray
-    im: np.ndarray
-
-    @staticmethod
-    def zeros(n: int) -> "GaussianMatrix":
-        return GaussianMatrix(np.zeros((n, n), dtype=np.int64),
-                              np.zeros((n, n), dtype=np.int64))
-
-    @staticmethod
-    def eye(n: int) -> "GaussianMatrix":
-        return GaussianMatrix(np.eye(n, dtype=np.int64),
-                              np.zeros((n, n), dtype=np.int64))
-
-    def __matmul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(self.re @ other.re - self.im @ other.im,
-                              self.re @ other.im + self.im @ other.re)
-
-    def __add__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianMatrix":
-        return GaussianMatrix(-self.re, -self.im)
-
-    def scale(self, k: int) -> "GaussianMatrix":
-        return GaussianMatrix(k * self.re, k * self.im)
-
-    def times_i(self) -> "GaussianMatrix":
-        """Multiply by the imaginary unit: (re + i im) * i = -im + i re."""
-        return GaussianMatrix(-self.im, self.re)
-
-    def conj_transpose(self) -> "GaussianMatrix":
-        return GaussianMatrix(self.re.T.copy(), -self.im.T.copy())
-
-    def equals(self, other: "GaussianMatrix") -> bool:
-        return bool(np.array_equal(self.re, other.re)
-                    and np.array_equal(self.im, other.im))
-
-    def is_zero(self) -> bool:
-        return bool(not self.re.any() and not self.im.any())
-
-    def is_hermitian(self) -> bool:
-        return self.equals(self.conj_transpose())
-
-    def is_anti_hermitian(self) -> bool:
-        return (self + self.conj_transpose()).is_zero()
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(int(self.re[i, j]), int(self.im[i, j]))
+def _exact(*arrays: np.ndarray) -> None:
+    """Raise AlgebraInconsistent unless every entry is a Gaussian integer
+    below 2^53 in each part, where complex128 arithmetic is exact."""
+    for a in arrays:
+        parts = np.stack([a.real, a.imag])
+        if not np.all((np.abs(parts) < 2.0 ** 53) & (parts == np.round(parts))):
+            raise AlgebraInconsistent("matrix entries leave the exactly "
+                                      "representable Gaussian integers")
 
 
-def spin_matrices() -> tuple[GaussianMatrix, GaussianMatrix, GaussianMatrix]:
+def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The usual 3x3 spin-one generators (S^j)_{kl} = -i eps_{jkl}."""
-    s = []
-    for j in range(3):
-        im = np.zeros((3, 3), dtype=np.int64)
-        for k in range(3):
-            for lo in range(3):
-                im[k, lo] = -_levi_civita(j, k, lo)
-        s.append(GaussianMatrix(np.zeros((3, 3), dtype=np.int64), im))
-    return tuple(s)
+    return tuple(-1j * np.array([[_levi_civita(j, k, lo) for lo in range(3)]
+                                 for k in range(3)])
+                 for j in range(3))
 
 
 def _levi_civita(i: int, j: int, k: int) -> int:
@@ -104,17 +49,12 @@ def _levi_civita(i: int, j: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class DkpMatrixSet:
-    """The four 10x10 beta matrices plus the spin matrices and the metric."""
+    """The four 10x10 beta matrices plus the spin matrices and the metric,
+    as complex128 arrays whose entries are Gaussian integers."""
 
-    beta: tuple[GaussianMatrix, GaussianMatrix, GaussianMatrix, GaussianMatrix]
-    spin: tuple[GaussianMatrix, GaussianMatrix, GaussianMatrix]
+    beta: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    spin: tuple[np.ndarray, np.ndarray, np.ndarray]
     metric: tuple[int, int, int, int] = METRIC
-
-
-def _place(re: np.ndarray, im: np.ndarray, r: int, c: int, block: GaussianMatrix):
-    h, w = block.re.shape
-    re[r:r + h, c:c + w] = block.re
-    im[r:r + h, c:c + w] = block.im
 
 
 def build_matrices() -> DkpMatrixSet:
@@ -125,27 +65,15 @@ def build_matrices() -> DkpMatrixSet:
     the G row via the unit row vector u^k and F to H via -i S^k.
     """
     spins = spin_matrices()
-
-    re0 = np.zeros((10, 10), dtype=np.int64)
-    im0 = np.zeros((10, 10), dtype=np.int64)
-    _place(re0, im0, 1, 4, GaussianMatrix.eye(3))
-    _place(re0, im0, 4, 1, GaussianMatrix.eye(3))
-    beta = [GaussianMatrix(re0, im0)]
-
+    b0 = np.zeros((10, 10), dtype=np.complex128)
+    b0[1:4, 4:7] = b0[4:7, 1:4] = np.eye(3)
+    beta = [b0]
     for k in range(3):
-        rek = np.zeros((10, 10), dtype=np.int64)
-        imk = np.zeros((10, 10), dtype=np.int64)
-        u = np.zeros((1, 3), dtype=np.int64)
-        u[0, k] = 1
-        urow = GaussianMatrix(u, np.zeros_like(u))
-        ucol = GaussianMatrix(u.T.copy(), np.zeros_like(u.T))
-        minus_i_s = spins[k].times_i().scale(-1)
-        _place(rek, imk, 0, 4, urow)
-        _place(rek, imk, 4, 0, ucol.scale(-1))
-        _place(rek, imk, 1, 7, minus_i_s)
-        _place(rek, imk, 7, 1, minus_i_s)
-        beta.append(GaussianMatrix(rek, imk))
-
+        bk = np.zeros((10, 10), dtype=np.complex128)
+        bk[0, 4 + k] = 1
+        bk[4 + k, 0] = -1
+        bk[1:4, 7:10] = bk[7:10, 1:4] = -1j * spins[k]
+        beta.append(bk)
     return DkpMatrixSet(tuple(beta), spins)
 
 
@@ -171,28 +99,31 @@ class AlgebraReport:
 def verify_algebra(mats: DkpMatrixSet) -> AlgebraReport:
     """Check b^s b^k b^l + b^l b^k b^s = g^{sk} b^l + g^{kl} b^s exactly.
 
-    All 64 (sigma, kappa, lambda) triples, exact integer arithmetic.
+    All 64 (sigma, kappa, lambda) triples.  The entries of the matrices and
+    of each left-hand side are asserted to be Gaussian integers below 2^53.
     """
     b = mats.beta
     g = mats.metric
+    _exact(*b)
     bad = []
     for s in range(4):
         for k in range(4):
             for lo in range(4):
                 lhs = b[s] @ b[k] @ b[lo] + b[lo] @ b[k] @ b[s]
-                rhs = b[lo].scale(g[s] if s == k else 0) + \
-                    b[s].scale(g[k] if k == lo else 0)
-                if not lhs.equals(rhs):
+                rhs = (g[s] if s == k else 0) * b[lo] + \
+                    (g[k] if k == lo else 0) * b[s]
+                _exact(lhs)
+                if not np.array_equal(lhs, rhs):
                     bad.append((s, k, lo))
     return AlgebraReport(tuple(bad), 64)
 
 
 @dataclass(frozen=True)
 class ProjectorMatrix:
-    matrix: GaussianMatrix
+    matrix: np.ndarray
 
     def diagonal(self) -> list[complex]:
-        return [self.matrix.entry(i, i) for i in range(self.matrix.re.shape[0])]
+        return [complex(v) for v in np.diag(self.matrix)]
 
 
 def build_projector(mats: DkpMatrixSet) -> ProjectorMatrix:
@@ -202,11 +133,11 @@ def build_projector(mats: DkpMatrixSet) -> ProjectorMatrix:
     idempotent and Hermitian.
     """
     b = mats.beta
-    acc = GaussianMatrix.zeros(10)
-    for mu in range(4):
-        acc = acc + (b[mu] @ b[mu]).scale(mats.metric[mu])
-    p = acc - GaussianMatrix.eye(10).scale(2)
-    if not (p @ p).equals(p) or not p.is_hermitian():
+    _exact(*b)
+    p = sum(g * (bm @ bm) for g, bm in zip(mats.metric, b)) - 2 * np.eye(10)
+    pp = p @ p
+    _exact(p, pp)
+    if not np.array_equal(pp, p) or not np.array_equal(p, p.conj().T):
         raise AlgebraInconsistent("beta^mu beta_mu - 2 is not a projector")
     return ProjectorMatrix(p)
 

@@ -45,10 +45,6 @@ class UnsupportedRegime(DkpError):
     """Parameter/quantum-number combination outside the solved regimes."""
 
 
-class BadC(DkpError):
-    """Lower hypergeometric parameter C is a non-positive integer."""
-
-
 class GridTooCoarse(DkpError):
     """Requested grid cannot reach the residual tolerance."""
 

@@ -76,6 +76,9 @@ def _sector_constants(params: ModelParams, sector: Sector):
         raise UnsupportedRegime("the eigensolver needs alpha > 0")
     if sector.kind == "natural":
         q = lr * lr - l0 * l0 + al * lr + al * al / 4.0
+        if not math.isfinite(q):
+            raise UnsupportedRegime("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 "
+                                    "overflows the float range")
         if q < 0:
             # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
             raise ComplexExponent(4.0 * q / al / al)
@@ -110,14 +113,9 @@ class DiscretizedProblem:
     s_nodes: np.ndarray          # cell centers in s = sqrt(rho)
     diag: np.ndarray
     offdiag: np.ndarray
-    log_weights: np.ndarray      # log W at cell centers (similarity transform)
     e2_offset: float
     e2_scale: float              # E^2 = e2_offset + e2_scale * matrix_eigenvalue
     s_cut: float
-
-    @property
-    def rho_nodes(self) -> np.ndarray:
-        return self.s_nodes ** 2
 
 
 def discretize(params: ModelParams, sector: Sector, grid_size: int,
@@ -159,21 +157,8 @@ def discretize(params: ModelParams, sector: Sector, grid_size: int,
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
         grid_size=n, sector=sector, params=params, s_nodes=centers,
-        diag=diag, offdiag=off, log_weights=log_w,
+        diag=diag, offdiag=off,
         e2_offset=offset, e2_scale=-params.alpha, s_cut=s_cut)
-
-
-def apply_operator(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
-    """Apply the (unsymmetrized) discrete operator to samples of u(s).
-
-    Returns 4*L u at the cell centers; u must be sampled on ``s_nodes``.
-    The similarity transform is undone with the stored weights.
-    """
-    v = np.exp(0.5 * problem.log_weights) * u
-    out = problem.diag * v
-    out[:-1] += problem.offdiag * v[1:]
-    out[1:] += problem.offdiag * v[:-1]
-    return out * np.exp(-0.5 * problem.log_weights)
 
 
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:

@@ -18,11 +18,11 @@ the Jacobi weight rho^ja (1-rho)^jb, so it is the Jacobi norm h_n (DLMF 18.3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadC, DivergentNorm, GridTooCoarse, ResidualFloor,
+from .errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
                      UnsupportedRegime)
 from .model import ModelParams, xi_zeta
 from .spectrum import EnergyLevel, energy_natural, exponents, level
@@ -34,29 +34,6 @@ EPS = float(np.finfo(float).eps)
 # over (n + 1)^2: measured up to ~2 at n = 0 and ~610 at n = 40 (alpha in
 # [1e-6, 1]), against the allowance 16 (n + 1)^2.
 FLOOR_ULPS = 16
-
-
-def terminating_series_coefficients(A: float, n: int, C: float) -> np.ndarray:
-    """Coefficients c_k of 2F1(A, -n; C; rho) = sum_k c_k rho^k, k = 0..n.
-
-    c_k = (A)_k (-n)_k / ((C)_k k!); the series terminates because the
-    Pochhammer factor (-n)_k vanishes for every k > n.
-    """
-    if n < 0:
-        raise ValueError("series order n must be >= 0")
-    if C <= 0 and abs(C - round(C)) < 1e-12:
-        raise BadC(f"C = {C} is a non-positive integer")
-    c = np.zeros(n + 1)
-    c[0] = 1.0
-    for k in range(n):
-        c[k + 1] = c[k] * (A + k) * (-n + k) / ((C + k) * (k + 1))
-    return c
-
-
-def gauss2f1_terminating(A: float, n: int, C: float, rho) -> np.ndarray | float:
-    """Evaluate the terminating series 2F1(A, -n; C; rho) on 0 <= rho < 1."""
-    c = terminating_series_coefficients(A, n, C)
-    return np.polynomial.polynomial.polyval(rho, c)
 
 
 def _jacobi(n: int, ja: float, jb: float, x: np.ndarray) -> np.ndarray:
@@ -92,9 +69,9 @@ def chebyshev_grid(size: int) -> np.ndarray:
 class RadialSolution:
     """One bound-state radial solution sampled on a rho grid.
 
-    ``series_coeffs`` together with the exponents (a, b) and
-    ``norm_constant`` reproduce the primary component exactly; the sampled
-    arrays are a convenience view of the same function.
+    The exponents (a, b), n and ``norm_constant`` reproduce the primary
+    component exactly (``evaluate_primary``); the sampled arrays are a
+    convenience view of the same function.
     """
 
     sector: str                       # "natural" | "phi" | "h0"
@@ -110,7 +87,6 @@ class RadialSolution:
     residual_sup: float
     exponent_a: float
     exponent_b: float
-    series_coeffs: np.ndarray = field(repr=False)
 
 
 # --- analytic derivative kernels ------------------------------------------
@@ -206,21 +182,13 @@ def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
     return value
 
 
-def _normalized_series(a: float, b: float, n: int,
-                       alpha: float) -> tuple[np.ndarray, float]:
-    """Coefficients of the degree-n series 2F1(-n, n + 2(a+b); 2a + 1/2; rho)
-    and the constant normalizing rho^a (1-rho)^b Poly(rho)."""
-    coeffs = terminating_series_coefficients(n + 2.0 * (a + b), n, 0.5 + 2.0 * a)
-    return coeffs, 1.0 / math.sqrt(_raw_norm_integral(a, b, n, alpha))
-
-
 def natural_solution(params: ModelParams, n: int, J: int,
                      grid_size: int = DEFAULT_GRID_SIZE,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
     """Normalized natural-parity solution and its first-order-system residual."""
     level = energy_natural(params, n, J)
     a, b = exponents(params, J)
-    coeffs, n1 = _normalized_series(a, b, n, params.alpha)
+    n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
     f, _, h_plus, h_minus, g0, _, _ = _natural_components(
         params, J, level.value, a, b, n, rho, n1)
@@ -230,7 +198,7 @@ def natural_solution(params: ModelParams, n: int, J: int,
         rho_grid=rho, primary=f, primary_name="F0",
         secondary={"H_plus1": h_plus, "H_minus1": h_minus, "G0": g0},
         norm_constant=n1, residual_sup=0.0,
-        exponent_a=a, exponent_b=b, series_coeffs=coeffs)
+        exponent_a=a, exponent_b=b)
     sol.residual_sup = residual_first_order(params, level, sol)
     if not sol.residual_sup <= tol:
         raise GridTooCoarse(
@@ -252,7 +220,7 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
         raise ValueError(f"unknown unnatural sector {which!r}")
     energy = level(params, which, n).value
     a, b, c_wall, c_const = _unnatural_sector_data(params, which)
-    coeffs, n1 = _normalized_series(a, b, n, params.alpha)
+    n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
     f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
     terms = ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
@@ -273,7 +241,7 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
         sector=which, n=n, J=0, energy=energy, params=params,
         rho_grid=rho, primary=f, primary_name="phi" if which == "phi" else "H0",
         secondary={}, norm_constant=n1, residual_sup=residual_sup,
-        exponent_a=a, exponent_b=b, series_coeffs=coeffs)
+        exponent_a=a, exponent_b=b)
 
 
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:

@@ -31,7 +31,7 @@ def test_criterion_1_algebra_exactness():
     assert report.passed
     proj = algebra.build_projector(mats)
     assert proj.diagonal() == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
-    assert (proj.matrix @ proj.matrix).equals(proj.matrix)
+    assert np.array_equal(proj.matrix @ proj.matrix, proj.matrix)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(1, f"64 trilinear identities exact, projector exact "

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dkp_eup import algebra
-from dkp_eup.algebra import (AlgebraInconsistent, GaussianMatrix,
-                             build_matrices, build_projector,
-                             check_deformed_commutators, commutator_grid,
-                             evaluate_poly, monomial, monomial_basis,
-                             spin_matrices, verify_algebra)
+from dkp_eup.algebra import (AlgebraInconsistent, build_matrices,
+                             build_projector, check_deformed_commutators,
+                             commutator_grid, evaluate_poly, monomial,
+                             monomial_basis, spin_matrices, verify_algebra)
 from dkp_eup.errors import OutOfDomain
 
 MATS = build_matrices()
@@ -14,31 +15,33 @@ MATS = build_matrices()
 
 def test_printed_block_entries():
     b0, b1 = MATS.beta[0], MATS.beta[1]
-    assert b0.entry(1, 4) == 1  # F-row couples to G-column with a unit block
-    assert b1.entry(0, 4) == 1  # scalar row couples to the first G slot
+    assert b0[1, 4] == 1  # F-row couples to G-column with a unit block
+    assert b1[0, 4] == 1  # scalar row couples to the first G slot
     s3 = MATS.spin[2]
-    assert s3.entry(0, 1) == -1j
+    assert s3[0, 1] == -1j
 
 
 def test_all_entries_are_gaussian_units():
     allowed = {0 + 0j, 1 + 0j, -1 + 0j, 1j, -1j}
     for b in MATS.beta:
-        vals = {b.entry(i, j) for i in range(10) for j in range(10)}
+        vals = {complex(v) for v in b.ravel()}
         assert vals <= allowed
 
 
 def test_hermiticity_pattern():
-    assert MATS.beta[0].is_hermitian()
+    b0 = MATS.beta[0]
+    assert np.array_equal(b0, b0.conj().T)
     for k in (1, 2, 3):
-        assert MATS.beta[k].is_anti_hermitian()
+        bk = MATS.beta[k]
+        assert not (bk + bk.conj().T).any()
 
 
 def test_cube_identities_exact():
     b0 = MATS.beta[0]
-    assert (b0 @ b0 @ b0).equals(b0)
+    assert np.array_equal(b0 @ b0 @ b0, b0)
     for k in (1, 2, 3):
         bk = MATS.beta[k]
-        assert (bk @ bk @ bk).equals(-bk)
+        assert np.array_equal(bk @ bk @ bk, -bk)
 
 
 def test_trilinear_algebra_all_64_triples():
@@ -49,13 +52,11 @@ def test_trilinear_algebra_all_64_triples():
 
 
 def test_verifier_detects_corruption():
-    import dataclasses
-    bad_re = MATS.beta[1].re.copy()
-    bad_re[0, 5] = 1  # wrong u-vector slot
+    bad = MATS.beta[1].copy()
+    assert bad.dtype == np.complex128
+    bad[0, 5] = 1  # wrong u-vector slot
     corrupt = dataclasses.replace(
-        MATS, beta=(MATS.beta[0],
-                    GaussianMatrix(bad_re, MATS.beta[1].im.copy()),
-                    MATS.beta[2], MATS.beta[3]))
+        MATS, beta=(MATS.beta[0], bad, MATS.beta[2], MATS.beta[3]))
     report = verify_algebra(corrupt)
     assert not report.passed
     assert "violated" in report.to_text()
@@ -63,24 +64,35 @@ def test_verifier_detects_corruption():
 
 def test_spin_matrices_su2_commutators():
     s1, s2, s3 = spin_matrices()
-    assert (s1 @ s2 - s2 @ s1).equals(s3.times_i())  # [S1,S2] = iS3
+    assert np.array_equal(s1 @ s2 - s2 @ s1, 1j * s3)  # [S1,S2] = iS3
 
 
 def test_projector_is_the_printed_diagonal():
     proj = build_projector(MATS)
     assert proj.diagonal() == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
     p = proj.matrix
-    assert (p @ p).equals(p)
-    assert p.is_hermitian()
+    assert np.array_equal(p @ p, p)
+    assert np.array_equal(p, p.conj().T)
     assert sum(v.real for v in proj.diagonal()) == 4
 
 
 def test_projector_guard_raises_on_bad_set():
-    import dataclasses
     bad = dataclasses.replace(MATS, beta=(MATS.beta[0], MATS.beta[0],
                                           MATS.beta[2], MATS.beta[3]))
     with pytest.raises(AlgebraInconsistent):
         build_projector(bad)
+
+
+@pytest.mark.parametrize("value", [0.5, 0.5j, 2.0 ** 53, -2.0 ** 53 * 1j])
+def test_exactness_guard_rejects_inexact_entries(value):
+    m = MATS.beta[2].copy()
+    m[3, 3] = value
+    with pytest.raises(AlgebraInconsistent):
+        algebra._exact(MATS.beta[0], m)
+    algebra._exact(MATS.beta[0], MATS.beta[2])
+    with pytest.raises(AlgebraInconsistent):
+        verify_algebra(dataclasses.replace(
+            MATS, beta=(MATS.beta[0], MATS.beta[1], m, MATS.beta[3])))
 
 
 # --- deformed commutators ---------------------------------------------------

@@ -14,16 +14,15 @@ SRC = pathlib.Path(dkp_eup.__file__).parent
 
 # the public names of the package, numpy-backed ones included
 PUBLIC_API = {
-    "AlgebraInconsistent", "BadC", "Branch", "ComplexEnergy", "ComplexExponent",
+    "AlgebraInconsistent", "Branch", "ComplexEnergy", "ComplexExponent",
     "ComplexShift", "DivergentNorm", "DkpError", "EnergyLevel", "Formula",
     "GridTooCoarse", "HypergeomData", "ModelParams", "NonConvergence",
     "NonFiniteParameter", "OutOfDomain", "Parity", "QuantumNumbers",
     "RadialSolution", "ResidualFloor", "UnsupportedRegime", "ValidationReport",
     "abc", "count_nodes", "deformed_norm", "energy_natural", "energy_natural_limit",
     "energy_unnatural_h0", "energy_unnatural_phi", "errors", "evaluate_primary",
-    "exponents", "gauss2f1_terminating", "level", "level_spacing",
-    "minimum_momentum_uncertainty", "model", "natural_solution",
-    "residual_first_order", "spectrum", "terminating_series_coefficients",
+    "exponents", "level", "level_spacing", "minimum_momentum_uncertainty",
+    "model", "natural_solution", "residual_first_order", "spectrum",
     "unnatural_solution", "validate", "wavefunction", "xi_zeta",
 }
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonConvergence,
                             UnsupportedRegime)
 from dkp_eup.model import ModelParams
 from dkp_eup.oracle import (Sector, auto_cut, compare, discretize,
-                            apply_operator, extrapolated_limit_energy,
-                            lowest_energies, solve_lowest)
+                            extrapolated_limit_energy, lowest_energies,
+                            solve_lowest)
 from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi)
 
@@ -28,15 +29,24 @@ def test_discretize_shapes():
     assert prob.grid_size == 8
     assert prob.diag.shape == (8,)
     assert prob.offdiag.shape == (7,)
-    assert prob.rho_nodes.shape == (8,)
+    assert prob.s_nodes.shape == (8,)
     assert np.all(np.diff(prob.s_nodes) > 0)
 
 
 def test_constant_function_is_the_ground_mode():
     # u = 1 satisfies the regularized equation with eigenvalue 0 (n = 0);
     # the zero-flux scheme reproduces that exactly up to rounding
-    prob = discretize(ModelParams(1.0, 0.2, 0.5, 1.0), Sector.natural(0), 64)
-    res = apply_operator(prob, np.ones(64))
+    params = ModelParams(1.0, 0.2, 0.5, 1.0)
+    prob = discretize(params, Sector.natural(0), 64)
+    # undo the similarity transform: the symmetric matrix acts on W^(1/2) u
+    c, sigma, _ = oracle._sector_constants(params, prob.sector)
+    s = prob.s_nodes
+    half_w = np.exp(0.5 * ((2 * c - 1) * np.log(s) + (sigma - c) * np.log1p(-s * s)))
+    v = half_w * np.ones(64)
+    res = prob.diag * v
+    res[:-1] += prob.offdiag * v[1:]
+    res[1:] += prob.offdiag * v[:-1]
+    res /= half_w
     assert np.max(np.abs(res)) < 1e-8 * np.max(np.abs(prob.diag))
 
 
@@ -255,6 +265,17 @@ def test_overflowing_matrix_entries_raise_unsupported_regime():
     with np.errstate(over="ignore"), \
             pytest.raises(UnsupportedRegime, match="overflow"):
         discretize(weak, Sector.natural(0), 64)
+
+
+def test_overflowing_q_is_named_without_a_warning():
+    # Q = inf used to reach the log-space weights as NaN and raise advice
+    # to cut the domain, which cannot help
+    huge = ModelParams(m=1.0, alpha=1e200, lambda0=0.5, lambda_r=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedRegime, match=r"^Q = .* overflows") as info:
+            discretize(huge, Sector.natural(0), 64)
+    assert "auto_cut" not in str(info.value)
 
 
 def test_ground_level_on_the_finest_grid_is_below_1e_10():

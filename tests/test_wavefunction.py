@@ -7,56 +7,60 @@ from scipy.special import beta as beta_fn
 from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 
 from dkp_eup import wavefunction
-from dkp_eup.errors import (BadC, DivergentNorm, GridTooCoarse,
-                            ResidualFloor, UnsupportedRegime)
+from dkp_eup.errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
+                            UnsupportedRegime)
 from dkp_eup.model import ModelParams
 from dkp_eup.spectrum import energy_natural, energy_unnatural_phi, exponents
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
-                                  evaluate_primary, gauss2f1_terminating,
-                                  natural_solution, residual_first_order,
-                                  terminating_series_coefficients,
-                                  unnatural_solution, write_csv)
+                                  evaluate_primary, natural_solution,
+                                  residual_first_order, unnatural_solution,
+                                  write_csv)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
 
-# --- terminating hypergeometric series --------------------------------------
+# --- the polynomial part: 2F1(-n, n + 2a + 2b; 2a + 1/2; rho) ----------------
+
+
+def _series_2f1(A: float, n: int, C: float, rho):
+    """Reference 2F1(A, -n; C; rho) summed in the power basis: the term ratio
+    is (A + k)(-n + k) / ((C + k)(k + 1)), which vanishes past k = n."""
+    term, total = 1.0, np.ones_like(rho)
+    for k in range(n):
+        term *= (A + k) * (-n + k) / ((C + k) * (k + 1))
+        total = total + term * rho ** (k + 1)
+    return total
 
 
 def test_order_zero_series_is_one():
-    for a, c, rho in [(2.3, 1.5, 0.0), (7.0, 3.5, 0.5), (-1.2, 2.5, 0.99)]:
-        assert gauss2f1_terminating(a, 0, c, rho) == 1.0
+    rho = np.array([0.0, 0.5, 0.99])
+    for a, b in [(0.5, 2.3), (1.5, 7.0), (3.5, 0.25)]:
+        assert np.all(wavefunction._poly(a, b, 0, rho) == 1.0)
 
 
 def test_value_at_origin_is_one():
-    assert gauss2f1_terminating(5.5, 4, 2.5, 0.0) == 1.0
+    assert wavefunction._poly(1.0, 2.25, 4, np.array([0.0]))[0] == \
+        pytest.approx(1.0, rel=1e-14)
 
 
 def test_order_one_series_expansion():
-    # hand expansion: 1 + A*(-1)/C * rho
-    a, c, rho = 3.0, 1.5, 0.25
-    assert gauss2f1_terminating(a, 1, c, rho) == pytest.approx(
-        1.0 - (a / c) * rho, rel=1e-15)
-
-
-def test_series_terminates_at_degree_n():
-    coeffs = terminating_series_coefficients(4.5, 3, 2.5)
-    assert len(coeffs) == 4
-    # the recurrence factor (-n + n) annihilates the next coefficient
-    next_c = coeffs[3] * (4.5 + 3) * (-3 + 3) / ((2.5 + 3) * 4)
-    assert next_c == 0.0
+    # hand expansion: 1 - (A/C) rho with A = 1 + 2a + 2b, C = 2a + 1/2
+    a, b, rho = 0.5, 1.0, 0.25
+    assert wavefunction._poly(a, b, 1, np.array([rho]))[0] == pytest.approx(
+        1.0 - (4.0 / 1.5) * rho, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_matches_scipy_hyp2f1(seed):
     rng = np.random.default_rng(seed)
-    a = float(rng.uniform(0.5, 20.0))
-    c = float(rng.uniform(1.5, 10.0))
-    n = int(rng.integers(0, 7))
-    rho = rng.uniform(0.0, 0.9, size=8)
-    ours = gauss2f1_terminating(a, n, c, rho)
-    ref = hyp2f1(a, -n, c, rho)
-    assert np.allclose(ours, ref, rtol=1e-11, atol=1e-11)
+    a = float(rng.uniform(0.5, 5.0))
+    b = float(rng.uniform(0.25, 8.0))
+    rho = np.concatenate([[0.0], rng.uniform(0.0, 0.9, size=8)])
+    for n in range(7):
+        A, C = n + 2.0 * (a + b), 2.0 * a + 0.5
+        ours = wavefunction._poly(a, b, n, rho)
+        assert np.allclose(ours, _series_2f1(A, n, C, rho), rtol=1e-11, atol=1e-11)
+        assert np.allclose(ours, hyp2f1(A, -n, C, rho), rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("jb", [0.5, 9.23, 87.2, 866.6])
@@ -67,13 +71,6 @@ def test_jacobi_recurrence_matches_scipy(ja, jb):
         ref = eval_jacobi(n, ja, jb, x)
         ours = wavefunction._jacobi(n, ja, jb, x)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_bad_c_rejected():
-    for c in (0.0, -1.0, -2.0):
-        with pytest.raises(BadC):
-            terminating_series_coefficients(1.0, 2, c)
-    terminating_series_coefficients(1.0, 2, -0.5)  # non-integer is fine
 
 
 # --- natural-parity solutions ------------------------------------------------
@@ -166,9 +163,8 @@ def test_rho_and_r_parameterizations_agree():
     r = np.linspace(0.2, 3.0, 57)  # independent r grid inside the ball
     rho = REF.alpha * r * r
     via_rho = evaluate_primary(sol, rho)
-    poly = np.zeros_like(r)
-    for k, ck in enumerate(sol.series_coeffs):
-        poly += ck * (REF.alpha * r * r) ** k
+    a, b = sol.exponent_a, sol.exponent_b
+    poly = _series_2f1(sol.n + 2.0 * (a + b), sol.n, 2.0 * a + 0.5, rho)
     via_r = sol.norm_constant * (REF.alpha * r * r) ** sol.exponent_a \
         * (1.0 - REF.alpha * r * r) ** sol.exponent_b * poly
     assert np.max(np.abs(via_rho - via_r)) < 1e-12
