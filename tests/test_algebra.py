@@ -154,3 +154,15 @@ def test_nan_residual_fails_the_commutator_check():
         0.1, test_fns=[{(0, 1, 0, 0): complex(float("nan"))}])
     assert np.isnan(report.worst_position_momentum)
     assert not report.passed
+
+
+def test_a_momentum_without_its_deformation_term_fails_the_check(monkeypatch):
+    # every residual of the correct operators cancels symbolically, so only
+    # a wrong operator reaches the numeric evaluation on the grid; called
+    # with alpha = 0, apply_p drops its i s alpha x_i w^(s-1) term
+    apply_p = algebra.apply_p
+    monkeypatch.setattr(algebra, "apply_p",
+                        lambda f, i, alpha: apply_p(f, i, 0.0))
+    report = check_deformed_commutators(0.1)
+    assert report.worst_position_momentum > 1e-10
+    assert not report.passed

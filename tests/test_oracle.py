@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from dkp_eup import oracle
+from dkp_eup import oracle, verify
 from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonConvergence,
                             UnsupportedRegime)
 from dkp_eup.model import ModelParams
@@ -42,6 +42,9 @@ def test_constant_function_is_the_ground_mode():
     c, sigma, _ = oracle._sector_constants(params, prob.sector)
     s = prob.s_nodes
     half_w = np.exp(0.5 * ((2 * c - 1) * np.log(s) + (sigma - c) * np.log1p(-s * s)))
+    # the Lanczos start reads this weight, scaled to a maximum of 1
+    assert prob.half_weight == pytest.approx(half_w / half_w.max(),
+                                             rel=1e-12)
     v = half_w * np.ones(64)
     res = prob.diag * v
     res[:-1] += prob.offdiag * v[1:]
@@ -276,6 +279,59 @@ def test_overflowing_q_is_named_without_a_warning():
         with pytest.raises(UnsupportedRegime, match=r"^Q = .* overflows") as info:
             discretize(huge, Sector.natural(0), 64)
     assert "auto_cut" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["phi", "h0"])
+@pytest.mark.parametrize("params,name", [
+    (ModelParams(m=1.0, alpha=1e-300, lambda0=0.0, lambda_r=1e10), "sigma"),
+    (ModelParams(m=1.0, alpha=1.0, lambda0=0.0, lambda_r=1e308), "offset"),
+], ids=["lr_over_alpha", "lambda_r"])
+def test_overflowing_unnatural_constants_are_named(kind, params, name):
+    # sigma = 2 + lr/alpha or the offset 6 lr used to reach the log-space
+    # weights as inf and raise advice to cut the domain, which cannot help
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedRegime, match=name) as info:
+            discretize(params, Sector(kind), 64)
+    assert "auto_cut" not in str(info.value)
+
+
+def test_reference_cells_converge_in_at_most_20_lanczos_steps(monkeypatch):
+    # one dpttrs solve per Lanczos step; a random start needed 23-25
+    steps = []
+    solve = oracle.dpttrs
+
+    def counted(*args):
+        steps[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "dpttrs", counted)
+    for params, sector, J in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS:
+        steps.append(0)
+        solve_lowest(discretize(params, Sector(sector, J), 8192), 5)
+    assert max(steps) <= 20, steps
+
+
+def test_a_start_without_the_ground_mode_costs_steps_not_correctness():
+    # the start is half_weight * (1 + rho + rho^2); rescale the weight so
+    # that the start has the exact ground eigenvector projected out
+    k, grid = 3, 256
+    prob = discretize(REF, Sector.natural(0), grid)
+    poly = np.polyval(np.ones(k), prob.s_nodes ** 2)
+    ground = eigh_tridiagonal(prob.diag, prob.offdiag, select="i",
+                              select_range=(grid - 1, grid - 1))[1][:, 0]
+    start = prob.half_weight * poly
+    start -= (ground @ start) * ground
+    bad = dataclasses.replace(prob, half_weight=start / poly)
+    try:
+        e2 = solve_lowest(bad, k)
+    except NonConvergence:
+        return
+    lam = (e2 - prob.e2_offset) / prob.e2_scale
+    ref = eigvalsh_tridiagonal(prob.diag, prob.offdiag, select="i",
+                               select_range=(grid - k, grid - 1),
+                               tol=1e-11)[::-1]
+    assert np.all(np.abs(lam - ref) <= 1e-7)
 
 
 def test_ground_level_on_the_finest_grid_is_below_1e_10():
