@@ -244,7 +244,8 @@ def _certify(problem: DiscretizedProblem, theta: np.ndarray,
     k eigenvalues of T in (lowest interval - margin, SHIFT], so that none
     was missed.  The margin is half the gap down to ``below``, the next
     Ritz value, and at most 1 + |lambda_k|, so rounding in the count would
-    have to move an eigenvalue by that much.  Anything else raises
+    have to move an eigenvalue by that much; a ``below`` that is not below
+    the lowest interval is treated as unknown.  Anything else raises
     NonConvergence.
     """
     if not np.all(theta > radius):
@@ -253,6 +254,8 @@ def _certify(problem: DiscretizedProblem, theta: np.ndarray,
     hi = SHIFT - 1.0 / (theta + radius)
     if not np.all(lo[:-1] > hi[1:]):
         raise NonConvergence("Ritz intervals overlap")
+    if not below < lo[-1]:
+        below = -np.inf    # a Ritz value < 0 maps above SHIFT
     vl = max(0.5 * (lo[-1] + below), lo[-1] - 1.0 - abs(lo[-1]))
     # RANGE = 1 ('V') counts the eigenvalues in (vl, vu]; a tolerance as
     # wide as the interval stops the bisection at once, leaving the count

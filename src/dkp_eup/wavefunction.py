@@ -190,21 +190,19 @@ def natural_solution(params: ModelParams, n: int, J: int,
     a, b = exponents(params, J)
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
-    f, _, h_plus, h_minus, g0, _, _ = _natural_components(
-        params, J, level.value, a, b, n, rho, n1)
-
-    sol = RadialSolution(
+    comps = _natural_components(params, J, level.value, a, b, n, rho, n1)
+    residual_sup = _closure_residual(params, J, level.value, rho, comps)
+    if not residual_sup <= tol:
+        raise GridTooCoarse(
+            f"residual {residual_sup:.3e} above tolerance {tol:.1e} "
+            f"at grid size {grid_size}")
+    f, _, h_plus, h_minus, g0, _, _ = comps
+    return RadialSolution(
         sector="natural", n=n, J=J, energy=level.value, params=params,
         rho_grid=rho, primary=f, primary_name="F0",
         secondary={"H_plus1": h_plus, "H_minus1": h_minus, "G0": g0},
-        norm_constant=n1, residual_sup=0.0,
+        norm_constant=n1, residual_sup=residual_sup,
         exponent_a=a, exponent_b=b)
-    sol.residual_sup = residual_first_order(params, level, sol)
-    if not sol.residual_sup <= tol:
-        raise GridTooCoarse(
-            f"residual {sol.residual_sup:.3e} above tolerance {tol:.1e} "
-            f"at grid size {grid_size}")
-    return sol
 
 
 def unnatural_solution(params: ModelParams, n: int, which: str,
@@ -277,19 +275,23 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
         raise UnsupportedRegime(
             "first-order residuals are defined for the natural sector; "
             "unnatural solutions carry their ODE residual in residual_sup")
+    comps = _natural_components(params, sol.J, level.value, sol.exponent_a,
+                                sol.exponent_b, sol.n, sol.rho_grid,
+                                sol.norm_constant)
+    return _closure_residual(params, sol.J, level.value, sol.rho_grid, comps)
+
+
+def _closure_residual(params: ModelParams, J: int, energy: float,
+                      rho: np.ndarray, comps) -> float:
+    """Sup-norm of the four first-order residuals, given the components
+    ``_natural_components`` returns at ``rho``."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
-    xi, zeta = xi_zeta(sol.J)
-    J = sol.J
-    energy = level.value
-    rho = sol.rho_grid
+    xi, zeta = xi_zeta(J)
     r = np.sqrt(rho / al)
     p = np.sqrt(1.0 - rho)
     ar = lr * r / p
     a0 = l0 * r / p
-
-    f, df, h_plus, h_minus, g0, dh_plus, dh_minus = _natural_components(
-        params, J, energy, sol.exponent_a, sol.exponent_b,
-        sol.n, rho, sol.norm_constant)
+    f, df, h_plus, h_minus, g0, dh_plus, dh_minus = comps
 
     res01 = zeta * (p * df - (J + 1) * (p / r) * f - ar * f) + m * h_plus
     res02 = xi * (p * df + J * (p / r) * f - ar * f) + m * h_minus
@@ -303,10 +305,16 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
 
 
 def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:
-    """Interior sign changes of the primary component (Sturm oscillation)."""
-    rho = chebyshev_grid(samples)
-    vals = evaluate_primary(sol, rho)
-    return int(np.sum(vals[:-1] * vals[1:] < 0))
+    """Interior sign changes of the primary component (Sturm oscillation).
+
+    Only the polynomial is sampled: the prefactor N rho^a (1-rho)^b is
+    positive on (0, 1) and cannot change a sign, and at small alpha
+    (1-rho)^b underflows to 0.  Neighbours are compared by sign bit, not by
+    their product, which underflows to 0 below ~1e-154 and hides a change.
+    """
+    sign = np.signbit(_poly(sol.exponent_a, sol.exponent_b, sol.n,
+                            chebyshev_grid(samples)))
+    return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 
 def write_csv(sol: RadialSolution, path) -> None:

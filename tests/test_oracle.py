@@ -248,6 +248,16 @@ def test_a_sturm_count_of_k_plus_one_raises_non_convergence(monkeypatch):
         solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
 
 
+def test_a_next_ritz_value_above_shift_is_treated_as_unknown(capfd):
+    # a negative Ritz value below the wanted ones maps `below` above SHIFT;
+    # dstebz used to reject that interval on stderr and count 0 levels
+    prob = discretize(ModelParams(1.0, 1.0, 0.2, 1.0), Sector.natural(0), 64)
+    lam = eigh_tridiagonal(prob.diag, prob.offdiag, eigvals_only=True)[:-3:-1]
+    theta = 1.0 / (oracle.SHIFT - lam)
+    oracle._certify(prob, theta, 1e-13 * theta, 1e16)
+    assert capfd.readouterr().err == ""
+
+
 def test_an_unconverged_lanczos_raises_non_convergence(monkeypatch):
     # a negative tolerance is never met; 0 would be, once s_ji underflows
     monkeypatch.setattr(oracle, "RITZ_TOL", -1.0)

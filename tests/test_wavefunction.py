@@ -97,6 +97,54 @@ def test_oscillation_across_parameter_grid(alpha, lambda0):
         assert count_nodes(natural_solution(p, n, 0)) == n
 
 
+def _product_rule_nodes(sol):
+    """The former count: neighbours of the sampled primary whose product is
+    negative."""
+    vals = evaluate_primary(sol, chebyshev_grid(10000))
+    return int(np.sum(vals[:-1] * vals[1:] < 0))
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
+def test_node_count_matches_the_product_rule(sector, alpha):
+    # none of the 144 builds raises under the suite's RuntimeWarning filter,
+    # so none is skipped.  At alpha 1e-7 the 9 builds with n >= 20 find
+    # fewer than n nodes under both rules: their nodes lie below rho ~ 2e-5,
+    # where the 10,000 samples have 28 points.
+    for n in (0, 1, 2, 5, 10, 20, 30, 40):
+        if sector == "natural":
+            sol = natural_solution(dataclasses.replace(REF, alpha=alpha),
+                                   n, 0, tol=math.inf)
+        else:
+            sol = unnatural_solution(dataclasses.replace(UNNAT, alpha=alpha),
+                                     n, sector, tol=math.inf)
+        nodes = count_nodes(sol)
+        assert nodes == _product_rule_nodes(sol)
+        assert nodes == n or (alpha == 1e-7 and n >= 20)
+
+
+def test_a_natural_build_computes_its_components_once(monkeypatch):
+    calls = []
+    components = wavefunction._natural_components
+
+    def counted(*args):
+        calls.append(args)
+        return components(*args)
+    monkeypatch.setattr(wavefunction, "_natural_components", counted)
+    natural_solution(REF, 3, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
+def test_build_residual_equals_the_public_audit(alpha):
+    p = dataclasses.replace(REF, alpha=alpha)
+    for n in range(7):
+        for J in range(5):
+            sol = natural_solution(p, n, J)
+            audit = residual_first_order(p, energy_natural(p, n, J), sol)
+            assert sol.residual_sup == audit
+
+
 def test_residual_below_tolerance_on_reference_set():
     sol = natural_solution(REF, 1, 0)
     assert sol.residual_sup < 1e-8
