@@ -12,7 +12,6 @@ inside their commands, so the closed-form commands start without them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -142,6 +141,8 @@ VERIFY_CHECKS = ("algebra", "commutators", "closure", "oracle")
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import verify
     grid_size = args.grid_size or 4096
     tol = args.tol or 1e-5

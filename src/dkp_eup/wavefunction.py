@@ -7,8 +7,18 @@ Every solved component has the closed form
 where Poly = 2F1(-n, n + 2a + 2b; 2a + 1/2; rho) = n!/(ja+1)_n P_n^(ja,jb)(1-2rho)
 is a Jacobi polynomial, ja = 2a - 1/2, jb = 2b - 1/2.  It is evaluated by the
 three-term recurrence (DLMF 18.9.2), which stays accurate at high n where the
-power basis cancels, and differentiated by the shift identity (DLMF 18.9.15)
-and the product rule; no finite differences enter, so residuals isolate
+power basis cancels, written in rho rather than x = 1 - 2 rho:
+
+    P_{k+1} = (c0 - c1 rho) P_k - c2 P_{k-1},     s = 2k + ja + jb,
+    d  = 2 (k+1)(k+ja+jb+1) s,
+    c0 = (s+1) [(2k+ja)(2k+ja+2jb) + ja^2 + 2s] / d,
+    c1 = 2 (s+1)(s+2) s / d,     c2 = 2 (k+ja)(k+jb)(s+2) / d.
+
+In x the factor (s+2) s x + ja^2 - jb^2 subtracts two terms of size
+jb^2 ~ 1/alpha^2 near rho = 0, where a small alpha puts the whole weight
+rho^a (1-rho)^b; in rho, c0 is a sum of positive terms and nothing cancels.
+The polynomial is differentiated by the shift identity (DLMF 18.9.15) and
+the product rule; no finite differences enter, so residuals isolate
 formula errors rather than discretization error.
 
 Normalization uses the deformed measure: the line integral
@@ -30,22 +40,27 @@ from .spectrum import EnergyLevel, energy_natural, exponents, level
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
-# Rounding of the rho-form residual in units of eps times its largest term,
-# over (n + 1)^2: measured up to ~2 at n = 0 and ~610 at n = 40 (alpha in
-# [1e-6, 1]), against the allowance 16 (n + 1)^2.
+# Rounding of a residual in units of eps times its largest term, against
+# the allowance 16 (n + 1)^2, measured over alpha in [1e-6, 1]: the rho-form
+# equation reaches ~2 at n = 0 and ~610 at n = 40; the first-order natural
+# system ~4.6 at n = 0 and ~320 at n = 40 (J <= 20, lambda0 < 1, grids 16 to
+# 16384).
 FLOOR_ULPS = 16
 
 
-def _jacobi(n: int, ja: float, jb: float, x: np.ndarray) -> np.ndarray:
-    """P_n^(ja,jb)(x) by the three-term recurrence (DLMF 18.9.2); 0 for n < 0."""
+def _jacobi(n: int, ja: float, jb: float, rho: np.ndarray) -> np.ndarray:
+    """P_n^(ja,jb)(1 - 2 rho) by the recurrence in rho (module docstring);
+    0 for n < 0."""
     if n <= 0:
-        return np.full_like(x, float(n == 0))
-    prev, cur = np.ones_like(x), (ja + 1.0) + (ja + jb + 2.0) * (x - 1.0) / 2.0
+        return np.full_like(rho, float(n == 0))
+    prev, cur = np.ones_like(rho), (ja + 1.0) - (ja + jb + 2.0) * rho
     for k in range(1, n):
         s = 2 * k + ja + jb
-        prev, cur = cur, ((s + 1) * ((s + 2) * s * x + ja * ja - jb * jb) * cur
-                          - 2 * (k + ja) * (k + jb) * (s + 2) * prev) \
-            / (2 * (k + 1) * (k + ja + jb + 1) * s)
+        d = 2 * (k + 1) * (k + ja + jb + 1) * s
+        c0 = (s + 1) * ((2 * k + ja) * (2 * k + ja + 2 * jb) + ja * ja + 2 * s) / d
+        c1 = 2 * (s + 1) * (s + 2) * s / d
+        c2 = 2 * (k + ja) * (k + jb) * (s + 2) / d
+        prev, cur = cur, (c0 - c1 * rho) * cur - c2 * prev
     return cur
 
 
@@ -56,7 +71,7 @@ def _poly(a: float, b: float, n: int, rho: np.ndarray, k: int = 0) -> np.ndarray
     ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
     scale = math.prod([(i + 1) / (ja + 1 + i) for i in range(n)]
                       + [-(n + ja + jb + 1 + i) for i in range(k)])
-    return scale * _jacobi(n - k, ja + k, jb + k, 1.0 - 2.0 * rho)
+    return scale * _jacobi(n - k, ja + k, jb + k, rho)
 
 
 def chebyshev_grid(size: int) -> np.ndarray:
@@ -93,16 +108,19 @@ class RadialSolution:
 
 
 def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
-    """F, dF/drho, d2F/drho2 for F = rho^a (1-rho)^b Poly(rho) (unnormalized)."""
+    """F, dF/drho, d2F/drho2 for F = rho^a (1-rho)^b Poly(rho) (unnormalized).
+
+    The powers are taken once: the derivatives' prefactors rho^(a-1)
+    (1-rho)^(b-1) and rho^(a-2) (1-rho)^(b-2) are w = rho^a (1-rho)^b
+    divided by rho (1-rho) once and twice."""
     q = 1.0 - rho
     p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
-    f = rho ** a * q ** b * p0
+    w = rho ** a * q ** b
     g1 = (a * q - b * rho) * p0 + rho * q * p1
-    fr = rho ** (a - 1.0) * q ** (b - 1.0) * g1
     dg1 = -(a + b) * p0 + (a * q - b * rho + q - rho) * p1 + rho * q * p2
     g2 = ((a - 1.0) * q - (b - 1.0) * rho) * g1 + rho * q * dg1
-    frr = rho ** (a - 2.0) * q ** (b - 2.0) * g2
-    return f, fr, frr
+    w1 = w / (rho * q)
+    return w * p0, w1 * g1, w1 / (rho * q) * g2
 
 
 def _natural_components(params: ModelParams, J: int, energy: float,
@@ -164,22 +182,53 @@ def _unnatural_sector_data(params: ModelParams, which: str):
     return a, b, c_wall, c_const
 
 
+# B_2k / (2k (2k - 1)), k = 1..6: Stirling's series for log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _lgamma_shift(z: float, s: float) -> float:
+    """log Gamma(z + s) - log Gamma(z) for z > 0, s >= 0.
+
+    Two lgamma values of size z log z would cancel to ~ s log z and lose
+    their common digits, so for z >= 10 Stirling's series is differenced
+    term by term; its truncation error there is below 1e-15."""
+    if z < 10.0:
+        return math.lgamma(z + s) - math.lgamma(z)
+    series = sum(c * ((z + s) ** (1 - 2 * k) - z ** (1 - 2 * k))
+                 for k, c in enumerate(_STIRLING, 1))
+    return (z + s - 0.5) * math.log1p(s / z) + s * (math.log(z) - 1.0) + series
+
+
 def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
     """int_0^1 [rho^a (1-rho)^b Poly]^2 rho^{-1/2} (1-rho)^{-1/2} drho / (2 sqrt(alpha)),
 
-    the Jacobi norm (n!/(ja+1)_n)^2 h_n / 2^(ja+jb+1) (DLMF 18.3) through lgamma;
-    a value that is not a positive finite float raises DivergentNorm."""
+    the Jacobi norm (n!/(ja+1)_n)^2 h_n / 2^(ja+jb+1) (DLMF 18.3) through
+    log Gamma; a value that is not a positive finite float raises DivergentNorm."""
     ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
     if jb <= -1.0:
         raise DivergentNorm(f"wall exponent 2b - 1/2 = {jb} <= -1")
     value = math.exp(
-        math.lgamma(n + 1) + 2.0 * math.lgamma(ja + 1) + math.lgamma(n + jb + 1)
-        - math.lgamma(n + ja + 1) - math.lgamma(n + ja + jb + 1)
+        math.lgamma(n + 1) + math.lgamma(ja + 1) - _lgamma_shift(ja + 1, n)
+        - _lgamma_shift(n + jb + 1, ja)
         - math.log(2 * n + ja + jb + 1)) / (2.0 * math.sqrt(alpha))
     if not 0.0 < value < math.inf:
         raise DivergentNorm(f"norm integral is {value} at the Jacobi "
                             f"parameters 2b - 1/2 = {jb:.6g}, 2a - 1/2 = {ja:.6g}")
     return value
+
+
+def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
+                      equation: str, term_max: float) -> Exception:
+    """The error for a residual above ``tol``: ResidualFloor when it lies
+    within the rounding allowance of the equation's largest term, which no
+    grid can lower, else GridTooCoarse (also for a NaN residual)."""
+    if residual <= FLOOR_ULPS * (n + 1) ** 2 * EPS * term_max:
+        return ResidualFloor(
+            f"residual {residual:.3e} above tolerance {tol:.1e} is rounding "
+            f"in the {equation}, whose terms reach {term_max:.2e}: no grid "
+            f"can reach the tolerance")
+    return GridTooCoarse(f"residual {residual:.3e} above tolerance {tol:.1e} "
+                         f"at grid size {grid_size}")
 
 
 def natural_solution(params: ModelParams, n: int, J: int,
@@ -193,9 +242,9 @@ def natural_solution(params: ModelParams, n: int, J: int,
     comps = _natural_components(params, J, level.value, a, b, n, rho, n1)
     residual_sup = _closure_residual(params, J, level.value, rho, comps)
     if not residual_sup <= tol:
-        raise GridTooCoarse(
-            f"residual {residual_sup:.3e} above tolerance {tol:.1e} "
-            f"at grid size {grid_size}")
+        raise _residual_failure(
+            residual_sup, tol, n, grid_size, "first-order system",
+            _closure_term_max(params, J, level.value, rho, comps))
     f, _, h_plus, h_minus, g0, _, _ = comps
     return RadialSolution(
         sector="natural", n=n, J=J, energy=level.value, params=params,
@@ -226,14 +275,8 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     residual_sup = float(np.max(np.abs(sum(terms))))
     if not residual_sup <= tol:
         # the terms grow like b ~ 1/alpha, and so does their rounding
-        term_max = float(np.max(np.abs(terms)))
-        if residual_sup <= FLOOR_ULPS * (n + 1) ** 2 * EPS * term_max:
-            raise ResidualFloor(
-                f"residual {residual_sup:.3e} above tolerance {tol:.1e} is "
-                f"rounding in the rho-form equation, whose terms reach "
-                f"{term_max:.2e}: no grid can reach the tolerance")
-        raise GridTooCoarse(
-            f"residual {residual_sup:.3e} above tolerance {tol:.1e}")
+        raise _residual_failure(residual_sup, tol, n, grid_size,
+                                "rho-form equation", float(np.max(np.abs(terms))))
 
     return RadialSolution(
         sector=which, n=n, J=0, energy=energy, params=params,
@@ -302,6 +345,29 @@ def _closure_residual(params: ModelParams, J: int, energy: float,
     # np.max, unlike the builtin max, propagates a NaN from any of the four
     return float(np.max([np.max(np.abs(res))
                          for res in (res01, res02, res07, res08)]))
+
+
+def _closure_term_max(params: ModelParams, J: int, energy: float,
+                      rho: np.ndarray, comps) -> float:
+    """Largest magnitude among the terms ``_closure_residual`` sums and the
+    parts of d2F/dr2 inside them: the scale of the residual's rounding."""
+    al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
+    xi, zeta = xi_zeta(J)
+    r = np.sqrt(rho / al)
+    p = np.sqrt(1.0 - rho)
+    ar = lr * r / p
+    e2 = energy ** 2 + (l0 * r / p) ** 2
+    f, df, h_plus, h_minus, g0, dh_plus, dh_minus = comps
+    terms = (zeta * p * df, zeta * (J + 1) * (p / r) * f, zeta * ar * f,
+             xi * p * df, xi * J * (p / r) * f, xi * ar * f,
+             m * h_plus, m * h_minus, np.sqrt(e2) * f, m * g0,
+             zeta * p * dh_plus, zeta * (J + 1) * (p / r) * h_plus,
+             zeta * ar * h_plus, xi * p * dh_minus, xi * J * (p / r) * h_minus,
+             xi * ar * h_minus, e2 * f / m, m * f,
+             # res07 holds p^2 ddf / m, and ddf's parts 2 alpha f_rho = df / r
+             # and 4 alpha rho f_rhorho cancel where rho -> 0
+             p * p * df / (m * r))
+    return float(np.max([np.max(np.abs(t)) for t in terms]))
 
 
 def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 
@@ -66,11 +69,54 @@ def test_matches_scipy_hyp2f1(seed):
 @pytest.mark.parametrize("jb", [0.5, 9.23, 87.2, 866.6])
 @pytest.mark.parametrize("ja", [0.5, 1.5, 4.5])
 def test_jacobi_recurrence_matches_scipy(ja, jb):
-    x = 1.0 - 2.0 * chebyshev_grid(257)
+    rho = chebyshev_grid(257)
     for n in range(21):
-        ref = eval_jacobi(n, ja, jb, x)
-        ours = wavefunction._jacobi(n, ja, jb, x)
+        ref = eval_jacobi(n, ja, jb, 1.0 - 2.0 * rho)
+        ours = wavefunction._jacobi(n, ja, jb, rho)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-5])
+def test_poly_derivatives_match_mpmath_near_the_origin(alpha, n):
+    # phi exponents, b ~ 1/(2 alpha): on rho < 40/b, where the weight
+    # rho^a (1-rho)^b is not negligible, the recurrence in x = 1 - 2 rho lost
+    # terms of size jb^2 and erred by ~3e-12 at alpha 1e-5
+    p = dataclasses.replace(UNNAT, alpha=alpha)
+    a, b, _, _ = wavefunction._unnatural_sector_data(p, "phi")
+    rho = chebyshev_grid(1024)
+    rho = rho[rho < 40.0 / b]
+    weight = rho ** a * (1.0 - rho) ** b
+    A, B, C = -n, n + 2 * a + 2 * b, 2 * a + 0.5
+    with mpmath.workdps(40):
+        for k in range(3):
+            # d^k/drho^k 2F1(A, B; C; rho) = (A)_k (B)_k / (C)_k 2F1(A+k, B+k; C+k; rho)
+            coef = mpmath.rf(A, k) * mpmath.rf(B, k) / mpmath.rf(C, k)
+            ref = np.array([float(coef * mpmath.hyp2f1(A + k, B + k, C + k, x))
+                            for x in rho])
+            err = np.abs(weight * (wavefunction._poly(a, b, n, rho, k) - ref))
+            assert np.max(err) <= 1e-13 * np.max(np.abs(weight * ref))
+
+
+@pytest.mark.parametrize("sector", ["natural", "phi"])
+@pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_norm_integral_matches_mpmath(alpha, sector):
+    # the log Gamma terms reach ~ b log b; differencing them in floats cost
+    # 6.6e-10 relative at alpha 1e-6 and 3.0e-7 at 1e-8
+    n = 10
+    if sector == "natural":
+        a, b = exponents(dataclasses.replace(REF, alpha=alpha), 0)
+    else:
+        a, b, _, _ = wavefunction._unnatural_sector_data(
+            dataclasses.replace(UNNAT, alpha=alpha), "phi")
+    with mpmath.workdps(50):
+        ja, jb = 2 * mpmath.mpf(a) - 0.5, 2 * mpmath.mpf(b) - 0.5
+        g = mpmath.gamma
+        ref = (g(n + 1) * g(ja + 1) ** 2 * g(n + jb + 1)
+               / (g(n + ja + 1) * g(n + ja + jb + 1) * (2 * n + ja + jb + 1))
+               / (2 * mpmath.sqrt(mpmath.mpf(alpha))))
+        err = abs(wavefunction._raw_norm_integral(a, b, n, alpha) / ref - 1)
+    assert err <= 1e-12
 
 
 # --- natural-parity solutions ------------------------------------------------
@@ -151,7 +197,9 @@ def test_residual_below_tolerance_on_reference_set():
 
 
 def test_grid_too_coarse_guard():
-    with pytest.raises(GridTooCoarse):
+    # a residual of ~3e-13 is rounding in the first-order system: no grid
+    # lowers it to 1e-20, so the floor is named, not the grid
+    with pytest.raises(ResidualFloor, match="first-order system"):
         natural_solution(REF, 1, 0, tol=1e-20)
 
 
@@ -352,12 +400,46 @@ def test_residual_at_the_rounding_floor_names_the_floor(which):
     assert not isinstance(info.value, GridTooCoarse)
 
 
-def test_a_wrong_energy_is_not_mistaken_for_the_floor(monkeypatch):
-    real = wavefunction.level
-
-    def off_by_1e_6(*args):
+def _off_by_1e_6(real):
+    def wrong(*args):
         lev = real(*args)
         return dataclasses.replace(lev, value=lev.value * (1 + 1e-6))
-    monkeypatch.setattr(wavefunction, "level", off_by_1e_6)
-    with pytest.raises(GridTooCoarse):
-        unnatural_solution(UNNAT, 0, "phi")
+    return wrong
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
+def test_a_wrong_energy_is_not_mistaken_for_the_floor(sector, alpha,
+                                                       monkeypatch):
+    monkeypatch.setattr(wavefunction, "energy_natural",
+                        _off_by_1e_6(wavefunction.energy_natural))
+    monkeypatch.setattr(wavefunction, "level", _off_by_1e_6(wavefunction.level))
+    for n in (0, 3):
+        with pytest.raises(GridTooCoarse) as info:
+            if sector == "natural":
+                natural_solution(dataclasses.replace(REF, alpha=alpha), n, 2)
+            else:
+                unnatural_solution(dataclasses.replace(UNNAT, alpha=alpha),
+                                   n, sector)
+        assert not isinstance(info.value, ResidualFloor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sector=st.sampled_from(["natural", "phi", "h0"]),
+       n=st.integers(0, 6), J=st.integers(0, 4),
+       log_alpha=st.floats(math.log10(2e-3), 0.0),
+       lambda0=st.floats(0.0, 1.0, exclude_max=True))
+def test_every_build_in_the_timed_domain_passes_its_checks(sector, n, J,
+                                                          log_alpha, lambda0):
+    # the domain the eigenfunctions benchmark times: a failure there is a
+    # regression, not a known limit
+    alpha = 10.0 ** log_alpha
+    if sector == "natural":
+        p = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0, lambda_r=1.0)
+        sol = natural_solution(p, n, J)
+    else:
+        p = ModelParams(m=1.0, alpha=alpha, lambda0=0.0, lambda_r=1.0)
+        sol = unnatural_solution(p, n, sector)
+    assert sol.residual_sup <= 1e-8
+    assert abs(deformed_norm(sol, p) - 1.0) <= 1e-9
+    assert count_nodes(sol) == n
