@@ -20,7 +20,12 @@ finite-volume scheme on uniform s-cells has zero flux through both walls
 boundary rows, and a diagonal similarity makes the matrix symmetric
 tridiagonal.  Because the discrete operator is symmetric, eigenvalues
 converge at twice the nominal second-order rate of the scheme.  The lowest
-levels come from a certified shift-invert Lanczos solve (``solve_lowest``).
+levels come from a certified shift-invert Lanczos solve (``solve_lowest``),
+which stops as soon as the gap theorem (Parlett, *The Symmetric Eigenvalue
+Problem*, sec. 11.7) bounds every wanted Ritz value by the square of its
+residual over its distance to the rest of the spectrum; the gaps it uses
+are proven by disjoint Ritz intervals and one Sturm count before any level
+is returned.
 """
 from __future__ import annotations
 
@@ -172,18 +177,26 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     Spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980):
     SHIFT I - T is factored once, and Lanczos with full reorthogonalization
     runs on its inverse, whose largest eigenvalues theta give the wanted
-    lambda = SHIFT - 1/theta.  It stops when every Ritz bound |beta_j s_ji|,
-    mapped to lambda, is at most RITZ_TOL * max(1, |lambda|); the levels
-    are then certified by ``_certify`` or NonConvergence is raised.
+    lambda = SHIFT - 1/theta.  From step k + 1 on, each step bounds the
+    error of every wanted Ritz value theta_i, with residual
+    r_i = |beta_j s_ji|, by the gap theorem (Kato-Temple; Parlett, *The
+    Symmetric Eigenvalue Problem*, sec. 11.7): err_i = min(r_i, r_i^2/gap_i),
+    where gap_i is the distance from theta_i to the neighbouring Ritz
+    intervals and, below the lowest one, to the floor of the Sturm count.
+    It stops when every err_i, mapped to lambda, is at most
+    RITZ_TOL * max(1, |lambda|); the levels are then certified by
+    ``_certify``, which alone proves the gaps, or NonConvergence is raised.
+    A count that finds more than k levels means the next Ritz value is
+    still too poor to place the floor, so it costs further steps; it
+    raises only when no step is left.
 
     The start is W^(1/2) (1 + rho + ... + rho^(k-1)).  L maps polynomials
     in rho of degree < k to themselves, so the eigenfunctions of the k lowest
     levels span exactly those polynomials, and the similarity turns them
     into the wanted eigenvectors W^(1/2) u up to the O(h^2) error of the
-    scheme: the start lies almost in the wanted span, and the Ritz test,
-    which runs from step 2k on, is passed in fewer steps than from a random
-    start.  A poor start costs steps only; the certificate does not depend
-    on it.
+    scheme: the start lies almost in the wanted span, and the stop test is
+    passed in fewer steps than from a random start.  A poor start costs
+    steps only; the certificate does not depend on it.
     """
     if not 1 <= k <= problem.grid_size:
         raise ValueError("k must be in 1..grid_size")
@@ -199,6 +212,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     alphas, betas = np.empty(steps), np.empty(steps)
     start = problem.half_weight * np.polyval(np.ones(k), problem.s_nodes ** 2)
     basis[0] = start / np.linalg.norm(start)
+    worst = math.inf
     for j in range(steps):
         w, _ = dpttrs(d, e, basis[j])
         alphas[j] = basis[j] @ w
@@ -210,60 +224,81 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
         alphas[j] += h[j]
         # a Krylov space of dimension n is invariant: its beta is 0
         betas[j] = np.linalg.norm(w) if j + 1 < n else 0.0
-        if j + 1 >= k and (j + 1 >= min(2 * k, steps) or not betas[j] > 0.0):
+        last = j + 1 == steps or not betas[j] > 0.0
+        if j + 1 > k or (j + 1 == k and last):
             # dstev wants max(1, j) off-diagonal entries; betas[0] is set
             ritz, s, info = dstev(alphas[:j + 1], betas[:max(j, 1)])
             if info != 0:
                 raise NonConvergence(f"dstev did not converge (info {info})")
             theta = ritz[:-k - 1:-1]
-            bound = np.abs(betas[j] * s[j, :-k - 1:-1])
+            r = np.abs(betas[j] * s[j, :-k - 1:-1])
+            radius = r + n * EPS * theta[0]
             lam = SHIFT - 1.0 / theta
-            # 1/(theta - bound) - 1/theta: the mapped lower half-width
-            if np.all((theta > bound) & (bound / (theta * (theta - bound))
-                      <= RITZ_TOL * np.maximum(1.0, np.abs(lam)))):
+            worst = math.inf
+            if np.all(theta > radius):
                 below = SHIFT - 1.0 / ritz[-k - 1] if j + 1 > k else -np.inf
-                _certify(problem, theta, bound + n * EPS * theta[0], below)
-                return problem.e2_offset + problem.e2_scale * lam
-        if not betas[j] > 0.0:
+                vl = _count_floor(theta, radius, below)
+                upper = np.append(np.inf, theta[:-1] - radius[:-1])
+                lower = np.append(theta[1:] + radius[1:], 1.0 / (SHIFT - vl))
+                gap = np.minimum(upper - theta, theta - lower)
+                err = np.where(gap > r, r * r / gap, r)
+                # 1/(theta - err) - 1/theta: the mapped lower half-width
+                worst = np.max(err / (theta * (theta - err))
+                               / np.maximum(1.0, np.abs(lam)))
+            if worst <= RITZ_TOL:
+                count = _certify(problem, theta, radius, vl)
+                if count == k:
+                    return problem.e2_offset + problem.e2_scale * lam
+                if count < k or last:
+                    raise NonConvergence(f"Sturm count finds {count} eigenvalues "
+                                         f"above {vl:.6g}, not {k}")
+        if last:
             break
-        if j + 1 < steps:
-            basis[j + 1] = w / betas[j]
-    raise NonConvergence(f"Lanczos did not converge on {k} levels "
-                         f"in {j + 1} steps")
+        basis[j + 1] = w / betas[j]
+    cause = (f"the worst gap bound is {worst:.3g} of max(1, |lambda|), "
+             f"above RITZ_TOL = {RITZ_TOL:g}" if worst < math.inf
+             else "a Ritz interval reaches theta = 0")
+    raise NonConvergence(f"Lanczos did not converge on {k} levels in "
+                         f"{j + 1} steps: {cause}")
+
+
+def _count_floor(theta: np.ndarray, radius: np.ndarray, below: float) -> float:
+    """Floor vl of the Sturm count's interval (vl, SHIFT].
+
+    lo, the lower end of the lowest Ritz interval mapped to lambda, must lie
+    above vl by half the gap down to ``below``, the next Ritz value, and by
+    at most 1 + |lo|, so that rounding in the count would have to move an
+    eigenvalue by that much.  A ``below`` that is not below lo is treated
+    as unknown (a Ritz value < 0 maps above SHIFT).
+    """
+    lo = SHIFT - 1.0 / (theta[-1] - radius[-1])
+    if not below < lo:
+        below = -np.inf
+    return max(0.5 * (lo + below), lo - 1.0 - abs(lo))
 
 
 def _certify(problem: DiscretizedProblem, theta: np.ndarray,
-             radius: np.ndarray, below: float) -> None:
-    """Certify that the descending Ritz values theta, each within radius of
-    an eigenvalue of (SHIFT I - T)^-1, are its k largest.
+             radius: np.ndarray, vl: float) -> int:
+    """Check that the descending Ritz values theta, each within radius
+    (< theta) of an eigenvalue of (SHIFT I - T)^-1, are its k = len(theta)
+    largest.
 
     The radius adds to the Ritz bound an allowance of n eps ||A|| for the
     rounding of the Lanczos recurrence.  Mapped to lambda, the k intervals
-    must be disjoint, so that each holds its own eigenvalue, and a Sturm
-    count (Barth, Martin & Wilkinson, Numer. Math. 1967) must find exactly
-    k eigenvalues of T in (lowest interval - margin, SHIFT], so that none
-    was missed.  The margin is half the gap down to ``below``, the next
-    Ritz value, and at most 1 + |lambda_k|, so rounding in the count would
-    have to move an eigenvalue by that much; a ``below`` that is not below
-    the lowest interval is treated as unknown.  Anything else raises
-    NonConvergence.
+    must be disjoint, so that each holds its own eigenvalue, or
+    NonConvergence is raised.  The return value is a Sturm count (Barth,
+    Martin & Wilkinson, Numer. Math. 1967) of the eigenvalues of T in
+    (vl, SHIFT], with vl from ``_count_floor``: the levels are certified,
+    none missed, only when it is k.
     """
-    if not np.all(theta > radius):
-        raise NonConvergence("a Ritz interval reaches theta = 0")
     lo = SHIFT - 1.0 / (theta - radius)
     hi = SHIFT - 1.0 / (theta + radius)
     if not np.all(lo[:-1] > hi[1:]):
         raise NonConvergence("Ritz intervals overlap")
-    if not below < lo[-1]:
-        below = -np.inf    # a Ritz value < 0 maps above SHIFT
-    vl = max(0.5 * (lo[-1] + below), lo[-1] - 1.0 - abs(lo[-1]))
     # RANGE = 1 ('V') counts the eigenvalues in (vl, vu]; a tolerance as
     # wide as the interval stops the bisection at once, leaving the count
-    count = dstebz(problem.diag, problem.offdiag, 1, vl, SHIFT, 0, 0,
-                   SHIFT - vl, b"E")[0]
-    if count != len(theta):
-        raise NonConvergence(f"Sturm count finds {count} eigenvalues above "
-                             f"{vl:.6g}, not {len(theta)}")
+    return dstebz(problem.diag, problem.offdiag, 1, vl, SHIFT, 0, 0,
+                  SHIFT - vl, b"E")[0]
 
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,

@@ -2,13 +2,16 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonFiniteParameter,
-                            UnsupportedRegime)
+from dkp_eup import cli
+from dkp_eup.errors import (ComplexEnergy, ComplexExponent, DkpError,
+                            NonFiniteParameter, UnsupportedRegime)
 from dkp_eup.model import Branch, ModelParams
 from dkp_eup.spectrum import (abc, energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
-                              exponents, level_spacing)
+                              exponents, level, level_spacing)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
@@ -324,3 +327,82 @@ def test_underflowed_alpha_still_raises_complex_exponent(entry):
 def test_huge_parameters_with_a_representable_level_still_evaluate():
     level = energy_unnatural_phi(dataclasses.replace(UNNAT, lambda_r=1e200), 0)
     assert level.value == pytest.approx(math.sqrt(6e200), rel=1e-12)
+
+
+# --- properties over the whole closed-form domain ---------------------------
+
+MASSES = st.floats(1e-3, 10.0)
+COUPLINGS = st.floats(0.0, 10.0)
+DEFORMED = st.floats(-8.0, 1.0).map(lambda x: 10.0 ** x)
+DOMAIN = st.builds(ModelParams, m=MASSES,
+                   alpha=st.one_of(st.just(0.0), DEFORMED),
+                   lambda0=st.one_of(st.just(0.0), COUPLINGS),
+                   lambda_r=COUPLINGS)
+SECTORS = st.sampled_from(["natural", "phi", "h0"])
+LEVEL_N = st.integers(0, 500)
+LEVEL_J = st.integers(0, 60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=DOMAIN, sector=SECTORS, n=LEVEL_N, J=LEVEL_J)
+def test_every_level_and_spacing_is_finite_and_positive_or_typed(
+        params, sector, n, J):
+    try:
+        assert 0 < level(params, sector, n, J).value < math.inf
+    except DkpError:
+        pass
+    try:
+        gap = level_spacing(params, n, J)
+    except DkpError:
+        return
+    # at alpha = 0 and lambda0 = lambda_r every level is sqrt(m^2 + lr)
+    assert (0 < gap if params.alpha > 0 else 0 <= gap) and gap < math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=MASSES, alpha=DEFORMED, lambda_r=COUPLINGS, n=LEVEL_N)
+def test_phi_lies_above_h0(m, alpha, lambda_r, n):
+    # E_phi^2 - E_h0^2 = 4 lr + 4 alpha (n + 1/2)
+    p = ModelParams(m=m, alpha=alpha, lambda0=0.0, lambda_r=lambda_r)
+    assert level(p, "phi", n).value > level(p, "h0", n).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=MASSES, alpha=st.floats(-8.0, -4.0).map(lambda x: 10.0 ** x),
+       lambda_r=COUPLINGS, ratio=st.floats(0.0, 1.0), n=LEVEL_N, J=LEVEL_J)
+def test_deformed_level_approaches_the_alpha_zero_limit(m, alpha, lambda_r,
+                                                        ratio, n, J):
+    # E^2(alpha) - E^2(0) = alpha (1/4 + 4 beta^2 - J(J+1))
+    #     + 4 beta (sqrt(Q) - sqrt(Q0)),  Q - Q0 = alpha lr + alpha^2/4
+    p = ModelParams(m=m, alpha=alpha, lambda0=ratio * lambda_r,
+                    lambda_r=lambda_r)
+    e2 = level(p, "natural", n, J).value ** 2
+    e2_limit = level(dataclasses.replace(p, alpha=0.0), "natural", n, J).value ** 2
+    beta = n + (2 * J + 3) / 4.0
+    bound = (alpha * (0.25 + 4.0 * beta * beta + J * (J + 1))
+             + 4.0 * beta * math.sqrt(alpha * lambda_r + alpha * alpha / 4.0))
+    assert abs(e2 - e2_limit) <= bound + 1e-12 * e2
+
+
+ANY_FLOAT = st.one_of(COUPLINGS, DEFORMED, st.floats())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["spectrum", "spacing"]), sector=SECTORS,
+       m=st.one_of(MASSES, ANY_FLOAT), alpha=st.one_of(st.just(0.0), ANY_FLOAT),
+       lambda0=st.one_of(st.just(0.0), ANY_FLOAT), lambda_r=ANY_FLOAT,
+       n_max=LEVEL_N, J=LEVEL_J)
+def test_cli_stdout_never_prints_nan_or_inf(capsys, command, sector, m, alpha,
+                                            lambda0, lambda_r, n_max, J):
+    argv = [command, f"--m={m!r}", f"--alpha={alpha!r}",
+            f"--lambda0={lambda0!r}", f"--lambdaR={lambda_r!r}",
+            f"--n-max={n_max}", f"--J={J}"]
+    if command == "spectrum":
+        argv.append(f"--sector={sector}")
+    capsys.readouterr()
+    code = cli.main(argv)
+    out = capsys.readouterr().out.lower()
+    assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_NO_SPECTRUM)
+    assert "nan" not in out and "inf" not in out
+    assert len(out.splitlines()) == (n_max + 2 if code == cli.EXIT_OK else 0)
