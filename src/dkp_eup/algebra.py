@@ -7,13 +7,12 @@ Two independent verification layers live here:
   is asserted exact;
 * the deformed position/momentum operators X_i = x_i/sqrt(1 - alpha r^2),
   P_i = -i sqrt(1 - alpha r^2) d_i, whose commutation relations are checked
-  by applying both operator orderings symbolically to polynomial test
-  functions and evaluating pointwise.
+  as identities between first-order differential operators, formed
+  symbolically; a coefficient that does not cancel is evaluated pointwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -143,29 +142,27 @@ def build_projector(mats: DkpMatrixSet) -> ProjectorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Deformed commutators on polynomial test functions.
+# Deformed commutators as first-order operator identities.
 #
-# Functions are finite sums  c * w^s * x^ex y^ey z^ez  with w = sqrt(1-a r^2)
-# and integer s; this family is closed under X_i and P_i:
-#   X_i (w^s m) = w^{s-1} (x_i m)
-#   P_i (w^s m) = -i w^{s+1} d_i m + i s a x_i w^{s-1} m
-# so commutators can be formed without any finite differencing.
+# Coefficient functions are finite sums  c * w^s * x^ex y^ey z^ez  with
+# w = sqrt(1-a r^2) and integer s; this family is closed under products and
+# under d_k (w^s x^e) = e_k w^s x^(e-1_k) - s a x_k w^(s-2) x^e.
+# X_i = x_i/w and P_j = -i w d_j are first-order operators a0 + a.grad with
+# coefficients in the family, and so is the commutator of two of them, whose
+# second-order parts cancel:
+#   [a0 + a.grad, b0 + b.grad] = (a.grad b0 - b.grad a0)
+#                                + sum_l (a.grad b_l - b.grad a_l) d_l
+# so each relation is an identity between four coefficient functions, formed
+# without any finite differencing, that holds on every smooth function.
 # ---------------------------------------------------------------------------
 
 PolyFunction = dict  # {(s, ex, ey, ez): complex}
+Operator = tuple     # (a0, a1, a2, a3) of PolyFunctions: a0 + sum_l a_l d_l
 
 
-def monomial(ex: int, ey: int, ez: int) -> PolyFunction:
-    return {(0, ex, ey, ez): 1.0 + 0.0j}
-
-
-def monomial_basis(max_degree: int = 6) -> list[PolyFunction]:
-    """All monomials x^i y^j z^k with i + j + k <= max_degree."""
-    return [monomial(i, j, k)
-            for i in range(max_degree + 1)
-            for j in range(max_degree + 1)
-            for k in range(max_degree + 1)
-            if i + j + k <= max_degree]
+def _x(*axes: int) -> tuple[int, int, int]:
+    """Exponents (ex, ey, ez) of the product of the coordinates ``axes``."""
+    return tuple(axes.count(m) for m in range(3))
 
 
 def _acc(d: PolyFunction, key, c):
@@ -177,47 +174,6 @@ def _acc(d: PolyFunction, key, c):
             d[key] = v
 
 
-def apply_x(f: PolyFunction, i: int) -> PolyFunction:
-    out: PolyFunction = {}
-    for (s, ex, ey, ez), c in f.items():
-        e = [ex, ey, ez]
-        e[i] += 1
-        _acc(out, (s - 1, *e), c)
-    return out
-
-
-def apply_p(f: PolyFunction, i: int, alpha: float) -> PolyFunction:
-    out: PolyFunction = {}
-    for (s, ex, ey, ez), c in f.items():
-        e = (ex, ey, ez)
-        if e[i] > 0:
-            e2 = list(e)
-            e2[i] -= 1
-            _acc(out, (s + 1, *e2), -1j * c * e[i])
-        e3 = list(e)
-        e3[i] += 1
-        _acc(out, (s - 1, *e3), 1j * c * s * alpha)
-    return out
-
-
-def apply_angular(f: PolyFunction, i: int, j: int) -> PolyFunction:
-    """L_ij = x_i p_j - x_j p_i with p = -i d; the w weight passes through."""
-    out: PolyFunction = {}
-    for (s, ex, ey, ez), c in f.items():
-        e = (ex, ey, ez)
-        if e[j] > 0:
-            e2 = list(e)
-            e2[j] -= 1
-            e2[i] += 1
-            _acc(out, (s, *e2), -1j * c * e[j])
-        if e[i] > 0:
-            e3 = list(e)
-            e3[i] -= 1
-            e3[j] += 1
-            _acc(out, (s, *e3), 1j * c * e[i])
-    return out
-
-
 def poly_sub(f: PolyFunction, g: PolyFunction) -> PolyFunction:
     out = dict(f)
     for k, c in g.items():
@@ -225,8 +181,67 @@ def poly_sub(f: PolyFunction, g: PolyFunction) -> PolyFunction:
     return out
 
 
-def poly_scale(f: PolyFunction, c) -> PolyFunction:
-    return {k: v * c for k, v in f.items()}
+def mul(f: PolyFunction, g: PolyFunction) -> PolyFunction:
+    out: PolyFunction = {}
+    for (s, *e), c in f.items():
+        for (t, *h), d in g.items():
+            _acc(out, (s + t, *(a + b for a, b in zip(e, h))), c * d)
+    return out
+
+
+def deriv(f: PolyFunction, k: int, alpha: float) -> PolyFunction:
+    """d_k f, by d_k (w^s x^e) = e_k w^s x^(e-1_k) - s alpha x_k w^(s-2) x^e."""
+    out: PolyFunction = {}
+    for (s, *e), c in f.items():
+        if e[k]:
+            _acc(out, (s, *(v - (m == k) for m, v in enumerate(e))), e[k] * c)
+        _acc(out, (s - 2, *(v + (m == k) for m, v in enumerate(e))),
+             -s * alpha * c)
+    return out
+
+
+def comm(a: Operator, b: Operator, alpha: float) -> Operator:
+    """[A, B] of two first-order operators, itself first order."""
+    def along(u: Operator, f: PolyFunction) -> PolyFunction:   # u.grad f
+        out: PolyFunction = {}
+        for k in range(3):
+            for key, c in mul(u[k + 1], deriv(f, k, alpha)).items():
+                _acc(out, key, c)
+        return out
+    return tuple(poly_sub(along(a, b[l]), along(b, a[l])) for l in range(4))
+
+
+def position(i: int) -> Operator:
+    """X_i = x_i / w, a multiplication operator."""
+    return ({(-1, *_x(i)): 1.0 + 0.0j}, {}, {}, {})
+
+
+def momentum(j: int) -> Operator:
+    """P_j = -i w d_j."""
+    return tuple({(1, *_x()): -1j} if l == j + 1 else {} for l in range(4))
+
+
+def _residuals(alpha: float) -> list[tuple[str, Operator]]:
+    """(relation, commutator minus its right-hand side) for the 9 [X_i, X_j],
+    the 9 [X_i, P_j] and the 3 [P_i, P_j] with i < j."""
+    out = []
+    for i in range(3):
+        for j in range(3):
+            out.append(("xx", comm(position(i), position(j), alpha)))
+            # i (delta_ij + alpha X_i X_j)
+            rhs = {(-2, *_x(i, j)): 1j * alpha}
+            if i == j:
+                rhs[(0, *_x())] = 1j
+            xp = comm(position(i), momentum(j), alpha)
+            out.append(("xp", tuple(map(poly_sub, xp, (rhs, {}, {}, {})))))
+            if i < j:
+                # i alpha L_ij = alpha (x_i d_j - x_j d_i)
+                rhs = [{}, {}, {}, {}]
+                rhs[j + 1] = {(0, *_x(i)): alpha}
+                rhs[i + 1] = {(0, *_x(j)): -alpha}
+                pp = comm(momentum(i), momentum(j), alpha)
+                out.append(("pp", tuple(map(poly_sub, pp, rhs))))
+    return out
 
 
 def evaluate_poly(f: PolyFunction, pts: np.ndarray, alpha: float) -> np.ndarray:
@@ -254,7 +269,7 @@ def commutator_grid(alpha: float, points_per_axis: int = 5,
 @dataclass(frozen=True)
 class CommutatorReport:
     alpha: float
-    n_functions: int
+    n_functions: int              # relations checked
     n_points: int
     worst_position_position: float
     worst_position_momentum: float
@@ -268,59 +283,29 @@ class CommutatorReport:
                                                 self.worst_momentum_momentum))
 
 
-def check_deformed_commutators(alpha: float,
-                               test_fns: Sequence[PolyFunction] | None = None,
-                               grid: np.ndarray | None = None,
+def check_deformed_commutators(alpha: float, grid: np.ndarray | None = None,
                                tol: float = 1e-10) -> CommutatorReport:
-    """Verify the three deformed commutation relations on test functions.
+    """Verify the three deformed commutation relations as operator identities.
 
-    [X_i, X_j] f = 0 (exactly), [X_i, P_j] f = i (delta_ij + alpha X_i X_j) f,
-    [P_i, P_j] f = i alpha L_ij f, each measured as a pointwise sup over the
-    grid.  Multiplication operators commute term by term, so the first
-    relation is asserted at the symbolic level.
+    [X_i, X_j] = 0, [X_i, P_j] = i (delta_ij + alpha X_i X_j) and
+    [P_i, P_j] = i alpha L_ij, with L_ij = x_i p_j - x_j p_i and p = -i d.
+    Each commutator is formed exactly as a first-order operator; every
+    coefficient of it minus its right-hand side that does not cancel
+    symbolically is measured as a pointwise sup over the grid.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if test_fns is None:
-        test_fns = monomial_basis(6)
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if grid is None:
         grid = commutator_grid(alpha)
     if np.any(alpha * np.sum(np.asarray(grid) ** 2, axis=1) >= 1.0):
         raise OutOfDomain("grid point with alpha*r^2 >= 1")
 
-    def raise_worst(worst: float, residual: PolyFunction) -> float:
-        # np.maximum, unlike the builtin max, keeps a NaN once it appears
-        if not residual:
-            return worst
-        return float(np.maximum(worst, np.max(np.abs(
-            evaluate_poly(residual, grid, alpha)))))
-
-    worst_xx = 0.0
-    worst_xp = 0.0
-    worst_pp = 0.0
-    for f in test_fns:
-        for i in range(3):
-            for j in range(3):
-                xx = poly_sub(apply_x(apply_x(f, j), i),
-                              apply_x(apply_x(f, i), j))
-                worst_xx = raise_worst(worst_xx, xx)
-
-                # [X_i, P_j] = X_i P_j - P_j X_i
-                comm = poly_sub(apply_x(apply_p(f, j, alpha), i),
-                                apply_p(apply_x(f, i), j, alpha))
-                rhs: PolyFunction = {}
-                if i == j:
-                    for k, c in f.items():
-                        _acc(rhs, k, 1j * c)
-                for k, c in apply_x(apply_x(f, j), i).items():
-                    _acc(rhs, k, 1j * alpha * c)
-                worst_xp = raise_worst(worst_xp, poly_sub(comm, rhs))
-
-                if i != j:
-                    comm_pp = poly_sub(apply_p(apply_p(f, j, alpha), i, alpha),
-                                       apply_p(apply_p(f, i, alpha), j, alpha))
-                    rhs_pp = poly_scale(apply_angular(f, i, j), 1j * alpha)
-                    worst_pp = raise_worst(worst_pp, poly_sub(comm_pp, rhs_pp))
-
-    return CommutatorReport(alpha, len(test_fns), len(grid),
-                            worst_xx, worst_xp, worst_pp, tol)
+    residuals = _residuals(alpha)
+    worst = dict.fromkeys(("xx", "xp", "pp"), 0.0)
+    for relation, residual in residuals:
+        for coeff in filter(None, residual):
+            # np.maximum, unlike the builtin max, keeps a NaN once it appears
+            worst[relation] = float(np.maximum(worst[relation], np.max(np.abs(
+                evaluate_poly(coeff, grid, alpha)))))
+    return CommutatorReport(alpha, len(residuals), len(grid), *worst.values(),
+                            tol)

@@ -197,6 +197,14 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     scheme: the start lies almost in the wanted span, and the stop test is
     passed in fewer steps than from a random start.  A poor start costs
     steps only; the certificate does not depend on it.
+
+    The certificate's rounding allowance n eps theta_0 maps to lambda as a
+    half-width n eps theta_0 (SHIFT - lambda)^2, with theta_0 ~ 1 when the
+    lowest level lies near lambda = 0: tight for the low levels, loose far
+    below SHIFT.  With k near the grid size a coarse grid reaches such
+    levels: at phi, m = 1, lambdaR = 1, alpha 0.021, grid 5, k 5 the last
+    lambda, -1.61e14, is certified only to +-2.9e13 (18%), although it
+    agrees with scipy.linalg.eigvalsh_tridiagonal to 2e-16.
     """
     if not 1 <= k <= problem.grid_size:
         raise ValueError("k must be in 1..grid_size")

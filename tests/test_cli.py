@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from dkp_eup import cli
+from dkp_eup import algebra, cli
 from dkp_eup.errors import ComplexEnergy
 
 
@@ -84,6 +85,26 @@ def test_verify_only_algebra(capsys):
     code, out, _ = run(capsys, "verify", "--only", "algebra")
     assert code == 0
     assert "PASS algebra" in out
+
+
+def test_verify_only_commutators(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "commutators")
+    assert code == 0
+    assert "PASS commutators" in out
+
+
+def test_verify_commutators_fails_on_an_undeformed_momentum(capsys,
+                                                          monkeypatch):
+    # -i d_j instead of -i w d_j breaks the [X,P] and [P,P] relations
+    monkeypatch.setattr(algebra, "momentum", lambda j: tuple(
+        {(0, 0, 0, 0): -1j} if l == j + 1 else {} for l in range(4)))
+    code, out, _ = run(capsys, "verify", "--only", "commutators")
+    assert code == 1
+    assert out.startswith("FAIL commutators")
+    failures = json.loads(out.strip().splitlines()[-1])["failures"]
+    assert len(failures) == 1
+    assert re.fullmatch(r"commutators: residuals xx=0\.00e\+00 "
+                        r"xp=\S+e[+-]\d\d pp=\S+e[+-]\d\d", failures[0])
 
 
 def test_verify_closure_clean_and_mutated(capsys):
