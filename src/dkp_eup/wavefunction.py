@@ -24,6 +24,20 @@ formula errors rather than discretization error.
 Normalization uses the deformed measure: the line integral
 int_0^{1/sqrt(alpha)} |F(r)|^2 (1 - alpha r^2)^{-1/2} dr, which in rho carries
 the Jacobi weight rho^ja (1-rho)^jb, so it is the Jacobi norm h_n (DLMF 18.3).
+
+One audit rule serves every build: each relation is a tuple of terms, the
+residual is the sup of |sum of terms| over the grid and the relations, and
+a residual above the tolerance is ResidualFloor (rounding no grid lowers)
+when it is <= 16 (n+1)^2 eps times the largest term, else GridTooCoarse.
+phi and h0 have one relation, their rho-form equation; natural parity has
+four, with p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for
+H+1 and (xi, J) for H-1, and G0 real (its phase is free when A0 != 0):
+
+    H = -(c/m) [p F0' + s (p/r) F0 - Ar F0],     G0 = sqrt(E^2 + A0^2) F0/m,
+    -p sum_c c (d/dr - s/r + Ar/p) H + (E^2 + A0^2) F0/m - m F0 = 0,
+
+where p^2 F0''/m enters as its parts p^2 (F0'/r)/m and p^2 4 alpha rho
+F_rhorho/m, which cancel as rho -> 0.
 """
 from __future__ import annotations
 
@@ -40,11 +54,9 @@ from .spectrum import EnergyLevel, energy_natural, exponents, level
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
-# Rounding of a residual in units of eps times its largest term, against
-# the allowance 16 (n + 1)^2, measured over alpha in [1e-6, 1]: the rho-form
-# equation reaches ~2 at n = 0 and ~610 at n = 40; the first-order natural
-# system ~4.6 at n = 0 and ~320 at n = 40 (J <= 20, lambda0 < 1, grids 16 to
-# 16384).
+# Rounding of a residual in eps times its largest term, against 16 (n + 1)^2,
+# over alpha in [1e-6, 1]: rho-form ~2 at n = 0, ~610 at n = 40; the natural
+# system ~3.7 and ~480 (J <= 20, lambda0 < 1, grids 16 to 16384).
 FLOOR_ULPS = 16
 
 
@@ -123,43 +135,32 @@ def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
     return w * p0, w1 * g1, w1 / (rho * q) * g2
 
 
-def _natural_components(params: ModelParams, J: int, energy: float,
-                        a: float, b: float, n: int,
-                        rho: np.ndarray, scale: float):
-    """F0, H+1, H-1, G0 and the r-derivatives of the H components.
-
-    H components follow the first-order relations
-        H+1 = -(zeta/m) [p F0' - (J+1)(p/r) F0 - Ar F0]
-        H-1 = -(xi  /m) [p F0' +     J(p/r) F0 - Ar F0]
-    with p = sqrt(1 - alpha r^2) and Ar = lr r / p.  G0 is stored with the
-    real magnitude convention sqrt(E^2 + A0^2) F0 / m (phase not fixed by
-    the time-component relation when A0 != 0).
-    """
+def _natural_system(params: ModelParams, J: int, energy: float,
+                    a: float, b: float, n: int, rho: np.ndarray, scale: float):
+    """F0, H+1, H-1, G0 and the four first-order relations (module docstring)
+    as term tuples; xi^2 + zeta^2 = 1 puts p^2 F0''/m in the closure once."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
-    xi, zeta = xi_zeta(J)
     f, frho, frhorho = (scale * d for d in _prefactor_derivs(a, b, n, rho))
     df = 2.0 * np.sqrt(al * rho) * frho  # chain rule in rho
-    ddf = 2.0 * al * frho + 4.0 * al * rho * frhorho
-    r = np.sqrt(rho / al)
-    q = 1.0 - rho
+    r, q = np.sqrt(rho / al), 1.0 - rho
     p = np.sqrt(q)
-    ar = lr * r / p
-    a0 = l0 * r / p
-
-    h_plus = -(zeta / m) * (p * df - (J + 1) * (p / r) * f - ar * f)
-    h_minus = -(xi / m) * (p * df + J * (p / r) * f - ar * f)
-    g0 = np.sqrt(energy ** 2 + a0 ** 2) * f / m
-
-    dp = -al * r / p
-    dar = lr / p ** 3
-    d_p_over_r = dp / r - p / r ** 2
-    dh_plus = -(zeta / m) * (dp * df + p * ddf
-                             - (J + 1) * (d_p_over_r * f + (p / r) * df)
-                             - (dar * f + ar * df))
-    dh_minus = -(xi / m) * (dp * df + p * ddf
-                            + J * (d_p_over_r * f + (p / r) * df)
-                            - (dar * f + ar * df))
-    return f, df, h_plus, h_minus, g0, dh_plus, dh_minus
+    ar, dp = lr * r / p, -al * r / p
+    e2 = energy ** 2 + (l0 * r / p) ** 2
+    g0 = np.sqrt(e2) * f / m
+    relations, hs = [(np.sqrt(e2) * f, -m * g0)], []
+    closure = [q * df / (m * r), q * 4.0 * al * rho * frhorho / m,
+               e2 * f / m, -m * f]
+    xi, zeta = xi_zeta(J)
+    for c, s in ((zeta, -(J + 1)), (xi, J)):
+        pdf, spf, arf = p * df, s * (p / r) * f, ar * f
+        h = -(c / m) * (pdf + spf - arf)
+        # dH/dr less its -(c/m) p F0'' part
+        dh = -(c / m) * (dp * df - lr / p ** 3 * f - ar * df
+                         + s * ((dp / r - p / r ** 2) * f + (p / r) * df))
+        relations.append((c * pdf, c * spf, -c * arf, m * h))
+        closure += (-c * p * dh, c * s * (p / r) * h, -c * ar * h)
+        hs.append(h)
+    return (f, *hs, g0), relations + [closure]
 
 
 # --- sector assembly -------------------------------------------------------
@@ -217,11 +218,17 @@ def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
     return value
 
 
+def _residual_sup(relations) -> float:
+    """Sup over the grid and the relations of |sum of each relation's terms|;
+    np.max, unlike the builtin max, propagates a NaN from any of them."""
+    return float(np.max([np.max(np.abs(sum(terms))) for terms in relations]))
+
+
 def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
-                      equation: str, term_max: float) -> Exception:
-    """The error for a residual above ``tol``: ResidualFloor when it lies
-    within the rounding allowance of the equation's largest term, which no
-    grid can lower, else GridTooCoarse (also for a NaN residual)."""
+                      equation: str, relations) -> Exception:
+    """The error for a residual above ``tol`` by the module's audit rule
+    (GridTooCoarse also for a NaN residual)."""
+    term_max = float(np.max([np.max(np.abs(terms)) for terms in relations]))
     if residual <= FLOOR_ULPS * (n + 1) ** 2 * EPS * term_max:
         return ResidualFloor(
             f"residual {residual:.3e} above tolerance {tol:.1e} is rounding "
@@ -239,13 +246,12 @@ def natural_solution(params: ModelParams, n: int, J: int,
     a, b = exponents(params, J)
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
-    comps = _natural_components(params, J, level.value, a, b, n, rho, n1)
-    residual_sup = _closure_residual(params, J, level.value, rho, comps)
+    (f, h_plus, h_minus, g0), relations = _natural_system(
+        params, J, level.value, a, b, n, rho, n1)
+    residual_sup = _residual_sup(relations)
     if not residual_sup <= tol:
-        raise _residual_failure(
-            residual_sup, tol, n, grid_size, "first-order system",
-            _closure_term_max(params, J, level.value, rho, comps))
-    f, _, h_plus, h_minus, g0, _, _ = comps
+        raise _residual_failure(residual_sup, tol, n, grid_size,
+                                "first-order system", relations)
     return RadialSolution(
         sector="natural", n=n, J=J, energy=level.value, params=params,
         rho_grid=rho, primary=f, primary_name="F0",
@@ -257,12 +263,9 @@ def natural_solution(params: ModelParams, n: int, J: int,
 def unnatural_solution(params: ModelParams, n: int, which: str,
                        grid_size: int = DEFAULT_GRID_SIZE,
                        tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
-    """Normalized solution of a decoupled unnatural sector ("phi" or "h0").
-
-    The residual is measured against the second-order rho-form equation of
-    the sector; the printed first-order unnatural system is not mutually
-    consistent and is not used here.
-    """
+    """Normalized solution of a decoupled unnatural sector ("phi" or "h0"),
+    audited on its second-order rho-form equation: the printed first-order
+    unnatural system is not mutually consistent and is not used here."""
     if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")
     energy = level(params, which, n).value
@@ -270,14 +273,13 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
     f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
-    terms = ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-             -c_wall * f / (1.0 - rho), c_const(energy ** 2) * f)
-    residual_sup = float(np.max(np.abs(sum(terms))))
+    relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+                  -c_wall * f / (1.0 - rho), c_const(energy ** 2) * f)]
+    residual_sup = _residual_sup(relations)
     if not residual_sup <= tol:
         # the terms grow like b ~ 1/alpha, and so does their rounding
         raise _residual_failure(residual_sup, tol, n, grid_size,
-                                "rho-form equation", float(np.max(np.abs(terms))))
-
+                                "rho-form equation", relations)
     return RadialSolution(
         sector=which, n=n, J=0, energy=energy, params=params,
         rho_grid=rho, primary=f, primary_name="phi" if which == "phi" else "H0",
@@ -305,69 +307,16 @@ def deformed_norm(sol: RadialSolution, params: ModelParams) -> float:
 
 def residual_first_order(params: ModelParams, level: EnergyLevel,
                          sol: RadialSolution) -> float:
-    """Sup-norm residual of the active first-order equations (natural parity).
-
-    Four relations couple F0, G0 and H+-1; the two defining H from F0, the
-    algebraic G0 relation (checked in the stored magnitude convention), and
-    the closure equation, whose residual is the nontrivial content:
-
-        -p[zeta(d/dr + (J+1)/r + Ar/p) H+1 + xi(d/dr - J/r + Ar/p) H-1]
-            + (E^2 + A0^2) F0 / m  =  m F0.
-    """
+    """Sup-norm residual of the four first-order relations of the natural
+    sector (module docstring) at ``level``, on the solution's grid."""
     if sol.sector != "natural":
         raise UnsupportedRegime(
             "first-order residuals are defined for the natural sector; "
             "unnatural solutions carry their ODE residual in residual_sup")
-    comps = _natural_components(params, sol.J, level.value, sol.exponent_a,
-                                sol.exponent_b, sol.n, sol.rho_grid,
-                                sol.norm_constant)
-    return _closure_residual(params, sol.J, level.value, sol.rho_grid, comps)
-
-
-def _closure_residual(params: ModelParams, J: int, energy: float,
-                      rho: np.ndarray, comps) -> float:
-    """Sup-norm of the four first-order residuals, given the components
-    ``_natural_components`` returns at ``rho``."""
-    al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
-    xi, zeta = xi_zeta(J)
-    r = np.sqrt(rho / al)
-    p = np.sqrt(1.0 - rho)
-    ar = lr * r / p
-    a0 = l0 * r / p
-    f, df, h_plus, h_minus, g0, dh_plus, dh_minus = comps
-
-    res01 = zeta * (p * df - (J + 1) * (p / r) * f - ar * f) + m * h_plus
-    res02 = xi * (p * df + J * (p / r) * f - ar * f) + m * h_minus
-    res08 = np.sqrt(energy ** 2 + a0 ** 2) * f - m * g0
-    res07 = (-p * (zeta * (dh_plus + (J + 1) / r * h_plus + ar / p * h_plus)
-                   + xi * (dh_minus - J / r * h_minus + ar / p * h_minus))
-             + (energy ** 2 + a0 ** 2) * f / m - m * f)
-    # np.max, unlike the builtin max, propagates a NaN from any of the four
-    return float(np.max([np.max(np.abs(res))
-                         for res in (res01, res02, res07, res08)]))
-
-
-def _closure_term_max(params: ModelParams, J: int, energy: float,
-                      rho: np.ndarray, comps) -> float:
-    """Largest magnitude among the terms ``_closure_residual`` sums and the
-    parts of d2F/dr2 inside them: the scale of the residual's rounding."""
-    al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
-    xi, zeta = xi_zeta(J)
-    r = np.sqrt(rho / al)
-    p = np.sqrt(1.0 - rho)
-    ar = lr * r / p
-    e2 = energy ** 2 + (l0 * r / p) ** 2
-    f, df, h_plus, h_minus, g0, dh_plus, dh_minus = comps
-    terms = (zeta * p * df, zeta * (J + 1) * (p / r) * f, zeta * ar * f,
-             xi * p * df, xi * J * (p / r) * f, xi * ar * f,
-             m * h_plus, m * h_minus, np.sqrt(e2) * f, m * g0,
-             zeta * p * dh_plus, zeta * (J + 1) * (p / r) * h_plus,
-             zeta * ar * h_plus, xi * p * dh_minus, xi * J * (p / r) * h_minus,
-             xi * ar * h_minus, e2 * f / m, m * f,
-             # res07 holds p^2 ddf / m, and ddf's parts 2 alpha f_rho = df / r
-             # and 4 alpha rho f_rhorho cancel where rho -> 0
-             p * p * df / (m * r))
-    return float(np.max([np.max(np.abs(t)) for t in terms]))
+    _, relations = _natural_system(params, sol.J, level.value, sol.exponent_a,
+                                   sol.exponent_b, sol.n, sol.rho_grid,
+                                   sol.norm_constant)
+    return _residual_sup(relations)
 
 
 def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:
@@ -376,11 +325,24 @@ def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:
     Only the polynomial is sampled: the prefactor N rho^a (1-rho)^b is
     positive on (0, 1) and cannot change a sign, and at small alpha
     (1-rho)^b underflows to 0.  Neighbours are compared by sign bit, not by
-    their product, which underflows to 0 below ~1e-154 and hides a change.
-    """
+    their product, which underflows to 0 below ~1e-154 and hides a change."""
     sign = np.signbit(_poly(sol.exponent_a, sol.exponent_b, sol.n,
-                            chebyshev_grid(samples)))
+                            _node_grid(sol, samples)))
     return int(np.count_nonzero(sign[:-1] != sign[1:]))
+
+
+def _node_grid(sol: RadialSolution, samples: int) -> np.ndarray:
+    """The points ``count_nodes`` samples: a Chebyshev grid, or, when every
+    zero lies below c = (4n + 2ja + 10)/jb < 1/2, samples // 10 on c times one
+    and the rest above c.  As jb grows, P_n^(ja,jb)(1 - 2x/jb) tends to the
+    Laguerre L_n^(ja)(x), whose zeros lie below 4n + 2ja + 2."""
+    ja, jb = 2.0 * sol.exponent_a - 0.5, 2.0 * sol.exponent_b - 0.5
+    bound = 4 * sol.n + 2 * ja + 10
+    if not 2 * bound < jb:
+        return chebyshev_grid(samples)
+    c, rho = bound / jb, chebyshev_grid(samples - samples // 10)
+    return np.concatenate([c * chebyshev_grid(samples // 10),
+                           rho[np.searchsorted(rho, c):]])
 
 
 def write_csv(sol: RadialSolution, path) -> None:

@@ -12,7 +12,7 @@ from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 from dkp_eup import wavefunction
 from dkp_eup.errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
                             UnsupportedRegime)
-from dkp_eup.model import ModelParams
+from dkp_eup.model import ModelParams, xi_zeta
 from dkp_eup.spectrum import energy_natural, energy_unnatural_phi, exponents
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
                                   evaluate_primary, natural_solution,
@@ -145,18 +145,17 @@ def test_oscillation_across_parameter_grid(alpha, lambda0):
 
 def _product_rule_nodes(sol):
     """The former count: neighbours of the sampled primary whose product is
-    negative."""
-    vals = evaluate_primary(sol, chebyshev_grid(10000))
+    negative, on the points count_nodes samples."""
+    vals = evaluate_primary(sol, wavefunction._node_grid(sol, 10000))
     return int(np.sum(vals[:-1] * vals[1:] < 0))
 
 
-@pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 @pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
 def test_node_count_matches_the_product_rule(sector, alpha):
-    # none of the 144 builds raises under the suite's RuntimeWarning filter,
-    # so none is skipped.  At alpha 1e-7 the 9 builds with n >= 20 find
-    # fewer than n nodes under both rules: their nodes lie below rho ~ 2e-5,
-    # where the 10,000 samples have 28 points.
+    # none of the 168 builds raises under the suite's RuntimeWarning filter,
+    # so none is skipped.  At alpha 1e-7 every zero of n = 40 lies below
+    # rho ~ 2e-5, where a 10,000-point Chebyshev grid has only 28 points.
     for n in (0, 1, 2, 5, 10, 20, 30, 40):
         if sector == "natural":
             sol = natural_solution(dataclasses.replace(REF, alpha=alpha),
@@ -166,17 +165,17 @@ def test_node_count_matches_the_product_rule(sector, alpha):
                                      n, sector, tol=math.inf)
         nodes = count_nodes(sol)
         assert nodes == _product_rule_nodes(sol)
-        assert nodes == n or (alpha == 1e-7 and n >= 20)
+        assert nodes == n
 
 
 def test_a_natural_build_computes_its_components_once(monkeypatch):
     calls = []
-    components = wavefunction._natural_components
+    system = wavefunction._natural_system
 
     def counted(*args):
         calls.append(args)
-        return components(*args)
-    monkeypatch.setattr(wavefunction, "_natural_components", counted)
+        return system(*args)
+    monkeypatch.setattr(wavefunction, "_natural_system", counted)
     natural_solution(REF, 3, 2)
     assert len(calls) == 1
 
@@ -189,6 +188,30 @@ def test_build_residual_equals_the_public_audit(alpha):
             sol = natural_solution(p, n, J)
             audit = residual_first_order(p, energy_natural(p, n, J), sol)
             assert sol.residual_sup == audit
+
+
+@pytest.mark.parametrize("J", [1, 2, 4])
+def test_swapped_couplings_are_a_formula_error_not_the_floor(J, monkeypatch):
+    # xi and zeta exchanged: H no longer solves the closure equation, and
+    # the residual (~1.6-1.9) is far above any rounding of its terms
+    monkeypatch.setattr(wavefunction, "xi_zeta", lambda J: xi_zeta(J)[::-1])
+    for n in (0, 3):
+        with pytest.raises(GridTooCoarse) as info:
+            natural_solution(REF, n, J)
+        assert not isinstance(info.value, ResidualFloor)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 4])
+@pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-4, 1e-6])
+def test_natural_builds_pass_every_check_up_to_n_40(alpha, J):
+    # the README criterion-8 row: natural J = 0, 1, 2, 4 at lambda0 = 0.5
+    # pass every n <= 40 over alpha in [1e-6, 1]; sampled here
+    p = dataclasses.replace(REF, alpha=alpha)
+    for n in (0, 10, 20, 30, 40):
+        sol = natural_solution(p, n, J)
+        assert sol.residual_sup <= 1e-8
+        assert abs(deformed_norm(sol, p) - 1.0) <= 1e-9
+        assert count_nodes(sol) == n
 
 
 def test_residual_below_tolerance_on_reference_set():
