@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 no real spectrum for the requested parameters.
 
-Flag values override a ``--config`` file (plain ``key = value`` lines),
-which overrides built-in defaults.
+Each flag's type and default are stated once, in ``build_parser``.  Flag
+values override a ``--config`` file (plain ``key = value`` lines, each parsed
+exactly like its flag), which overrides the defaults.
 
 Only ``wavefunction`` and ``verify`` import numpy (and only ``verify`` scipy),
 inside their commands, so the closed-form commands start without them.
@@ -24,46 +25,28 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NO_SPECTRUM = 3
-
-DEFAULTS = {
-    "m": 1.0, "alpha": 0.1, "lambda0": 0.5, "lambdaR": 1.0,
-    "J": 0, "n": 0, "n_max": 10,
-    "sector": "natural", "branch": "plus",
-    "grid_size": None, "tol": None, "out": None,
-    "out_dir": "figures", "fig": "all", "only": None, "mutate": None,
-    "lambda0_set": None, "alpha_set": None,
-}
-
-_FLOAT_KEYS = {"m", "alpha", "lambda0", "lambdaR", "tol"}
-_INT_KEYS = {"J", "n", "n_max", "grid_size"}
+SECTORS = ("natural", "phi", "h0")
 
 
-def _read_config(path: str) -> dict:
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in _FLOAT_KEYS:
-                cfg[key] = float(val)
-            elif key in _INT_KEYS:
-                cfg[key] = int(val)
-            else:
-                cfg[key] = val
-    return cfg
-
-
-def _fill(args: argparse.Namespace) -> argparse.Namespace:
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key, default in DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, default))
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Flags over ``--config`` lines over the defaults of ``build_parser``:
+    a line ``key = value`` for one of the command's own flags is parsed as
+    ``--key=value`` ahead of the user's flags; other keys are ignored."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        own = vars(args).keys() - {"command", "func", "config"}
+        flags = []
+        with open(args.config, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line and "=" not in line:
+                    raise ValueError(f"bad config line: {line!r}")
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key in own:
+                    flags.append(f"--{key.replace('_', '-')}={val}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     if getattr(args, "n_max", 0) < 0:
         raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     return args
@@ -81,11 +64,11 @@ def _params(args) -> ModelParams:
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=float, help="mass (natural units)")
-    p.add_argument("--alpha", type=float, help="deformation parameter")
-    p.add_argument("--lambda0", type=float, help="time-component coupling")
-    p.add_argument("--lambdaR", type=float, help="radial coupling")
-    p.add_argument("--J", type=int)
+    p.add_argument("--m", type=float, default=1.0, help="mass (natural units)")
+    p.add_argument("--alpha", type=float, default=0.1, help="deformation parameter")
+    p.add_argument("--lambda0", type=float, default=0.5, help="time-component coupling")
+    p.add_argument("--lambdaR", type=float, default=1.0, help="radial coupling")
+    p.add_argument("--J", type=int, default=0)
     p.add_argument("--out")
 
 
@@ -122,15 +105,14 @@ def cmd_spacing(args) -> int:
 def cmd_wavefunction(args) -> int:
     from . import wavefunction
     params = _params(args)
-    grid_size = args.grid_size or wavefunction.DEFAULT_GRID_SIZE
+    # None: the builders' DEFAULT_GRID_SIZE, not imported into build_parser
+    grid = {} if args.grid_size is None else {"grid_size": args.grid_size}
     if args.sector == "natural":
-        sol = wavefunction.natural_solution(params, args.n, args.J, grid_size)
+        sol = wavefunction.natural_solution(params, args.n, args.J, **grid)
     else:
-        sol = wavefunction.unnatural_solution(params, args.n, args.sector,
-                                              grid_size)
-    out = args.out or "wavefunction.csv"
-    wavefunction.write_csv(sol, out)
-    print(f"wrote {out} (E = {sol.energy:.12g}, "
+        sol = wavefunction.unnatural_solution(params, args.n, args.sector, **grid)
+    wavefunction.write_csv(sol, args.out)
+    print(f"wrote {args.out} (E = {sol.energy:.12g}, "
           f"residual = {sol.residual_sup:.3e})", file=sys.stderr)
     return EXIT_OK
 
@@ -144,13 +126,12 @@ def cmd_verify(args) -> int:
     import json
 
     from . import verify
-    grid_size = args.grid_size or 4096
-    tol = args.tol or 1e-5
     cells = verify.NATURAL_CELLS + verify.UNNATURAL_CELLS
     run = {"algebra": verify.check_algebra,
            "commutators": verify.check_commutators,
            "closure": lambda: verify.check_closure(args.mutate),
-           "oracle": lambda: verify.check_oracle(cells, grid_size, tol, args.mutate)}
+           "oracle": lambda: verify.check_oracle(cells, args.grid_size, args.tol,
+                                                 args.mutate)}
     failures: list[str] = []
     for check in VERIFY_CHECKS if args.only is None else (args.only,):
         t0 = time.perf_counter()
@@ -164,9 +145,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _float_set(text: str | None):
-    if text is None:
-        return None
+def _float_set(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
@@ -176,8 +155,7 @@ def cmd_figures(args) -> int:
     for fig_id in ids:
         csv_path, svg_path = figures.emit_figure(
             fig_id, args.out_dir,
-            lambda0_set=_float_set(args.lambda0_set),
-            alpha_set=_float_set(args.alpha_set))
+            lambda0_set=args.lambda0_set, alpha_set=args.alpha_set)
         print(f"wrote {csv_path} {svg_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -191,37 +169,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form energy levels as CSV")
     _add_param_flags(p)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--sector", choices=("natural", "phi", "h0"))
-    p.add_argument("--branch", choices=("plus", "minus"))
+    p.add_argument("--n-max", dest="n_max", type=int, default=10)
+    p.add_argument("--sector", choices=SECTORS, default="natural")
+    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("spacing", help="level spacing E_{n+1} - E_n as CSV")
     _add_param_flags(p)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--n-max", dest="n_max", type=int, default=10)
     p.set_defaults(func=cmd_spacing)
 
     p = sub.add_parser("wavefunction", help="sampled radial solution as CSV")
     _add_param_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sector", choices=("natural", "phi", "h0"))
+    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--sector", choices=SECTORS, default="natural")
     p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.set_defaults(func=cmd_wavefunction)
+    p.set_defaults(func=cmd_wavefunction, out="wavefunction.csv")
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--only", choices=VERIFY_CHECKS)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--grid-size", dest="grid_size", type=int, default=4096)
+    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--mutate", choices=("jj-term",),
                    help="test hook: corrupt the analytic J(J+1) term")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figures", help="emit reference figures (CSV + SVG)")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--fig", choices=figures.FIGURE_IDS + ("all",))
-    p.add_argument("--lambda0-set", dest="lambda0_set",
+    p.add_argument("--out-dir", dest="out_dir", default="figures")
+    p.add_argument("--fig", choices=figures.FIGURE_IDS + ("all",), default="all")
+    p.add_argument("--lambda0-set", dest="lambda0_set", type=_float_set,
                    help="comma-separated lambda0 sweep for fig1")
-    p.add_argument("--alpha-set", dest="alpha_set",
+    p.add_argument("--alpha-set", dest="alpha_set", type=_float_set,
                    help="comma-separated alpha sweep for fig2/fig3/fig4")
     p.set_defaults(func=cmd_figures)
 
@@ -231,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _fill(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (ComplexEnergy, ComplexExponent, ComplexShift) as exc:
         print(f"no real spectrum: {exc}", file=sys.stderr)

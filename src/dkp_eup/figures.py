@@ -52,36 +52,36 @@ def _table(fig_id: str, ns: list, columns: list, y_label: str,
                       "n", y_label, title)
 
 
-def fig1_data(lambda0_values=FIG1_LAMBDA0, n_max=FIG12_NMAX) -> FigureData:
-    ns = list(range(n_max + 1))
+def fig1_data(lambda0_values=FIG1_LAMBDA0) -> FigureData:
+    ns = list(range(FIG12_NMAX + 1))
     cols = [(f"E[lambda0={l0:g}]", f"lambda0={l0:g}",
              [level(ModelParams(1.0, 0.0, l0, 1.0), "natural", n).value for n in ns])
             for l0 in lambda0_values]
     return _table("fig1", ns, cols, "E", "undeformed levels vs n")
 
 
-def fig2_data(alpha_values=FIG2_ALPHA, n_max=FIG12_NMAX) -> FigureData:
-    ns = list(range(n_max + 1))
+def fig2_data(alpha_values=FIG2_ALPHA) -> FigureData:
+    ns = list(range(FIG12_NMAX + 1))
     cols = [(f"E[alpha={al:g}]", f"alpha={al:g}",
              [level(ModelParams(1.0, al, 0.5, 1.0), "natural", n).value for n in ns])
             for al in alpha_values]
     return _table("fig2", ns, cols, "E", "levels vs n for several deformations")
 
 
-def fig3_data(alpha_values=FIG2_ALPHA, n_max=FIG3_NMAX) -> FigureData:
-    ns = list(range(n_max + 1))
+def fig3_data(alpha_values=FIG2_ALPHA) -> FigureData:
+    ns = list(range(FIG3_NMAX + 1))
     cols = [(f"dE[alpha={al:g}]", f"alpha={al:g}",
              [level_spacing(ModelParams(1.0, al, 0.5, 1.0), n, 0) for n in ns])
             for al in alpha_values]
     # horizontal asymptotes 2 sqrt(alpha) for the deformed curves (SVG only)
-    asymptotes = [(f"2 sqrt({al:g})", [0, n_max], [2.0 * al ** 0.5] * 2, "dashed")
+    asymptotes = [(f"2 sqrt({al:g})", [0, ns[-1]], [2.0 * al ** 0.5] * 2, "dashed")
                   for al in alpha_values if al > 0]
     return _table("fig3", ns, cols, "dE",
                   "level spacing vs n (plateaus at 2 sqrt(alpha))", asymptotes)
 
 
-def fig4_data(alpha_values=FIG4_ALPHA, n_max=FIG4_NMAX) -> FigureData:
-    ns = list(range(n_max + 1))
+def fig4_data(alpha_values=FIG4_ALPHA) -> FigureData:
+    ns = list(range(FIG4_NMAX + 1))
     cols = [(f"E_{sector}[alpha={al:g}]", f"E_{sector}[alpha={al:g}]",
              [level(ModelParams(1.0, al, 0.0, 1.0), sector, n).value for n in ns])
             for al in alpha_values for sector in ("phi", "h0")]

@@ -153,12 +153,13 @@ def discretize(params: ModelParams, sector: Sector, grid_size: int,
     log_w = pw * np.log(centers) + qw * np.log1p(-centers ** 2)
     l2h = 2.0 * math.log(h)
 
-    off = np.exp(log_p[1:n] - 0.5 * (log_w[:-1] + log_w[1:]) - l2h)
-    diag = -(np.exp(log_p[1:n + 1] - log_w - l2h)
-             + np.exp(log_p[0:n] - log_w - l2h))
-    if s_cut < 1.0:
-        # Dirichlet u = 0 at the cut face: one-sided half-cell flux
-        diag[-1] -= 2.0 * np.exp(log_p[n] - log_w[-1] - l2h)
+    with np.errstate(over="ignore"):    # the isfinite test below reports it
+        off = np.exp(log_p[1:n] - 0.5 * (log_w[:-1] + log_w[1:]) - l2h)
+        diag = -(np.exp(log_p[1:n + 1] - log_w - l2h)
+                 + np.exp(log_p[0:n] - log_w - l2h))
+        if s_cut < 1.0:
+            # Dirichlet u = 0 at the cut face: one-sided half-cell flux
+            diag[-1] -= 2.0 * np.exp(log_p[n] - log_w[-1] - l2h)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise UnsupportedRegime("matrix entries overflow the float range; "
                                 "cut the domain (auto_cut) at this alpha")
@@ -310,7 +311,7 @@ def _certify(problem: DiscretizedProblem, theta: np.ndarray,
 
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,
-                    grid_size: int = 8192, s_cut: float = 1.0) -> np.ndarray:
+                    grid_size: int, s_cut: float = 1.0) -> np.ndarray:
     """Plus-branch energies of the n_levels lowest states; E^2 < 0 raises."""
     e2 = solve_lowest(discretize(params, sector, grid_size, s_cut), n_levels)
     if e2.min() < 0:
@@ -342,12 +343,6 @@ class ComparisonReport:
     def passed(self) -> bool:
         return self.worst < self.tol
 
-    def to_csv_text(self) -> str:
-        lines = ["n,E_analytic,E_numeric,rel_error"]
-        lines += [f"{r.n},{r.analytic:.12g},{r.numeric:.12g},{r.rel_error:.3e}"
-                  for r in self.rows]
-        return "\n".join(lines) + "\n"
-
     def summary(self) -> str:
         s = self.sector
         tag = f"{s.kind}" + (f"(J={s.J})" if s.kind == "natural" else "")
@@ -357,8 +352,8 @@ class ComparisonReport:
 
 def compare(params: ModelParams, sector: Sector,
             analytic_energies: Sequence[float],
-            grid_size: int = 8192, tol: float = 1e-6) -> ComparisonReport:
-    """Double-entry check of externally supplied closed-form energies.
+            grid_size: int, tol: float) -> ComparisonReport:
+    """Double-entry check of closed-form energies at relative tolerance tol.
 
     Analytic values are injected by the caller so this module never imports
     the formula code it is auditing.
@@ -378,22 +373,16 @@ def auto_cut(params: ModelParams, sector: Sector, n: int) -> float:
 
 
 def extrapolated_limit_energy(m: float, lambda0: float, lambda_r: float,
-                              n: int, J: int,
-                              alphas: Sequence[float] = (4e-3, 2e-3, 1e-3),
-                              grid_size: int = 16384) -> float:
+                              n: int, J: int, grid_size: int = 16384) -> float:
     """Richardson-extrapolate deformed eigenvalues to alpha = 0.
 
-    The deformed energy approaches its limit linearly in alpha, so three
-    halved deformations eliminate the first two orders.  Used to validate
-    the undeformed closed form without a separate half-line solver.
+    The deformed energy approaches its limit linearly in alpha, so the
+    weights (8, -6, 1)/3 on alpha = (4a, 2a, a) eliminate the first two
+    orders.  Used to validate the undeformed closed form without a separate
+    half-line solver.
     """
-    if len(alphas) != 3 or not (alphas[0] > alphas[1] > alphas[2] > 0):
-        raise ValueError("alphas must be three decreasing positive values")
-    if not math.isclose(alphas[0], 4 * alphas[2]) or \
-            not math.isclose(alphas[1], 2 * alphas[2]):
-        raise ValueError("alphas must be (4a, 2a, a) for Richardson weights")
     es = []
-    for al in alphas:
+    for al in (4e-3, 2e-3, 1e-3):
         p = ModelParams(m=m, alpha=al, lambda0=lambda0, lambda_r=lambda_r)
         sec = Sector.natural(J)
         cut = auto_cut(p, sec, n)

@@ -13,15 +13,16 @@ WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 28, 44
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+TICKS = 6
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / target))
+    step = 10.0 ** math.floor(math.log10(span / TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -38,10 +39,10 @@ def _fmt(x: float) -> str:
 
 
 def write_svg(path, series: Sequence[tuple],
-              x_label: str, y_label: str, title: str = "") -> None:
+              x_label: str, y_label: str, title: str) -> None:
     """series: list of (name, xs, ys) or (name, xs, ys, "dashed").
 
-    Draws axes, polylines and a legend.
+    Draws axes, polylines, a legend and, unless it is empty, the title.
     """
     xs_all = [x for item in series for x in item[1]]
     ys_all = [y for item in series for y in item[2]]

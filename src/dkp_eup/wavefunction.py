@@ -53,6 +53,7 @@ from .spectrum import EnergyLevel, energy_natural, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
+NODE_SAMPLES = 10000
 EPS = float(np.finfo(float).eps)
 # Rounding of a residual in eps times its largest term, against 16 (n + 1)^2,
 # over alpha in [1e-6, 1]: rho-form ~2 at n = 0, ~610 at n = 40; the natural
@@ -242,6 +243,8 @@ def natural_solution(params: ModelParams, n: int, J: int,
                      grid_size: int = DEFAULT_GRID_SIZE,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
     """Normalized natural-parity solution and its first-order-system residual."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     level = energy_natural(params, n, J)
     a, b = exponents(params, J)
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
@@ -266,6 +269,8 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     """Normalized solution of a decoupled unnatural sector ("phi" or "h0"),
     audited on its second-order rho-form equation: the printed first-order
     unnatural system is not mutually consistent and is not used here."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")
     energy = level(params, which, n).value
@@ -319,15 +324,15 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
     return _residual_sup(relations)
 
 
-def count_nodes(sol: RadialSolution, samples: int = 10000) -> int:
+def count_nodes(sol: RadialSolution) -> int:
     """Interior sign changes of the primary component (Sturm oscillation).
 
-    Only the polynomial is sampled: the prefactor N rho^a (1-rho)^b is
+    Only the polynomial is sampled, at NODE_SAMPLES points: N rho^a (1-rho)^b is
     positive on (0, 1) and cannot change a sign, and at small alpha
     (1-rho)^b underflows to 0.  Neighbours are compared by sign bit, not by
     their product, which underflows to 0 below ~1e-154 and hides a change."""
     sign = np.signbit(_poly(sol.exponent_a, sol.exponent_b, sol.n,
-                            _node_grid(sol, samples)))
+                            _node_grid(sol, NODE_SAMPLES)))
     return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 

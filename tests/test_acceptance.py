@@ -40,7 +40,7 @@ def test_criterion_1_algebra_exactness():
 
 def test_criterion_2_deformed_commutators():
     t0 = time.perf_counter()
-    report = algebra.check_deformed_commutators(alpha=0.1, tol=1e-10)
+    report = algebra.check_deformed_commutators(alpha=0.1)
     assert report.n_functions == 21   # 9 [X,X], 9 [X,P], 3 [P,P] relations
     assert report.worst_position_position < 1e-10
     assert report.worst_position_momentum < 1e-10

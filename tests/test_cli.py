@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +223,117 @@ def test_negative_n_max_from_config_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "n_max" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("wavefunction", "--grid-size", "0"),
+    ("wavefunction", "--grid-size", "1"),
+    ("wavefunction", "--grid-size", "-5"),
+    ("verify", "--grid-size", "0"),
+], ids=" ".join)
+def test_grid_size_below_2_exits_2_naming_it(tmp_path, capsys, argv):
+    if argv[0] == "wavefunction":
+        argv += ("--out", str(tmp_path / "wf.csv"))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: grid_size must be >= 2\n"
+    assert not (tmp_path / "wf.csv").exists()
+
+
+def config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_ints_and_choices_are_parsed_like_their_flags(tmp_path, capsys):
+    cfg = config(tmp_path, "J = 2\nsector = phi\nbranch = minus\n"
+                           "lambda0 = 0\nn_max = 1\n")
+    assert run(capsys, "spectrum", "--config", cfg) == run(
+        capsys, "spectrum", "--J", "2", "--sector", "phi", "--branch", "minus",
+        "--lambda0", "0", "--n-max", "1")
+    out_file = tmp_path / "wf.csv"
+    cfg = config(tmp_path, "grid_size = 128\n")
+    code, _, _ = run(capsys, "wavefunction", "--config", cfg, "--out", str(out_file))
+    assert code == 0
+    assert len(out_file.read_text().splitlines()) == 1 + 128
+
+
+def test_config_float_set_is_parsed_like_its_flag(tmp_path, capsys):
+    cfg = config(tmp_path, "alpha_set = 0.1, 0.2\nfig = fig3\n")
+    code, _, _ = run(capsys, "figures", "--config", cfg, "--out-dir", str(tmp_path))
+    assert code == 0
+    header = (tmp_path / "fig3.csv").read_text().splitlines()[0]
+    assert header == "n,dE[alpha=0.1],dE[alpha=0.2]"
+
+
+def test_flag_beats_config_and_foreign_keys_are_ignored(tmp_path, capsys):
+    cfg = config(tmp_path, "J = 2\nn_max = 1\nsector = phi\nfunc = x\n"
+                           "config = y\ncommand = verify\n")
+    code, out, _ = run(capsys, "spacing", "--config", cfg, "--J", "1")
+    assert (code, out) == run(capsys, "spacing", "--J", "1", "--n-max", "1")[:2]
+
+
+def test_tol_0_fails_the_oracle_from_flag_and_config(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--only", "oracle", "--tol", "0")
+    assert code == 1
+    assert out.startswith("FAIL oracle")
+    cfg = config(tmp_path, "tol = 0\n")
+    code, out, _ = run(capsys, "verify", "--only", "oracle", "--config", cfg)
+    assert code == 1
+    assert out.startswith("FAIL oracle")
+
+
+def test_grid_size_0_from_config_exits_2(tmp_path, capsys):
+    cfg = config(tmp_path, "grid_size = 0\n")
+    code, _, err = run(capsys, "wavefunction", "--config", cfg,
+                       "--out", str(tmp_path / "wf.csv"))
+    assert code == 2
+    assert "grid_size" in err
+
+
+@pytest.mark.parametrize("line", ["alpha = abc", "J = 1.5", "branch = foo"])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, line):
+    cfg = config(tmp_path, line + "\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["spectrum", "--config", cfg])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+# --- pinned stdout ----------------------------------------------------------
+# The expected text was recorded from the CLI as it stood before argparse
+# took over the defaults; a difference is a change of output.  Elapsed times
+# and the oracle's worst_rel digits (LAPACK rounding varies by CPU) are
+# masked.  The wavefunction CSVs are not pinned, since numpy's vectorised
+# libm may differ by CPU, and the figures are pinned by bench/figures.sha256.
+
+PINNED_ARGV = [
+    ("spectrum",),
+    ("spectrum", "--branch", "minus"),
+    ("spectrum", "--J", "2", "--n-max", "5", "--alpha", "0.05"),
+    ("spectrum", "--alpha", "0"),
+    ("spectrum", "--alpha", "0", "--branch", "minus", "--J", "1"),
+    ("spectrum", "--sector", "phi", "--lambda0", "0"),
+    ("spectrum", "--sector", "phi", "--lambda0", "0", "--branch", "minus"),
+    ("spectrum", "--sector", "h0", "--lambda0", "0"),
+    ("spectrum", "--sector", "h0", "--lambda0", "0", "--branch", "minus"),
+    ("spacing",),
+    ("spacing", "--alpha", "0.04", "--n-max", "20", "--J", "1"),
+    ("spacing", "--alpha", "0"),
+    ("verify",),
+    ("verify", "--mutate", "jj-term"),
+]
+PINNED_FILE = Path(__file__).parent / "data" / "cli_stdout.json"
+
+
+def masked_stdout(capsys, argv) -> dict:
+    code, out, _ = run(capsys, *argv)
+    out = re.sub(r"\(\d+\.\d+ s\)", "(* s)", out)
+    return {"code": code, "stdout": re.sub(r"worst_rel=\S+", "worst_rel=*", out)}
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGV, ids=" ".join)
+def test_stdout_is_pinned(capsys, argv):
+    pinned = json.loads(PINNED_FILE.read_text(encoding="utf-8"))
+    assert masked_stdout(capsys, argv) == pinned[" ".join(argv)]

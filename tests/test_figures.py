@@ -25,14 +25,14 @@ def test_fig1_constant_series_at_equal_couplings():
 
 
 def test_fig3_rows_exclude_asymptote_series():
-    data = figures.fig3_data(alpha_values=(0.0, 0.1), n_max=10)
+    data = figures.fig3_data(alpha_values=(0.0, 0.1))
     assert len(data.rows[0]) == 3          # n plus two spacing columns
     names = [s[0] for s in data.series]
     assert "2 sqrt(0.1)" in names          # drawn, not tabulated
 
 
 def test_fig4_alpha_override():
-    data = figures.fig4_data(alpha_values=(0.07,), n_max=3)
+    data = figures.fig4_data(alpha_values=(0.07,))
     assert data.header == ["n", "E_phi[alpha=0.07]", "E_h0[alpha=0.07]"]
     assert all(row[1] > row[2] for row in data.rows)
 
@@ -44,7 +44,7 @@ def test_unknown_figure_id():
 
 def test_csv_floats_carry_12_significant_digits(tmp_path):
     path = tmp_path / "fig2.csv"
-    figures.write_csv(figures.fig2_data(n_max=2), path)
+    figures.write_csv(figures.fig2_data(), path)
     cell = path.read_text().splitlines()[1].split(",")[2]
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) == 12
 
