@@ -284,8 +284,10 @@ def check_deformed_commutators(alpha: float) -> CommutatorReport:
     coefficient of it minus its right-hand side that does not cancel
     symbolically must stay below COMMUTATOR_TOL on ``commutator_grid``.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    # below ~5e-309, 0.9/alpha overflows and the lattice would be NaN
+    if not (0 < alpha < np.inf and 0.9 / float(alpha) < np.inf):
+        raise ValueError(f"alpha must be finite and > 0 with a finite "
+                         f"commutator_grid, got {alpha}")
     grid = commutator_grid(alpha)
     residuals = _residuals(alpha)
     worst = dict.fromkeys(("xx", "xp", "pp"), 0.0)

@@ -46,6 +46,7 @@ from .model import ModelParams
 SHIFT = 1.0
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
+LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
 
 
 @dataclass(frozen=True)
@@ -124,52 +125,45 @@ class DiscretizedProblem:
     offdiag: np.ndarray
     e2_offset: float
     e2_scale: float              # E^2 = e2_offset + e2_scale * matrix_eigenvalue
-    s_cut: float
 
 
-def discretize(params: ModelParams, sector: Sector, grid_size: int,
-               s_cut: float = 1.0) -> DiscretizedProblem:
+def discretize(params: ModelParams, sector: Sector,
+               grid_size: int) -> DiscretizedProblem:
     """Assemble the grid_size x grid_size symmetric tridiagonal matrix.
 
-    ``s_cut`` < 1 truncates the domain with a Dirichlet wall, used when the
-    deformation is so weak that the state occupies a tiny fraction of the
-    ball (keeps the weight ratios representable and the state resolved).
-    Entries are formed in log space because the wall factor (1-s^2)^(sigma-C)
-    spans hundreds of orders of magnitude for small alpha.
+    The cells are uniform on the whole ball 0 < s < 1; its walls s = 0 and
+    s = 1 carry no flux.  Entries are formed in log space because the wall
+    factor (1-s^2)^(sigma-C) spans hundreds of orders of magnitude for small
+    alpha; once sigma - C passes ~1,010 they overflow (UnsupportedRegime).
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     c, sigma, offset = _sector_constants(params, sector)
     n = grid_size
-    h = s_cut / n
-    faces = h * np.arange(0, n + 1)
-    centers = h * (np.arange(1, n + 1) - 0.5)
-    pw = 2.0 * c - 1.0
-    qw = sigma - c
+    faces = np.arange(1, n) / n          # the inner faces; P = 0 on the walls
+    centers = (np.arange(1, n + 1) - 0.5) / n
+    pw, qw = 2.0 * c - 1.0, sigma - c
 
     log_p = np.full(n + 1, -np.inf)
-    inner = (faces > 0) & (faces < 1)
-    log_p[inner] = pw * np.log(faces[inner]) + (qw + 1) * np.log1p(-faces[inner] ** 2)
+    log_p[1:n] = pw * np.log(faces) + (qw + 1) * np.log1p(-faces ** 2)
     log_w = pw * np.log(centers) + qw * np.log1p(-centers ** 2)
-    l2h = 2.0 * math.log(h)
+    l2h = 2.0 * math.log(1.0 / n)
 
     with np.errstate(over="ignore"):    # the isfinite test below reports it
         off = np.exp(log_p[1:n] - 0.5 * (log_w[:-1] + log_w[1:]) - l2h)
         diag = -(np.exp(log_p[1:n + 1] - log_w - l2h)
                  + np.exp(log_p[0:n] - log_w - l2h))
-        if s_cut < 1.0:
-            # Dirichlet u = 0 at the cut face: one-sided half-cell flux
-            diag[-1] -= 2.0 * np.exp(log_p[n] - log_w[-1] - l2h)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise UnsupportedRegime("matrix entries overflow the float range; "
-                                "cut the domain (auto_cut) at this alpha")
+        raise UnsupportedRegime(
+            f"matrix entries overflow the float range: the wall exponent "
+            f"sigma - C = {qw:.6g} is too large at alpha = {params.alpha:g}")
 
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
         grid_size=n, sector=sector, params=params, s_nodes=centers,
         half_weight=np.exp(0.5 * (log_w - log_w.max())),
         diag=diag, offdiag=off,
-        e2_offset=offset, e2_scale=-params.alpha, s_cut=s_cut)
+        e2_offset=offset, e2_scale=-params.alpha)
 
 
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
@@ -311,9 +305,9 @@ def _certify(problem: DiscretizedProblem, theta: np.ndarray,
 
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,
-                    grid_size: int, s_cut: float = 1.0) -> np.ndarray:
-    """Plus-branch energies of the n_levels lowest states; E^2 < 0 raises."""
-    e2 = solve_lowest(discretize(params, sector, grid_size, s_cut), n_levels)
+                    grid_size: int) -> np.ndarray:
+    """The n_levels lowest plus-branch energies on the ball; E^2 < 0 raises."""
+    e2 = solve_lowest(discretize(params, sector, grid_size), n_levels)
     if e2.min() < 0:
         raise ComplexEnergy(float(e2.min()))
     return np.sqrt(e2)
@@ -366,25 +360,21 @@ def compare(params: ModelParams, sector: Sector,
     return ComparisonReport(sector, grid_size, tol, tuple(rows))
 
 
-def auto_cut(params: ModelParams, sector: Sector, n: int) -> float:
-    """Domain cut leaving ~e^-60 of the state beyond the Dirichlet wall."""
-    _, sigma, _ = _sector_constants(params, sector)
-    return min(1.0, math.sqrt((60.0 + 15.0 * n) / sigma))
-
-
 def extrapolated_limit_energy(m: float, lambda0: float, lambda_r: float,
-                              n: int, J: int, grid_size: int = 16384) -> float:
+                              n: int, J: int) -> float:
     """Richardson-extrapolate deformed eigenvalues to alpha = 0.
 
     The deformed energy approaches its limit linearly in alpha, so the
     weights (8, -6, 1)/3 on alpha = (4a, 2a, a) eliminate the first two
     orders.  Used to validate the undeformed closed form without a separate
-    half-line solver.
+    half-line solver.  The entries overflow once sigma - C = sqrt(Q)/alpha
+    passes ~1,010; a = 1e-3 max(1, 1.1 sqrt(lambda_r^2 - lambda0^2)) keeps
+    it below ~910, and is 1e-3 while lambda_r^2 - lambda0^2 < 0.83.  If
+    lambda_r^2 < lambda0^2, the solves raise ComplexExponent.
     """
-    es = []
-    for al in (4e-3, 2e-3, 1e-3):
-        p = ModelParams(m=m, alpha=al, lambda0=lambda0, lambda_r=lambda_r)
-        sec = Sector.natural(J)
-        cut = auto_cut(p, sec, n)
-        es.append(lowest_energies(p, sec, n + 1, grid_size, s_cut=cut)[n])
+    a = 1e-3 * max(1.0, 1.1 * math.sqrt(max(0.0, lambda_r * lambda_r
+                                             - lambda0 * lambda0)))
+    es = [lowest_energies(ModelParams(m, k * a, lambda0, lambda_r),
+                          Sector.natural(J), n + 1, LIMIT_GRID)[n]
+          for k in (4, 2, 1)]
     return (8.0 * es[2] - 6.0 * es[1] + es[0]) / 3.0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -316,6 +317,26 @@ def test_out_of_domain_grid_rejected():
 def test_alpha_must_be_positive(alpha):
     with pytest.raises(ValueError, match="alpha"):
         check_deformed_commutators(alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [3e-309, 1e-320, 5e-324])
+def test_alpha_with_an_overflowing_lattice_is_rejected(alpha):
+    # 0.9/alpha is inf: the lattice would be NaN, and the check would pass
+    # only because every relation cancels symbolically
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got {alpha}"):
+            check_deformed_commutators(alpha)
+
+
+def test_tiny_alpha_with_a_finite_lattice_still_passes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_deformed_commutators(1e-300)
+        assert np.all(np.isfinite(commutator_grid(1e-300)))
+    assert report.passed
+    assert (report.worst_position_position, report.worst_position_momentum,
+            report.worst_momentum_momentum) == (0.0, 0.0, 0.0)
 
 
 def test_nan_residual_fails_the_commutator_check(monkeypatch):

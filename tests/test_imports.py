@@ -1,6 +1,7 @@
 """The closed-form commands and the package import stay off numpy and scipy,
 and the eigenfunctions off scipy."""
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -93,6 +94,30 @@ def test_public_names_survive_the_lazy_import():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dkp_eup.no_such_name
+
+
+def _traced_names() -> list[str]:
+    """``module.name`` of every function the benchmark worker traces, read
+    with ast: importing the worker would edit sys.path."""
+    tree = ast.parse((SRC.parents[1] / "bench" / "worker.py").read_text())
+    traced = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] == ["TRACED"])
+    return [f"{module}.{name}"
+            for module, names in ast.literal_eval(traced).items()
+            for name in names]
+
+
+@pytest.mark.parametrize("name", _traced_names() + [
+    "oracle.Sector.natural", "oracle.Sector.phi", "oracle.Sector.h0",
+    "cli.main"])
+def test_every_name_the_benchmark_calls_exists(name):
+    # a removed function would fail the traced benchmark runs, not tier-1
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"dkp_eup.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
 
 
 def _imports(path: pathlib.Path) -> tuple[set[str], set[str]]:
