@@ -26,9 +26,16 @@ Problem*, sec. 11.7) bounds every wanted Ritz value by the square of its
 residual over its distance to the rest of the spectrum; the gaps it uses
 are proven by disjoint Ritz intervals and one Sturm count before any level
 is returned.
+
+What depends on the grid size alone is built once per size and shared
+read-only: the cell centers and the logarithms of the faces and centers
+(``_grid``), and the polynomial of the Lanczos start (``_start_poly``).
+``DiscretizedProblem.s_nodes`` is that shared array of centers; copy it to
+modify it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +54,7 @@ SHIFT = 1.0
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
 LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
+GRID_CACHE_SIZE = 8     # grid sizes (and start polynomials) held at once
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,35 @@ def _sector_constants(params: ModelParams, sector: Sector):
     return c, sigma, offset
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (centers, log faces, log1p(-faces^2), log centers,
+    log1p(-centers^2)) of n uniform s-cells on the ball; faces are the
+    n - 1 inner ones."""
+    faces = np.arange(1, n) / n
+    centers = (np.arange(1, n + 1) - 0.5) / n
+    arrays = (centers, np.log(faces), np.log1p(-faces ** 2),
+              np.log(centers), np.log1p(-centers ** 2))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _start_poly(n: int, k: int) -> np.ndarray:
+    """Read-only 1 + rho + ... + rho^(k-1) at the n cell centers."""
+    poly = np.polyval(np.ones(k), _grid(n)[0] ** 2)
+    poly.flags.writeable = False
+    return poly
+
+
 @dataclass
 class DiscretizedProblem:
     """Symmetric tridiagonal discretization plus the affine eigenvalue map."""
 
     grid_size: int
     sector: Sector
-    params: ModelParams
-    s_nodes: np.ndarray          # cell centers in s = sqrt(rho)
+    s_nodes: np.ndarray          # cell centers in s = sqrt(rho), read-only
     half_weight: np.ndarray      # W^(1/2) at s_nodes, scaled to max 1
     diag: np.ndarray
     offdiag: np.ndarray
@@ -140,13 +169,12 @@ def discretize(params: ModelParams, sector: Sector,
         raise ValueError("grid_size must be >= 2")
     c, sigma, offset = _sector_constants(params, sector)
     n = grid_size
-    faces = np.arange(1, n) / n          # the inner faces; P = 0 on the walls
-    centers = (np.arange(1, n + 1) - 0.5) / n
+    centers, log_f, log1m_f2, log_c, log1m_c2 = _grid(n)
     pw, qw = 2.0 * c - 1.0, sigma - c
 
-    log_p = np.full(n + 1, -np.inf)
-    log_p[1:n] = pw * np.log(faces) + (qw + 1) * np.log1p(-faces ** 2)
-    log_w = pw * np.log(centers) + qw * np.log1p(-centers ** 2)
+    log_p = np.full(n + 1, -np.inf)      # P = 0 on the walls
+    log_p[1:n] = pw * log_f + (qw + 1) * log1m_f2
+    log_w = pw * log_c + qw * log1m_c2
     l2h = 2.0 * math.log(1.0 / n)
 
     with np.errstate(over="ignore"):    # the isfinite test below reports it
@@ -160,7 +188,7 @@ def discretize(params: ModelParams, sector: Sector,
 
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
-        grid_size=n, sector=sector, params=params, s_nodes=centers,
+        grid_size=n, sector=sector, s_nodes=centers,
         half_weight=np.exp(0.5 * (log_w - log_w.max())),
         diag=diag, offdiag=off,
         e2_offset=offset, e2_scale=-params.alpha)
@@ -213,7 +241,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     steps = min(n, 40 + 4 * k)
     basis = np.empty((steps, n))
     alphas, betas = np.empty(steps), np.empty(steps)
-    start = problem.half_weight * np.polyval(np.ones(k), problem.s_nodes ** 2)
+    start = problem.half_weight * _start_poly(n, k)
     basis[0] = start / np.linalg.norm(start)
     worst = math.inf
     for j in range(steps):

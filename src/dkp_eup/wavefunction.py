@@ -38,9 +38,15 @@ H+1 and (xi, J) for H-1, and G0 real (its phase is free when A0 != 0):
 
 where p^2 F0''/m enters as its parts p^2 (F0'/r)/m and p^2 4 alpha rho
 F_rhorho/m, which cancel as rho -> 0.
+
+Grids are built once per size: ``chebyshev_grid`` keeps the last
+GRID_CACHE_SIZE sizes, and every build and node count of that size shares
+the one read-only array, ``RadialSolution.rho_grid`` included.  Copy it to
+modify it (``sol.rho_grid.copy()``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +60,7 @@ from .spectrum import EnergyLevel, energy_natural, exponents, level
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
 NODE_SAMPLES = 10000
+GRID_CACHE_SIZE = 8     # grid sizes ``chebyshev_grid`` holds at once
 EPS = float(np.finfo(float).eps)
 # Rounding of a residual in eps times its largest term, against 16 (n + 1)^2,
 # over alpha in [1e-6, 1]: rho-form ~2 at n = 0, ~610 at n = 40; the natural
@@ -87,10 +94,16 @@ def _poly(a: float, b: float, n: int, rho: np.ndarray, k: int = 0) -> np.ndarray
     return scale * _jacobi(n - k, ja + k, jb + k, rho)
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def chebyshev_grid(size: int) -> np.ndarray:
-    """Open Chebyshev grid on (0, 1), clustered at both endpoints."""
+    """Open Chebyshev grid on (0, 1), clustered at both endpoints.
+
+    Built once per size and shared read-only between callers; copy it to
+    modify it."""
     i = np.arange(size)
-    return 0.5 * (1.0 - np.cos(np.pi * (i + 0.5) / size))
+    grid = 0.5 * (1.0 - np.cos(np.pi * (i + 0.5) / size))
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass
@@ -107,7 +120,7 @@ class RadialSolution:
     J: int
     energy: float
     params: ModelParams
-    rho_grid: np.ndarray
+    rho_grid: np.ndarray              # shared read-only ``chebyshev_grid``
     primary: np.ndarray
     primary_name: str
     secondary: dict[str, np.ndarray]

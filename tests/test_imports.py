@@ -75,6 +75,15 @@ def test_verification_loads_no_sparse_solver():
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
+def test_importing_builds_no_grid():
+    # grids are built on first use, so an import pays for none of them
+    sizes = _fresh("from dkp_eup import wavefunction, oracle\n"
+                   "print(*[f.cache_info().currsize for f in (\n"
+                   "    wavefunction.chebyshev_grid, oracle._grid,\n"
+                   "    oracle._start_poly)])")
+    assert sizes == ["0", "0", "0"]
+
+
 def test_package_import_loads_no_numpy():
     assert _loaded_after("import dkp_eup") == set()
 

@@ -396,6 +396,54 @@ def test_a_start_without_the_ground_mode_costs_steps_not_correctness():
     assert np.all(np.abs(lam - ref) <= 1e-7)
 
 
+def _reference_outputs(grid):
+    """discretize's arrays and solve_lowest's 5 levels on the 22 reference
+    cells."""
+    out = []
+    for params, sector, J in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS:
+        prob = discretize(params, Sector(sector, J), grid)
+        out += [prob.s_nodes, prob.half_weight, prob.diag, prob.offdiag,
+                solve_lowest(prob, 5)]
+    return out
+
+
+def _clear_grid_caches():
+    oracle._grid.cache_clear()
+    oracle._start_poly.cache_clear()
+
+
+def test_shared_grid_arrays_do_not_change_the_outputs():
+    grid = 8192
+    assert len(verify.NATURAL_CELLS + verify.UNNATURAL_CELLS) == 22
+    _clear_grid_caches()
+    cold = _reference_outputs(grid)
+    warm = _reference_outputs(grid)     # every array from the caches
+    _clear_grid_caches()
+    rebuilt = _reference_outputs(grid)
+    for other in (warm, rebuilt):
+        assert all(np.array_equal(x, y) for x, y in zip(cold, other, strict=True))
+    # the comparison sees a cached array that is made writable and changed
+    try:
+        for cached in (oracle._grid(grid)[3], oracle._start_poly(grid, 5)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+            cached.flags.writeable = True
+            cached[0] *= 2.0
+            assert not all(np.array_equal(x, y) for x, y in
+                           zip(cold, _reference_outputs(grid), strict=True))
+            cached[0] /= 2.0
+    finally:
+        _clear_grid_caches()
+
+
+def test_the_grid_caches_stay_bounded():
+    for n in range(16, 36):
+        solve_lowest(discretize(REF, Sector.natural(0), n), 2)
+    for cache in (oracle._grid, oracle._start_poly):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == oracle.GRID_CACHE_SIZE
+
+
 def test_ground_level_on_the_finest_grid_is_below_1e_10():
     # the old bisection stopped at eps * ||T||_1 and gave 7.5e-10 here
     exact = energy_natural(REF, 0, 0).value

@@ -373,6 +373,51 @@ def test_chebyshev_grid_properties():
     assert np.all(np.diff(g) > 0)
 
 
+@pytest.mark.parametrize("size", [1, 64, 2048, 10000])
+def test_chebyshev_grid_is_built_once_and_bit_equal_to_the_formula(size):
+    i = np.arange(size)
+    fresh = 0.5 * (1.0 - np.cos(np.pi * (i + 0.5) / size))
+    assert chebyshev_grid(size) is chebyshev_grid(size)
+    assert np.array_equal(chebyshev_grid(size), fresh)
+
+
+def test_shared_grids_are_read_only():
+    sol = natural_solution(REF, 1, 0, grid_size=64)
+    assert sol.rho_grid is chebyshev_grid(64)
+    for grid in (chebyshev_grid(64), sol.rho_grid):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            grid *= 2.0
+    copy = sol.rho_grid.copy()
+    copy[0] = 0.5                       # a copy is the caller's own
+    assert chebyshev_grid(64)[0] != 0.5
+
+
+def _arrays(sol):
+    return [sol.rho_grid, sol.primary, *sol.secondary.values()]
+
+
+def test_builds_at_alternating_grid_sizes_do_not_cross_talk():
+    chebyshev_grid.cache_clear()
+    first = {}
+    for size in (64, 2048, 64, 2048):
+        for sol in (natural_solution(REF, 3, 2, grid_size=size),
+                    unnatural_solution(UNNAT, 2, "phi", grid_size=size)):
+            key = (size, sol.sector)
+            first.setdefault(key, _arrays(sol))
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(_arrays(sol), first[key], strict=True))
+            assert len(sol.rho_grid) == size
+
+
+def test_the_grid_cache_stays_bounded():
+    for size in range(100, 120):
+        chebyshev_grid(size)
+    info = chebyshev_grid.cache_info()
+    assert info.currsize <= info.maxsize == wavefunction.GRID_CACHE_SIZE
+
+
 def test_csv_export(tmp_path):
     sol = natural_solution(REF, 1, 0, grid_size=64)
     path = tmp_path / "wf.csv"
