@@ -90,15 +90,25 @@ def _sqrt_q(params: ModelParams) -> float:
     return math.sqrt(q)
 
 
-def exponents(params: ModelParams, J: int) -> tuple[float, float]:
-    """Roots (a, b) of the indicial conditions at rho = 0 and rho = 1.
+def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, float]:
+    """Exponents (a, b) of F = N rho^a (1-rho)^b Poly(rho) in ``sector``.
 
-    a = (J+1)/2 and b = 1/4 + sqrt(D)/4; requires alpha > 0 and D >= 0.
+    The one place a wall exponent is decided, in closed form; x = lr/alpha.
+    natural: a = (J+1)/2, b = 1/4 + sqrt(D)/4 (alpha > 0, D >= 0).
+    phi: (1/2, (x+1)/2); h0: (1/2, x/2); both ignore J.  At rho = 1 the h0
+    equation also has the root (1-x)/2, normalizable too for x < 1/2; its
+    closed-form level E^2 = m^2 + 4 alpha (n+1/2)(n+1/2+x) fixes b = x/2.
     """
-    a = (J + 1) / 2.0
-    sqrt_q = _sqrt_q(params)
-    b = _finite("wall exponent b", lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
-    return a, b
+    if sector == "natural":
+        sqrt_q = _sqrt_q(params)
+        return (J + 1) / 2.0, _finite("wall exponent b",
+                                      lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
+    if sector not in ("phi", "h0"):
+        raise UnsupportedRegime(f"unknown sector {sector!r}")
+    _require_unnatural(params)
+    shift = 1.0 if sector == "phi" else 0.0
+    return 0.5, _finite("wall exponent b",
+                        lambda: (params.lambda_r / params.alpha + shift) / 2.0)
 
 
 def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
@@ -108,7 +118,7 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     A = a + b + S, B = a + b - S, C = 1/2 + 2a.  u, v1, v2 are returned so
     callers can confirm the root selection annihilated the singular terms.
     """
-    a, b = exponents(params, J)
+    a, b = exponents(params, "natural", J)
     if not math.isfinite(energy):
         raise NonFiniteParameter("energy", energy)
     al = params.alpha

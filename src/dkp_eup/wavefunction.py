@@ -5,9 +5,10 @@ Every solved component has the closed form
     F(rho) = N * rho^a (1-rho)^b * Poly(rho),      rho = alpha r^2 in (0, 1),
 
 where Poly = 2F1(-n, n + 2a + 2b; 2a + 1/2; rho) = n!/(ja+1)_n P_n^(ja,jb)(1-2rho)
-is a Jacobi polynomial, ja = 2a - 1/2, jb = 2b - 1/2.  It is evaluated by the
-three-term recurrence (DLMF 18.9.2), which stays accurate at high n where the
-power basis cancels, written in rho rather than x = 1 - 2 rho:
+is a Jacobi polynomial, ja = 2a - 1/2, jb = 2b - 1/2, and (a, b) comes from
+``spectrum.exponents``, the one place that decides them.  Poly is evaluated
+by the three-term recurrence (DLMF 18.9.2), which stays accurate at high n
+where the power basis cancels, written in rho rather than x = 1 - 2 rho:
 
     P_{k+1} = (c0 - c1 rho) P_k - c2 P_{k-1},     s = 2k + ja + jb,
     d  = 2 (k+1)(k+ja+jb+1) s,
@@ -29,9 +30,10 @@ One audit rule serves every build: each relation is a tuple of terms, the
 residual is the sup of |sum of terms| over the grid and the relations, and
 a residual above the tolerance is ResidualFloor (rounding no grid lowers)
 when it is <= 16 (n+1)^2 eps times the largest term, else GridTooCoarse.
-phi and h0 have one relation, their rho-form equation; natural parity has
-four, with p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for
-H+1 and (xi, J) for H-1, and G0 real (its phase is free when A0 != 0):
+phi and h0 have one relation, their rho-form equation, whose constants are
+written from lr/alpha, so it checks b; natural parity has four, with
+p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for H+1 and
+(xi, J) for H-1, and G0 real (its phase is free when A0 != 0):
 
     H = -(c/m) [p F0' + s (p/r) F0 - Ar F0],     G0 = sqrt(E^2 + A0^2) F0/m,
     -p sum_c c (d/dr - s/r + Ar/p) H + (E^2 + A0^2) F0/m - m F0 = 0,
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
                      UnsupportedRegime)
 from .model import ModelParams, xi_zeta
-from .spectrum import EnergyLevel, energy_natural, exponents, level
+from .spectrum import EnergyLevel, _finite, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -151,8 +153,8 @@ def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
 
 def _natural_system(params: ModelParams, J: int, energy: float,
                     a: float, b: float, n: int, rho: np.ndarray, scale: float):
-    """F0, H+1, H-1, G0 and the four first-order relations (module docstring)
-    as term tuples; xi^2 + zeta^2 = 1 puts p^2 F0''/m in the closure once."""
+    """F0, {H_plus1, H_minus1, G0} and the four first-order relations as term
+    tuples; xi^2 + zeta^2 = 1 puts p^2 F0''/m in the closure once."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
     f, frho, frhorho = (scale * d for d in _prefactor_derivs(a, b, n, rho))
     df = 2.0 * np.sqrt(al * rho) * frho  # chain rule in rho
@@ -174,27 +176,20 @@ def _natural_system(params: ModelParams, J: int, energy: float,
         relations.append((c * pdf, c * spf, -c * arf, m * h))
         closure += (-c * p * dh, c * s * (p / r) * h, -c * ar * h)
         hs.append(h)
-    return (f, *hs, g0), relations + [closure]
+    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, relations + [closure]
 
 
 # --- sector assembly -------------------------------------------------------
 
 
-def _unnatural_sector_data(params: ModelParams, which: str):
-    """(a, b, c_wall, c_const_of_E2) of the decoupled sector "phi" or "h0"."""
+def _unnatural_sector_data(params: ModelParams, which: str, e2: float):
+    """(c_wall, c_const) of the rho-form equation of "phi" or "h0" at E^2 = e2."""
     al, lr = params.alpha, params.lambda_r
     x = lr / al
     if which == "phi":
-        c_wall = x * (x + 1.0) / 4.0
-        def c_const(e2):
-            return (e2 - params.m ** 2) / (4 * al) + 0.25 + (lr / (4 * al)) * (x - 2.0)
-    else:
-        c_wall = x * (x - 1.0) / 4.0
-        def c_const(e2):
-            return (e2 - params.m ** 2) / (4 * al) + x * x / 4.0
-    a = 0.5
-    b = 0.25 + 0.25 * math.sqrt(1.0 + 16.0 * c_wall)
-    return a, b, c_wall, c_const
+        return (x * (x + 1.0) / 4.0,
+                (e2 - params.m ** 2) / (4 * al) + 0.25 + (lr / (4 * al)) * (x - 2.0))
+    return x * (x - 1.0) / 4.0, (e2 - params.m ** 2) / (4 * al) + x * x / 4.0
 
 
 # B_2k / (2k (2k - 1)), k = 1..6: Stirling's series for log Gamma (DLMF 5.11.1)
@@ -252,28 +247,41 @@ def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
                          f"at grid size {grid_size}")
 
 
+def _build(params: ModelParams, sector: str, n: int, J: int,
+           grid_size: int, tol: float) -> RadialSolution:
+    """The normalized solution of ``sector``, gated on its residual audit."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    energy = level(params, sector, n, J).value
+    a, b = exponents(params, sector, J)
+    _finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # scales F''
+    n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
+    rho = chebyshev_grid(grid_size)
+    if sector == "natural":
+        f, secondary, relations = _natural_system(params, J, energy, a, b, n, rho, n1)
+        name, equation = "F0", "first-order system"
+    else:  # the rho-form terms, and their rounding, grow like b ~ 1/alpha
+        c_wall, c_const = _unnatural_sector_data(params, sector, energy ** 2)
+        f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
+        relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+                      -c_wall * f / (1.0 - rho), c_const * f)]
+        secondary = {}
+        name, equation = ("phi" if sector == "phi" else "H0"), "rho-form equation"
+    residual_sup = _residual_sup(relations)
+    if not residual_sup <= tol:
+        raise _residual_failure(residual_sup, tol, n, grid_size, equation,
+                                relations)
+    return RadialSolution(
+        sector=sector, n=n, J=J, energy=energy, params=params, rho_grid=rho,
+        primary=f, primary_name=name, secondary=secondary, norm_constant=n1,
+        residual_sup=residual_sup, exponent_a=a, exponent_b=b)
+
+
 def natural_solution(params: ModelParams, n: int, J: int,
                      grid_size: int = DEFAULT_GRID_SIZE,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
     """Normalized natural-parity solution and its first-order-system residual."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    level = energy_natural(params, n, J)
-    a, b = exponents(params, J)
-    n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
-    rho = chebyshev_grid(grid_size)
-    (f, h_plus, h_minus, g0), relations = _natural_system(
-        params, J, level.value, a, b, n, rho, n1)
-    residual_sup = _residual_sup(relations)
-    if not residual_sup <= tol:
-        raise _residual_failure(residual_sup, tol, n, grid_size,
-                                "first-order system", relations)
-    return RadialSolution(
-        sector="natural", n=n, J=J, energy=level.value, params=params,
-        rho_grid=rho, primary=f, primary_name="F0",
-        secondary={"H_plus1": h_plus, "H_minus1": h_minus, "G0": g0},
-        norm_constant=n1, residual_sup=residual_sup,
-        exponent_a=a, exponent_b=b)
+    return _build(params, "natural", n, J, grid_size, tol)
 
 
 def unnatural_solution(params: ModelParams, n: int, which: str,
@@ -282,27 +290,9 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     """Normalized solution of a decoupled unnatural sector ("phi" or "h0"),
     audited on its second-order rho-form equation: the printed first-order
     unnatural system is not mutually consistent and is not used here."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")
-    energy = level(params, which, n).value
-    a, b, c_wall, c_const = _unnatural_sector_data(params, which)
-    n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
-    rho = chebyshev_grid(grid_size)
-    f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
-    relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-                  -c_wall * f / (1.0 - rho), c_const(energy ** 2) * f)]
-    residual_sup = _residual_sup(relations)
-    if not residual_sup <= tol:
-        # the terms grow like b ~ 1/alpha, and so does their rounding
-        raise _residual_failure(residual_sup, tol, n, grid_size,
-                                "rho-form equation", relations)
-    return RadialSolution(
-        sector=which, n=n, J=0, energy=energy, params=params,
-        rho_grid=rho, primary=f, primary_name="phi" if which == "phi" else "H0",
-        secondary={}, norm_constant=n1, residual_sup=residual_sup,
-        exponent_a=a, exponent_b=b)
+    return _build(params, which, n, 0, grid_size, tol)
 
 
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:
@@ -331,9 +321,9 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
         raise UnsupportedRegime(
             "first-order residuals are defined for the natural sector; "
             "unnatural solutions carry their ODE residual in residual_sup")
-    _, relations = _natural_system(params, sol.J, level.value, sol.exponent_a,
-                                   sol.exponent_b, sol.n, sol.rho_grid,
-                                   sol.norm_constant)
+    *_, relations = _natural_system(params, sol.J, level.value, sol.exponent_a,
+                                    sol.exponent_b, sol.n, sol.rho_grid,
+                                    sol.norm_constant)
     return _residual_sup(relations)
 
 

@@ -82,6 +82,19 @@ def test_wavefunction_command(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_h0_wavefunction_below_x_one_half(tmp_path, capsys):
+    # lambdaR/alpha = 1/3: the build uses the wall exponent of the spectrum
+    out_file = tmp_path / "h0.csv"
+    code, _, err = run(capsys, "wavefunction", "--sector", "h0", "--lambda0",
+                       "0", "--alpha", "3", "--lambdaR", "1", "--n", "1",
+                       "--out", str(out_file))
+    assert code == 0, err
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "rho,r,H0,weight"
+    assert len(lines) == 1 + 2048
+    assert "E = 5.83095189485" in err
+
+
 def test_verify_only_algebra(capsys):
     code, out, _ = run(capsys, "verify", "--only", "algebra")
     assert code == 0
@@ -318,6 +331,11 @@ PINNED_ARGV = [
     ("spectrum", "--sector", "phi", "--lambda0", "0", "--branch", "minus"),
     ("spectrum", "--sector", "h0", "--lambda0", "0"),
     ("spectrum", "--sector", "h0", "--lambda0", "0", "--branch", "minus"),
+    # lambdaR/alpha = 1/3 < 1/2, where the h0 wall exponent has two roots
+    ("spectrum", "--sector", "h0", "--alpha", "3", "--lambda0", "0",
+     "--lambdaR", "1", "--n-max", "5"),
+    ("spectrum", "--sector", "phi", "--alpha", "3", "--lambda0", "0",
+     "--lambdaR", "1", "--n-max", "5"),
     ("spacing",),
     ("spacing", "--alpha", "0.04", "--n-max", "20", "--J", "1"),
     ("spacing", "--alpha", "0"),

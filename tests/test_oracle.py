@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
@@ -19,7 +19,8 @@ from dkp_eup.oracle import (LIMIT_GRID, Sector, compare, discretize,
                             extrapolated_limit_energy, lowest_energies,
                             solve_lowest)
 from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
-                              energy_unnatural_h0, energy_unnatural_phi)
+                              energy_unnatural_h0, energy_unnatural_phi,
+                              exponents)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
@@ -164,6 +165,25 @@ def test_oracle_does_not_import_the_spectrum_module():
     # double-entry bookkeeping: the solver must not reuse the formula code
     src = pathlib.Path(oracle.__file__).read_text()
     assert not re.search(r"^\s*(from|import)\s+\S*spectrum", src, re.M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["natural", "phi", "h0"]), J=st.integers(0, 20),
+       alpha=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+       lambda_r=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       ratio=st.floats(0.0, 1.0))
+@example(kind="h0", J=0, alpha=3.0, lambda_r=1.0, ratio=0.0)
+@example(kind="h0", J=0, alpha=1.0, lambda_r=0.0, ratio=0.0)
+def test_oracle_and_formulas_share_one_boundary_condition(kind, J, alpha,
+                                                          lambda_r, ratio):
+    # the oracle derives (C, sigma) itself; both layers must encode the same
+    # exponents (a, b), also below lambdaR/alpha = 1/2 where h0 has two roots
+    p = ModelParams(m=1.0, alpha=alpha, lambda_r=lambda_r,
+                    lambda0=ratio * lambda_r if kind == "natural" else 0.0)
+    c, sigma, _ = oracle._sector_constants(p, Sector(kind, J))
+    a, b = exponents(p, kind, J)
+    assert c == pytest.approx(2.0 * a + 0.5, rel=1e-14)
+    assert sigma == pytest.approx(2.0 * (a + b), rel=1e-14)
 
 
 @pytest.mark.parametrize("sector,formula", [

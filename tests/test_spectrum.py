@@ -33,13 +33,13 @@ def naive_natural_energy(p: ModelParams, n: int, J: int) -> float:
 
 def test_exponent_a_is_half_of_J_plus_one():
     for J in range(5):
-        a, _ = exponents(REF, J)
+        a, _ = exponents(REF, "natural", J)
         assert a == (J + 1) / 2.0
 
 
 def test_exponent_b_reference_value():
     # b = 1/4 + sqrt(341)/4 evaluated directly
-    _, b = exponents(REF, 0)
+    _, b = exponents(REF, "natural", 0)
     assert b == pytest.approx(0.25 + 0.25 * math.sqrt(341.0), abs=1e-14)
     assert b == pytest.approx(4.866546328154847, abs=1e-12)
 
@@ -47,16 +47,16 @@ def test_exponent_b_reference_value():
 def test_exponent_b_unit_coupling_ratio():
     # lambda0 = lambda_r = alpha gives D = 1 + 4[1*2 - 1] = 5
     p = ModelParams(m=1.0, alpha=0.3, lambda0=0.3, lambda_r=0.3)
-    _, b = exponents(p, 0)
+    _, b = exponents(p, "natural", 0)
     assert b == pytest.approx((1.0 + math.sqrt(5.0)) / 4.0, abs=1e-14)
 
 
 def test_exponents_raise_below_real_threshold():
     p = ModelParams(m=1.0, alpha=0.1, lambda0=1.5, lambda_r=1.0)
     with pytest.raises(ComplexExponent):
-        exponents(p, 0)
+        exponents(p, "natural", 0)
     with pytest.raises(UnsupportedRegime):
-        exponents(ModelParams(1.0, 0.0, 0.5, 1.0), 0)
+        exponents(ModelParams(1.0, 0.0, 0.5, 1.0), "natural", 0)
 
 
 def test_abc_sum_identity():
@@ -270,7 +270,9 @@ ENTRY_POINTS = {
     "energy_natural_limit": lambda p: energy_natural_limit(p, 1, 1),
     "energy_unnatural_phi": lambda p: energy_unnatural_phi(p, 1),
     "energy_unnatural_h0": lambda p: energy_unnatural_h0(p, 1),
-    "exponents": lambda p: exponents(p, 1),
+    "exponents": lambda p: exponents(p, "natural", 1),
+    "exponents_phi": lambda p: exponents(p, "phi"),
+    "exponents_h0": lambda p: exponents(p, "h0"),
     "abc": lambda p: abc(p, 1, 2.0),
     "level_spacing": lambda p: level_spacing(p, 1, 1),
 }
@@ -302,6 +304,8 @@ def test_non_finite_energy_is_rejected_by_abc(energy):
     ("energy_unnatural_h0", "alpha", 1e308, r"E\^2"),
     ("exponents", "lambda_r", 1e200, r"Q = lr\^2"),
     ("exponents", "alpha", 1e-320, "wall exponent b"),
+    ("exponents_phi", "alpha", 1e-320, "wall exponent b"),  # lr/alpha
+    ("exponents_h0", "alpha", 1e-320, "wall exponent b"),
     ("abc", "m", 1e200, "shift radicand"),
     ("abc", "alpha", 1e-170, "shift radicand"),   # alpha^2 underflows to 0
     ("abc", "alpha", 5e-155, "v2"),

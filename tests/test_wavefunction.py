@@ -83,7 +83,7 @@ def test_poly_derivatives_match_mpmath_near_the_origin(alpha, n):
     # rho^a (1-rho)^b is not negligible, the recurrence in x = 1 - 2 rho lost
     # terms of size jb^2 and erred by ~3e-12 at alpha 1e-5
     p = dataclasses.replace(UNNAT, alpha=alpha)
-    a, b, _, _ = wavefunction._unnatural_sector_data(p, "phi")
+    a, b = exponents(p, "phi")
     rho = chebyshev_grid(1024)
     rho = rho[rho < 40.0 / b]
     weight = rho ** a * (1.0 - rho) ** b
@@ -105,10 +105,9 @@ def test_norm_integral_matches_mpmath(alpha, sector):
     # 6.6e-10 relative at alpha 1e-6 and 3.0e-7 at 1e-8
     n = 10
     if sector == "natural":
-        a, b = exponents(dataclasses.replace(REF, alpha=alpha), 0)
+        a, b = exponents(dataclasses.replace(REF, alpha=alpha), "natural")
     else:
-        a, b, _, _ = wavefunction._unnatural_sector_data(
-            dataclasses.replace(UNNAT, alpha=alpha), "phi")
+        a, b = exponents(dataclasses.replace(UNNAT, alpha=alpha), "phi")
     with mpmath.workdps(50):
         ja, jb = 2 * mpmath.mpf(a) - 0.5, 2 * mpmath.mpf(b) - 0.5
         g = mpmath.gamma
@@ -248,7 +247,7 @@ def test_ground_state_norm_matches_beta_function():
     # for n = 0 the polynomial is 1 and the integral reduces to
     # B(2a + 1/2, 2b + 1/2) / (2 sqrt(alpha))
     sol = natural_solution(REF, 0, 0)
-    a, b = exponents(REF, 0)
+    a, b = exponents(REF, "natural", 0)
     closed = sol.norm_constant ** 2 * \
         beta_fn(2 * a + 0.5, 2 * b + 0.5) / (2.0 * math.sqrt(REF.alpha))
     assert deformed_norm(sol, REF) == pytest.approx(closed, rel=1e-10)
@@ -361,6 +360,60 @@ def test_unnatural_requires_supported_regime():
         unnatural_solution(REF, 0, "phi")  # lambda0 != 0
     with pytest.raises(ValueError):
         unnatural_solution(UNNAT, 0, "weird")
+
+
+def _h0_at(x: float) -> ModelParams:
+    """h0 parameters with lambdaR/alpha = x at alpha = 2."""
+    return ModelParams(m=1.0, alpha=2.0, lambda0=0.0, lambda_r=2.0 * x)
+
+
+@pytest.mark.parametrize("n", [0, 2, 5])
+@pytest.mark.parametrize("x", [0.0, 0.05, 0.4, 0.6])
+def test_h0_builds_pass_below_x_one_half(x, n):
+    # below x = lambdaR/alpha = 1/2 the h0 wall has a second normalizable
+    # indicial root (1 - x)/2; the closed-form level belongs to b = x/2
+    p = _h0_at(x)
+    sol = unnatural_solution(p, n, "h0")
+    assert sol.residual_sup <= 1e-8
+    assert abs(deformed_norm(sol, p) - 1.0) <= 1e-9
+    assert count_nodes(sol) == n
+
+
+def test_h0_wall_exponent_is_half_of_lambda_r_over_alpha():
+    p = _h0_at(0.4)
+    sol = unnatural_solution(p, 2, "h0")
+    assert sol.exponent_b == p.lambda_r / (2.0 * p.alpha)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_h0_build_on_the_other_root_fails_the_gate(n, monkeypatch):
+    p = _h0_at(0.4)
+    monkeypatch.setattr(wavefunction, "exponents",
+                        lambda params, sector, J=0: (0.5, (1.0 - 0.4) / 2.0))
+    with pytest.raises(GridTooCoarse):
+        unnatural_solution(p, n, "h0")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sector,alpha,lambda_r,quantity", [
+    # lambdaR/alpha overflows while the level stays finite
+    ("phi", 1e-300, 1e10, "wall exponent b"),
+    ("h0", 1e-300, 1e10, "wall exponent b"),
+    ("phi", 1e-200, 1e200, "wall exponent b"),
+    ("h0", 1e-200, 1e200, "wall exponent b"),
+    # b is finite, but not the (2b)^2 that scales F''
+    ("phi", 0.1, 1e200, r"wall exponent term \(2b\)\^2"),
+    ("h0", 0.1, 1e200, r"wall exponent term \(2b\)\^2"),
+    ("natural", 1e-160, 1.0, r"wall exponent term \(2b\)\^2"),
+])
+def test_an_overflowing_wall_exponent_is_named(sector, alpha, lambda_r,
+                                               quantity):
+    p = ModelParams(m=1.0, alpha=alpha, lambda0=0.0, lambda_r=lambda_r)
+    with pytest.raises(UnsupportedRegime, match=f"^{quantity} overflows"):
+        if sector == "natural":
+            natural_solution(p, 0, 0)
+        else:
+            unnatural_solution(p, 0, sector)
 
 
 # --- misc ---------------------------------------------------------------------
@@ -479,8 +532,6 @@ def _off_by_1e_6(real):
 @pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
 def test_a_wrong_energy_is_not_mistaken_for_the_floor(sector, alpha,
                                                        monkeypatch):
-    monkeypatch.setattr(wavefunction, "energy_natural",
-                        _off_by_1e_6(wavefunction.energy_natural))
     monkeypatch.setattr(wavefunction, "level", _off_by_1e_6(wavefunction.level))
     for n in (0, 3):
         with pytest.raises(GridTooCoarse) as info:
