@@ -7,8 +7,8 @@ Each flag's type and default are stated once, in ``build_parser``.  Flag
 values override a ``--config`` file (plain ``key = value`` lines, each parsed
 exactly like its flag), which overrides the defaults.
 
-Only ``wavefunction`` and ``verify`` import numpy (and only ``verify`` scipy),
-inside their commands, so the closed-form commands start without them.
+Only ``wavefunction`` and ``verify`` import numpy, inside their commands, so
+the closed-form commands start without it; no command imports scipy.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Independent numerical eigensolver for the reduced second-order equations.
 
 Validates every closed-form spectrum without touching the analytic-spectrum
-code path: this module depends only on :mod:`dkp_eup.model` and
+code path: this module depends only on numpy, :mod:`dkp_eup.model` and
 :mod:`dkp_eup.errors`.
 
 Each solved sector reduces, after factoring the known endpoint behavior
@@ -19,13 +19,19 @@ finite-volume scheme on uniform s-cells has zero flux through both walls
 (P vanishes there), which encodes the boundedness condition with no extra
 boundary rows, and a diagonal similarity makes the matrix symmetric
 tridiagonal.  Because the discrete operator is symmetric, eigenvalues
-converge at twice the nominal second-order rate of the scheme.  The lowest
-levels come from a certified shift-invert Lanczos solve (``solve_lowest``),
-which stops as soon as the gap theorem (Parlett, *The Symmetric Eigenvalue
-Problem*, sec. 11.7) bounds every wanted Ritz value by the square of its
-residual over its distance to the rest of the spectrum; the gaps it uses
-are proven by disjoint Ritz intervals and one Sturm count before any level
-is returned.
+converge at twice the nominal second-order rate of the scheme.
+
+The matrix is T = -G^T G, G = diag(sqrt(p)) D W^(-1/2) with D the difference
+matrix and p the face flux P/h^2; its top eigenvalue is exactly 0, the
+constant u, and gives level 0 with no arithmetic.  The next levels come
+from a certified Lanczos solve (``solve_lowest``) on the pseudo-inverse of
+G^T G, which running sums apply without forming T (``_RunningSums``), so
+that nothing rounds at eps ||T||.  It stops as soon as the gap theorem
+(Parlett, *The Symmetric Eigenvalue Problem*, sec. 11.7) bounds every wanted
+Ritz value by the square of its residual over its distance to the rest of
+the spectrum; the gaps it uses are proven by disjoint Ritz intervals and
+one Sturm count of the rounded T (``_sturm_count``, odd-even reduction)
+before any level is returned.
 
 What depends on the grid size alone is built once per size and shared
 read-only: the cell centers and the logarithms of the faces and centers
@@ -41,20 +47,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstev
 
 from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
                      UnsupportedRegime)
 from .model import ModelParams
 
-# Shift of the spectral transformation.  The zero-flux matrix is negative
-# semidefinite with its constant mode at lambda ~ 0, so sigma = 1 sits just
-# above the wanted end of the spectrum and sigma I - T is positive definite.
-SHIFT = 1.0
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
 LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
 GRID_CACHE_SIZE = 8     # grid sizes (and start polynomials) held at once
+SEQUENTIAL_ROWS = 128   # rows the cyclic Sturm count leaves to the pivots
+HW_FLOOR = EPS          # W^(1/2), relative to its peak, of the solved cells
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,8 @@ def _grid(n: int) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _start_poly(n: int, k: int) -> np.ndarray:
-    """Read-only 1 + rho + ... + rho^(k-1) at the n cell centers."""
-    poly = np.polyval(np.ones(k), _grid(n)[0] ** 2)
+    """Read-only rho + rho^2 + ... + rho^(k-1) at the n cell centers."""
+    poly = np.polyval(np.append(np.ones(k - 1), 0.0), _grid(n)[0] ** 2)
     poly.flags.writeable = False
     return poly
 
@@ -150,6 +153,7 @@ class DiscretizedProblem:
     sector: Sector
     s_nodes: np.ndarray          # cell centers in s = sqrt(rho), read-only
     half_weight: np.ndarray      # W^(1/2) at s_nodes, scaled to max 1
+    flux: np.ndarray             # p = P/h^2 on the inner faces, scaled alike
     diag: np.ndarray
     offdiag: np.ndarray
     e2_offset: float
@@ -164,6 +168,8 @@ def discretize(params: ModelParams, sector: Sector,
     s = 1 carry no flux.  Entries are formed in log space because the wall
     factor (1-s^2)^(sigma-C) spans hundreds of orders of magnitude for small
     alpha; once sigma - C passes ~1,010 they overflow (UnsupportedRegime).
+    ``half_weight`` and ``flux`` are W^(1/2) and p divided by the largest
+    W^(1/2), so -T = G^T G with G = diag(sqrt(p)) D diag(1/half_weight).
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -187,105 +193,216 @@ def discretize(params: ModelParams, sector: Sector,
             f"sigma - C = {qw:.6g} is too large at alpha = {params.alpha:g}")
 
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
+    half_weight = np.exp(0.5 * (log_w - log_w.max()))
     return DiscretizedProblem(
-        grid_size=n, sector=sector, s_nodes=centers,
-        half_weight=np.exp(0.5 * (log_w - log_w.max())),
-        diag=diag, offdiag=off,
+        grid_size=n, sector=sector, s_nodes=centers, half_weight=half_weight,
+        flux=off * half_weight[:-1] * half_weight[1:], diag=diag, offdiag=off,
         e2_offset=offset, e2_scale=-params.alpha)
+
+
+class _RunningSums:
+    """The pseudo-inverse of G^T G on the window of cells whose W^(1/2) is
+    at least HW_FLOOR of its peak, applied by running sums, and the data of
+    its certificate.
+
+    G^T G x = y, x orthogonal to the null vector W^(1/2), is solved by three
+    sums: the flux f = P u' obeys D^T f = W^(1/2) y, so f is a running sum of
+    W^(1/2) y, taken from the nearer side of the weight peak, where it starts
+    from zero at a wall; u is a running sum of f/p, anchored at the peak; and
+    x is W^(1/2) u.  The input loses its component along W^(1/2) first, so
+    that the map is the pseudo-inverse on every vector once the output loses
+    it too, which ``solve_lowest``'s reorthogonalization does.
+
+    The window's faces are walls.  The cells past them carry less than
+    HW_FLOOR^2 ~ 5e-32 of the peak weight, so the flux through those faces,
+    p u^2 with p below n^2 HW_FLOOR^2, moves no wanted level by a rounding
+    unit.  Cutting them also leaves out the rows of T whose diagonal grows
+    with the steepness of W at the walls (2^(2J+2) n^2 in the first cell),
+    which would make every norm-wise allowance of the certificate exceed the
+    level gaps.
+    """
+
+    def __init__(self, problem: DiscretizedProblem, k: int):
+        n = problem.grid_size
+        inside = problem.half_weight >= HW_FLOOR
+        first = int(np.argmax(inside))
+        stop = n - int(np.argmax(inside[::-1]))
+        if stop - first < k:
+            raise UnsupportedRegime(
+                f"grid {n} is too coarse for alpha = {-problem.e2_scale:g}: "
+                f"only {stop - first} cells carry a weight W^(1/2) above "
+                f"{HW_FLOOR:.1e} of its peak, fewer than the {k} levels "
+                f"asked for")
+        self.cells = slice(first, stop)
+        self.hw = hw = problem.half_weight[first:stop]
+        # p >= off eps^2 > 0 between cells of W^(1/2) >= eps
+        p = problem.flux[first:stop - 1]
+        self.inv_p = 1.0 / p
+        self.null = hw / math.sqrt(hw @ hw)
+        self.hw_null = hw * self.null
+        self.peak = int(np.argmax(hw))
+        self._t, self._g = np.empty(hw.size), np.empty(hw.size - 1)
+        # For a unit y, Cauchy-Schwarz bounds each flux by the 2-norm of
+        # W^(1/2) on the nearer side of its face, and so u by the outward
+        # sums of those norms over p.  A running sum of m terms errs by at
+        # most m eps times the sum of their moduli: the projection of the
+        # input, the two sums, the reciprocal and the products err by at
+        # most (4m + 10) eps ||x||.
+        bound = hw * self._outward(hw * hw, root=True)
+        self.rounding = (4 * hw.size + 10) * EPS * math.sqrt(bound @ bound)
+        # The count runs on the window's block of the rounded T, the end
+        # rows without the flux of the cut faces.  flux = off hw hw' makes
+        # G^T G's off-diagonal agree with T's to 2 eps; its diagonal, from
+        # the ratios of hw, is compared with T's.
+        ratio = hw[1:] / hw[:-1]
+        g_diag = np.zeros(hw.size)
+        off = problem.offdiag[first:stop - 1]
+        g_diag[:-1] -= off * ratio
+        g_diag[1:] -= off / ratio
+        self.diag, self.off = problem.diag[first:stop], off
+        if first > 0 or stop < n:
+            self.diag = self.diag.copy()
+            self.diag[[0, -1]] = g_diag[[0, -1]]
+        self.omega = float(np.max(np.abs(self.diag - g_diag)) + 8 * EPS * (
+            np.max(np.abs(self.diag)) + 2 * np.max(off, initial=0.0)))
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        t = np.multiply(self.hw, y, out=self._t)
+        t -= (self.null @ y) * self.hw_null
+        x = self._outward(t)
+        x *= self.hw
+        return x
+
+    def _outward(self, t: np.ndarray, root: bool = False) -> np.ndarray:
+        """u: the running sums of t from each wall to the faces on its side
+        of the peak (their square roots if ``root``), over p, summed
+        outward from u = 0 at the peak.  For t = W^(1/2) y the flux is
+        minus the first sum left of the peak and the sum itself right of
+        it, so u has the same sign on both sides."""
+        peak, m, g = self.peak, t.size, self._g
+        np.cumsum(t[:peak], out=g[:peak])
+        np.cumsum(t[:peak:-1], out=g[::-1][:m - 1 - peak])
+        if root:
+            np.sqrt(g, out=g)
+        g *= self.inv_p
+        u = np.empty(m)
+        u[peak] = 0.0
+        np.cumsum(g[peak:], out=u[peak + 1:])
+        np.cumsum(g[:peak][::-1], out=u[peak::-1][1:])
+        return u
 
 
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     """The k smallest E^2 values, ascending (largest matrix eigenvalues).
 
-    Spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980):
-    SHIFT I - T is factored once, and Lanczos with full reorthogonalization
-    runs on its inverse, whose largest eigenvalues theta give the wanted
-    lambda = SHIFT - 1/theta.  From step k + 1 on, each step bounds the
-    error of every wanted Ritz value theta_i, with residual
-    r_i = |beta_j s_ji|, by the gap theorem (Kato-Temple; Parlett, *The
-    Symmetric Eigenvalue Problem*, sec. 11.7): err_i = min(r_i, r_i^2/gap_i),
-    where gap_i is the distance from theta_i to the neighbouring Ritz
-    intervals and, below the lowest one, to the floor of the Sturm count.
-    It stops when every err_i, mapped to lambda, is at most
-    RITZ_TOL * max(1, |lambda|); the levels are then certified by
+    The matrix T = -G^T G (``discretize``) has the largest eigenvalue 0,
+    exactly, with the null vector W^(1/2): level 0 is ``e2_offset``.
+    Lanczos with full reorthogonalization runs on the pseudo-inverse of
+    G^T G, applied by running sums (``_RunningSums``); its k - 1 largest
+    eigenvalues theta give the other wanted lambda = -1/theta, and numpy's
+    ``eigh`` diagonalizes the small projected matrix.  From step k + 1 on,
+    each step bounds the error of every wanted Ritz value theta_i, with
+    residual r_i = |beta_j s_ji|, by the gap theorem (Kato-Temple; Parlett,
+    *The Symmetric Eigenvalue Problem*, sec. 11.7): err_i = min(r_i,
+    r_i^2/gap_i), where gap_i is the distance from theta_i to the
+    neighbouring Ritz intervals and, below the lowest one, to the floor of
+    the Sturm count.  It stops when every err_i, mapped to lambda, is at
+    most RITZ_TOL * max(1, |lambda|); the levels are then certified by
     ``_certify``, which alone proves the gaps, or NonConvergence is raised.
     A count that finds more than k levels means the next Ritz value is
     still too poor to place the floor, so it costs further steps; it
     raises only when no step is left.
 
-    The start is W^(1/2) (1 + rho + ... + rho^(k-1)).  L maps polynomials
-    in rho of degree < k to themselves, so the eigenfunctions of the k lowest
-    levels span exactly those polynomials, and the similarity turns them
-    into the wanted eigenvectors W^(1/2) u up to the O(h^2) error of the
-    scheme: the start lies almost in the wanted span, and the stop test is
-    passed in fewer steps than from a random start.  A poor start costs
-    steps only; the certificate does not depend on it.
+    The start is W^(1/2) (rho + rho^2 + ... + rho^(k-1)), less its
+    component along W^(1/2).  L maps polynomials in rho of degree < k to
+    themselves, so the eigenfunctions of the k lowest levels span exactly
+    those polynomials, and the similarity turns them into the wanted
+    eigenvectors W^(1/2) u up to the O(h^2) error of the scheme: the start
+    lies almost in the span of levels 1 to k - 1.  It has no constant term,
+    because that term is the null vector: projected out of the start, it
+    would leave rounding noise of its own size in the wanted span, which
+    held level 4 at a floor of ~2e-11.  A poor start costs steps only; the
+    certificate does not depend on it.
 
-    The certificate's rounding allowance n eps theta_0 maps to lambda as a
-    half-width n eps theta_0 (SHIFT - lambda)^2, with theta_0 ~ 1 when the
-    lowest level lies near lambda = 0: tight for the low levels, loose far
-    below SHIFT.  With k near the grid size a coarse grid reaches such
-    levels: at phi, m = 1, lambdaR = 1, alpha 0.021, grid 5, k 5 the last
-    lambda, -1.61e14, is certified only to +-2.9e13 (18%), although it
-    agrees with scipy.linalg.eigvalsh_tridiagonal to 2e-16.
+    The certified radius of theta_i adds to r_i the rounding of the
+    recurrence, m eps theta_0 on the m cells of the window, and that of
+    the running sums: sqrt(j) times the bound ``_RunningSums.rounding`` of
+    one of the j applications, since the coefficients of a unit Ritz vector
+    have a 2-norm of 1.  ``_certify`` widens the intervals, mapped to
+    lambda, by the Weyl allowance between T and G^T G.  Mapped to lambda,
+    the radius is a half-width of about radius * lambda^2: tight for the
+    low levels, loose far from them, which a coarse grid reaches with k
+    near its size.  At h0, m = 1, lambdaR = 1, alpha 0.02, grid 4, k 4 the
+    last lambda, -1.344e14, is certified to +-2.4e11, and lies 1.3e-3 from
+    an exact tridiagonal eigensolver: the running sums resolve a level only
+    to about eps |lambda/lambda_1|.
     """
     if not 1 <= k <= problem.grid_size:
         raise ValueError("k must be in 1..grid_size")
-    n = problem.grid_size
-    d, e, info = dpttrf(SHIFT - problem.diag, -problem.offdiag)
-    if info != 0:
-        raise NonConvergence(f"SHIFT I - T is not positive definite "
-                             f"(dpttrf info {info})")
-    # 60 rows for k = 5: at grid 8192 the basis stays under the 4 MiB from
-    # which numpy backs an array with huge pages, which would raise the RSS
-    steps = min(n, 40 + 4 * k)
-    basis = np.empty((steps, n))
+    levels = np.full(k, problem.e2_offset)
+    if k == 1:
+        return levels
+    sums = _RunningSums(problem, k)
+    m, want = sums.hw.size, k - 1
+    # row 0 is the null vector, row j + 1 the j-th Lanczos vector; 61 rows
+    # for k = 5: at grid 8192 the basis stays under the 4 MiB from which
+    # numpy backs an array with huge pages, which would raise the RSS
+    steps = min(m - 1, 40 + 4 * k)
+    basis = np.empty((steps + 1, m))
+    basis[0] = sums.null
     alphas, betas = np.empty(steps), np.empty(steps)
-    start = problem.half_weight * _start_poly(n, k)
-    basis[0] = start / np.linalg.norm(start)
+    projected = np.zeros((steps, steps))     # its lower triangle
+    start = sums.hw * _start_poly(problem.grid_size, k)[sums.cells]
+    start -= (sums.null @ start) * sums.null
+    basis[1] = start / math.sqrt(start @ start)
     worst = math.inf
     for j in range(steps):
-        w, _ = dpttrs(d, e, basis[j])
-        alphas[j] = basis[j] @ w
-        w -= alphas[j] * basis[j]
+        q = basis[j + 1]
+        w = sums(q)
+        alphas[j] = q @ w
         if j:
-            w -= betas[j - 1] * basis[j - 1]
-        h = basis[:j + 1] @ w          # full reorthogonalization
-        w -= h @ basis[:j + 1]
-        alphas[j] += h[j]
-        # a Krylov space of dimension n is invariant: its beta is 0
-        betas[j] = np.linalg.norm(w) if j + 1 < n else 0.0
+            w -= np.array([betas[j - 1], alphas[j]]) @ basis[j:j + 2]
+        else:
+            w -= alphas[0] * q
+        # full reorthogonalization, which also takes the null component
+        # out of the running sums' output
+        h = basis[:j + 2] @ w
+        w -= h @ basis[:j + 2]
+        alphas[j] += h[j + 1]
+        projected[j, j] = alphas[j]
+        # the Krylov space spans at most the m - 1 dimensions orthogonal
+        # to the null vector; once it does, it is invariant: beta is 0
+        betas[j] = math.sqrt(w @ w) if j + 1 < m - 1 else 0.0
         last = j + 1 == steps or not betas[j] > 0.0
-        if j + 1 > k or (j + 1 == k and last):
-            # dstev wants max(1, j) off-diagonal entries; betas[0] is set
-            ritz, s, info = dstev(alphas[:j + 1], betas[:max(j, 1)])
-            if info != 0:
-                raise NonConvergence(f"dstev did not converge (info {info})")
-            theta = ritz[:-k - 1:-1]
-            r = np.abs(betas[j] * s[j, :-k - 1:-1])
-            radius = r + n * EPS * theta[0]
-            lam = SHIFT - 1.0 / theta
+        if j + 1 > want + 1 or (j + 1 >= want and last):
+            ritz, s = np.linalg.eigh(projected[:j + 1, :j + 1])
+            # a handful of values: plain floats are cheaper than arrays
+            theta = ritz[:-want - 1:-1].tolist()
+            r = [abs(betas[j] * x) for x in s[j, :-want - 1:-1].tolist()]
+            floor = m * EPS * theta[0] + math.sqrt(j + 1) * sums.rounding
+            radius = [x + floor for x in r]
             worst = math.inf
-            if np.all(theta > radius):
-                below = SHIFT - 1.0 / ritz[-k - 1] if j + 1 > k else -np.inf
-                vl = _count_floor(theta, radius, below)
-                upper = np.append(np.inf, theta[:-1] - radius[:-1])
-                lower = np.append(theta[1:] + radius[1:], 1.0 / (SHIFT - vl))
-                gap = np.minimum(upper - theta, theta - lower)
-                err = np.where(gap > r, r * r / gap, r)
-                # 1/(theta - err) - 1/theta: the mapped lower half-width
-                worst = np.max(err / (theta * (theta - err))
-                               / np.maximum(1.0, np.abs(lam)))
+            if all(t > x for t, x in zip(theta, radius)):
+                below = (-1.0 / ritz[-want - 1]
+                         if j + 1 > want and ritz[-want - 1] > 0 else -math.inf)
+                vl = _count_floor(theta[-1], radius[-1], sums.omega, below)
+                upper = [math.inf] + [t - x for t, x in zip(theta[:-1],
+                                                             radius[:-1])]
+                lower = [t + x for t, x in zip(theta[1:], radius[1:])]
+                worst = max(map(_mapped_gap_bound, theta, r, upper,
+                                lower + [-1.0 / vl]))
             if worst <= RITZ_TOL:
-                count = _certify(problem, theta, radius, vl)
+                count = _certify(sums, theta, radius, vl)
                 if count == k:
-                    return problem.e2_offset + problem.e2_scale * lam
+                    levels[1:] -= problem.e2_scale / np.array(theta)
+                    return levels
                 if count < k or last:
                     raise NonConvergence(f"Sturm count finds {count} eigenvalues "
                                          f"above {vl:.6g}, not {k}")
         if last:
             break
-        basis[j + 1] = w / betas[j]
+        projected[j + 1, j] = betas[j]
+        np.multiply(w, 1.0 / betas[j], out=basis[j + 2])
     cause = (f"the worst gap bound is {worst:.3g} of max(1, |lambda|), "
              f"above RITZ_TOL = {RITZ_TOL:g}" if worst < math.inf
              else "a Ritz interval reaches theta = 0")
@@ -293,43 +410,136 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
                          f"{j + 1} steps: {cause}")
 
 
-def _count_floor(theta: np.ndarray, radius: np.ndarray, below: float) -> float:
-    """Floor vl of the Sturm count's interval (vl, SHIFT].
+def _mapped_gap_bound(theta: float, r: float, upper: float,
+                      lower: float) -> float:
+    """The gap theorem's error bound min(r, r^2/gap) of the Ritz value
+    theta between the Ritz intervals ending at ``upper`` and ``lower``,
+    mapped to lambda = -1/theta as 1/(theta - err) - 1/theta, relative to
+    max(1, |lambda|)."""
+    gap = min(upper - theta, theta - lower)
+    err = r * r / gap if gap > r else r
+    return err / (theta * (theta - err)) / max(1.0, 1.0 / theta)
 
-    lo, the lower end of the lowest Ritz interval mapped to lambda, must lie
-    above vl by half the gap down to ``below``, the next Ritz value, and by
-    at most 1 + |lo|, so that rounding in the count would have to move an
+
+def _count_floor(theta: float, radius: float, omega: float,
+                 below: float) -> float:
+    """Floor vl of the Sturm count's interval (vl, inf).
+
+    lo, the lower end of the lowest Ritz interval theta +- radius mapped to
+    lambda and widened by the Weyl allowance omega, must lie above vl by
+    half the gap down to ``below``, the next Ritz value, and by at most
+    1 + |lo|, so that rounding in the count would have to move an
     eigenvalue by that much.  A ``below`` that is not below lo is treated
-    as unknown (a Ritz value < 0 maps above SHIFT).
+    as unknown.
     """
-    lo = SHIFT - 1.0 / (theta[-1] - radius[-1])
+    lo = -1.0 / (theta - radius) - omega
     if not below < lo:
-        below = -np.inf
+        below = -math.inf
     return max(0.5 * (lo + below), lo - 1.0 - abs(lo))
 
 
-def _certify(problem: DiscretizedProblem, theta: np.ndarray,
-             radius: np.ndarray, vl: float) -> int:
+def _certify(sums: _RunningSums, theta: list[float], radius: list[float],
+             vl: float) -> int:
     """Check that the descending Ritz values theta, each within radius
-    (< theta) of an eigenvalue of (SHIFT I - T)^-1, are its k = len(theta)
-    largest.
+    (< theta) of an eigenvalue of the pseudo-inverse of G^T G, are its
+    len(theta) largest, so that with level 0 they are the k = len(theta) + 1
+    largest eigenvalues of T.
 
-    The radius adds to the Ritz bound an allowance of n eps ||A|| for the
-    rounding of the Lanczos recurrence.  Mapped to lambda, the k intervals
-    must be disjoint, so that each holds its own eigenvalue, or
-    NonConvergence is raised.  The return value is a Sturm count (Barth,
-    Martin & Wilkinson, Numer. Math. 1967) of the eigenvalues of T in
-    (vl, SHIFT], with vl from ``_count_floor``: the levels are certified,
+    Mapped to lambda, each interval is widened by the Weyl allowance
+    omega >= ||T - (-G^T G)||, so that it holds an eigenvalue of the rounded
+    T, and level 0 is [-omega, omega].  The k intervals must be disjoint,
+    so that each holds its own eigenvalue, or NonConvergence is raised.
+    The return value is a Sturm count (``_sturm_count``) of the eigenvalues
+    of T above vl, with vl from ``_count_floor``: the levels are certified,
     none missed, only when it is k.
     """
-    lo = SHIFT - 1.0 / (theta - radius)
-    hi = SHIFT - 1.0 / (theta + radius)
-    if not np.all(lo[:-1] > hi[1:]):
+    omega = sums.omega
+    lo = [-omega] + [-1.0 / (t - x) - omega for t, x in zip(theta, radius)]
+    hi = [omega] + [-1.0 / (t + x) + omega for t, x in zip(theta, radius)]
+    if not all(a > b for a, b in zip(lo[:-1], hi[1:])):
         raise NonConvergence("Ritz intervals overlap")
-    # RANGE = 1 ('V') counts the eigenvalues in (vl, vu]; a tolerance as
-    # wide as the interval stops the bisection at once, leaving the count
-    return dstebz(problem.diag, problem.offdiag, 1, vl, SHIFT, 0, 0,
-                  SHIFT - vl, b"E")[0]
+    return _sturm_count(sums.diag, sums.off, vl, lo[-1] - vl)
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: float,
+                 slack: float) -> int:
+    """The number of eigenvalues above ``shift`` of the symmetric
+    tridiagonal (diag, off), exact for a matrix within ``slack`` of it in
+    the 2-norm: the count of (diag, off) itself when no eigenvalue lies
+    within ``slack`` of ``shift``.
+
+    Odd-even (cyclic) reduction: each level eliminates every other row of
+    B = T - shift I by a congruence, which keeps the inertia (Sylvester;
+    Haynsworth for the Schur complement), and counts the positive pivots;
+    B's positive eigenvalues are T's above ``shift``.  The last
+    SEQUENTIAL_ROWS rows go to ``_pivot_count``.  Each level rounds its
+    Schur complement in the kept rows only, so the count is exact for B
+    plus the sum of those roundings, whose row sums are at most 8 eps times
+    the sum over the levels of the largest |a|, b^2/|pivot| on either side
+    and new |b|.  The new |b| is at most half the sum of the two b^2/|pivot|
+    of its pivot, and the largest |a| grows by at most the largest two.  A
+    pivot is too small when its b^2/|pivot| brings that bound to ``slack``:
+    then B is counted by ``_pivot_count`` alone, or NonConvergence is
+    raised if even its bound reaches ``slack``.
+    """
+    a, b = diag - shift, off
+    size = float(np.max(np.abs(a)))
+    bound = EPS * size
+    count = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while a.size > SEQUENTIAL_ROWS:
+            piv, bl, br = a[1::2], b[0::2], b[1::2]
+            count += int(np.count_nonzero(piv > 0))
+            inv = 1.0 / piv
+            x = bl * inv                   # b^2/pivot onto the kept row
+            x *= bl                        # left of each pivot,
+            y = br * inv[:br.size]
+            b = bl[:br.size] * y           # the new coupling (its sign
+            y *= br                        # does not change the inertia)
+            a = a[0::2].copy()             # and onto the row right of it
+            a[:x.size] -= x
+            a[1:1 + y.size] -= y
+            schur = np.abs(x, out=x).max() + np.abs(y, out=y).max(initial=0.0)
+            bound += 8 * EPS * (size + 1.5 * schur)
+            size += schur
+    if bound + _pivot_bound(a, b) < slack:     # False for a NaN or inf
+        return count + _pivot_count(a, b)
+    a = diag - shift
+    if EPS * np.max(np.abs(a)) + _pivot_bound(a, off) < slack:
+        return _pivot_count(a, off)
+    raise NonConvergence(f"the Sturm count at {shift:.6g} cannot be "
+                         f"resolved within {slack:.3g}")
+
+
+def _pivot_bound(diag: np.ndarray, off: np.ndarray) -> float:
+    """The backward error of ``_pivot_count``: 4 eps of the largest row sum
+    of |(diag, off)|, plus the pivmin that replaces a tiny pivot."""
+    rows = np.abs(diag)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return 4 * EPS * float(np.max(rows)) + _pivmin(off)
+
+
+def _pivmin(off: np.ndarray) -> float:
+    """The smallest pivot magnitude ``_pivot_count`` keeps, as in LAPACK's
+    dstebz: the smallest normal float times max(1, max b^2)."""
+    big = max(1.0, float(np.max(np.abs(off), initial=0.0)))
+    return float(np.finfo(float).tiny) * big * big
+
+
+def _pivot_count(diag: np.ndarray, off: np.ndarray) -> int:
+    """The positive pivots q_i = d_i - b_(i-1)^2/q_(i-1) of (diag, off), which
+    are its positive eigenvalues (Barth, Martin & Wilkinson, Numer. Math.
+    1967); a pivot below pivmin becomes -pivmin.  The count is exact for
+    relative perturbations of a few eps of every entry (Kahan, Stanford
+    CS41, 1966), which ``_pivot_bound`` bounds."""
+    pivmin, count, q = _pivmin(off), 0, 1.0
+    for d, e in zip(diag.tolist(), [0.0, *off.tolist()]):
+        q = d - e * (e / q)
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q > 0
+    return count
 
 
 def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,

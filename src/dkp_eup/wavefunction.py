@@ -257,17 +257,32 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
     _finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # scales F''
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
-    if sector == "natural":
-        f, secondary, relations = _natural_system(params, J, energy, a, b, n, rho, n1)
-        name, equation = "F0", "first-order system"
-    else:  # the rho-form terms, and their rounding, grow like b ~ 1/alpha
-        c_wall, c_const = _unnatural_sector_data(params, sector, energy ** 2)
-        f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
-        relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-                      -c_wall * f / (1.0 - rho), c_const * f)]
-        secondary = {}
-        name, equation = ("phi" if sector == "phi" else "H0"), "rho-form equation"
-    residual_sup = _residual_sup(relations)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if sector == "natural":
+                f, secondary, relations = _natural_system(params, J, energy, a,
+                                                          b, n, rho, n1)
+                name, equation = "F0", "first-order system"
+            else:  # the rho-form terms, and their rounding, grow like b ~ 1/alpha
+                c_wall, c_const = _unnatural_sector_data(params, sector,
+                                                         energy ** 2)
+                f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
+                relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+                              -c_wall * f / (1.0 - rho), c_const * f)]
+                secondary = {}
+                name = "phi" if sector == "phi" else "H0"
+                equation = "rho-form equation"
+            residual_sup = _residual_sup(relations)
+    except FloatingPointError:
+        raise UnsupportedRegime(
+            f"the Jacobi polynomial P_{n} or its derivatives overflow the "
+            f"float range at alpha = {params.alpha:g}, wall exponent "
+            f"b = {b:.6g}") from None
+    if not np.any(f):
+        raise UnsupportedRegime(
+            f"the weight rho^a (1-rho)^b, b = {b:.6g}, underflows to 0 at every "
+            f"grid point at alpha = {params.alpha:g}: the sample would audit "
+            f"nothing")
     if not residual_sup <= tol:
         raise _residual_failure(residual_sup, tol, n, grid_size, equation,
                                 relations)

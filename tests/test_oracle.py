@@ -1,7 +1,10 @@
 import ast
+import collections
 import dataclasses
+import itertools
 import math
 import pathlib
+import random
 import re
 import warnings
 
@@ -265,11 +268,13 @@ def assert_matches_tight_bisection(prob, k):
                                select_range=(grid - k, grid - 1),
                                tol=1e-11)[::-1]
     assert np.all(np.diff(e2) > 0)
+    assert e2[0] == prob.e2_offset          # level 0 is exact
     err = np.abs(lam - ref)
-    # 1e-7 absolute near the shift; far from it, shift-invert resolves
-    # lambda only to about eps (SHIFT - lambda)^2 (the certified radius)
+    # 1e-7 absolute near lambda = 0; far from it, the certified radius
+    # grows like eps lambda^2, inside the bound of the former shift-invert
+    # solve, eps (1 - lambda)^2
     assert np.all(err[np.abs(lam) <= 1e3] <= 1e-7)
-    assert np.all(err <= 1e-7 + grid * oracle.EPS * (oracle.SHIFT - lam) ** 2)
+    assert np.all(err <= 1e-7 + grid * oracle.EPS * (1.0 - lam) ** 2)
 
 
 # the first Sturm count finds k + 1 levels on these: the next Ritz value is
@@ -290,33 +295,37 @@ def test_an_early_overcount_costs_steps_not_an_error(params, sector, grid):
 def test_a_single_spurious_overcount_returns_the_same_levels(monkeypatch):
     prob = discretize(REF, Sector.natural(0), 256)
     want = solve_lowest(prob, 3)
-    count, calls = oracle.dstebz, []
+    count, calls = oracle._sturm_count, []
 
     def overcount_once(*args):
         calls.append(args)
-        return (count(*args)[0] + (len(calls) == 1),)
+        return count(*args) + (len(calls) == 1)
 
-    monkeypatch.setattr(oracle, "dstebz", overcount_once)
+    monkeypatch.setattr(oracle, "_sturm_count", overcount_once)
     # one more step moves the levels within the stop tolerance only
     assert solve_lowest(prob, 3) == pytest.approx(want, rel=1e-13, abs=0)
     assert len(calls) == 2
 
 
 def test_a_sturm_count_of_k_plus_one_raises_non_convergence(monkeypatch):
-    count = oracle.dstebz
-    monkeypatch.setattr(oracle, "dstebz", lambda *args: (count(*args)[0] + 1,))
+    count = oracle._sturm_count
+    monkeypatch.setattr(oracle, "_sturm_count", lambda *args: count(*args) + 1)
     with pytest.raises(NonConvergence, match="Sturm count finds 4"):
         solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
 
 
 def test_a_next_ritz_value_above_shift_is_treated_as_unknown(capfd):
-    # a negative Ritz value below the wanted ones maps `below` above SHIFT;
-    # dstebz used to reject that interval on stderr and count 0 levels
+    # a Ritz value <= 0 below the wanted ones has no image below them: its
+    # `below` lies above the top of the spectrum and must count as unknown
+    # (a shift-invert solve once handed such a floor to LAPACK's dstebz,
+    # which rejected it on stderr and counted 0 levels)
     prob = discretize(ModelParams(1.0, 1.0, 0.2, 1.0), Sector.natural(0), 64)
-    lam = eigh_tridiagonal(prob.diag, prob.offdiag, eigvals_only=True)[:-3:-1]
-    theta = 1.0 / (oracle.SHIFT - lam)
-    vl = oracle._count_floor(theta, 1e-13 * theta, 1e16)
-    assert oracle._certify(prob, theta, 1e-13 * theta, vl) == 2
+    lam = eigh_tridiagonal(prob.diag, prob.offdiag, eigvals_only=True)[-2]
+    theta, radius = [-1.0 / lam], [-1e-13 / lam]
+    sums = oracle._RunningSums(prob, 2)
+    vl = oracle._count_floor(theta[-1], radius[-1], sums.omega, 1e16)
+    assert vl < lam
+    assert oracle._certify(sums, theta, radius, vl) == 2
     assert capfd.readouterr().err == ""
 
 
@@ -329,11 +338,16 @@ def test_an_unconverged_lanczos_raises_non_convergence(monkeypatch):
         solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
 
 
-def test_a_shift_inside_the_spectrum_raises_non_convergence():
-    # SHIFT I - T must be positive definite for the factorization
+def test_a_matrix_far_from_its_flux_raises_non_convergence():
+    # the Sturm count runs on T, the Lanczos on the running sums of the
+    # flux and W^(1/2); the Weyl allowance between them widens the
+    # certificate, not the levels, and past the level gaps it fails it
     prob = discretize(REF, Sector.natural(0), 256)
-    with pytest.raises(NonConvergence, match="positive definite"):
-        solve_lowest(dataclasses.replace(prob, diag=prob.diag + 2.0), 3)
+    want = solve_lowest(prob, 3)
+    near = dataclasses.replace(prob, diag=prob.diag + 2.0)
+    assert np.array_equal(solve_lowest(near, 3), want)
+    with pytest.raises(NonConvergence, match="overlap"):
+        solve_lowest(dataclasses.replace(prob, diag=prob.diag + 1e4), 3)
 
 
 def test_overflowing_matrix_entries_raise_unsupported_regime():
@@ -378,42 +392,50 @@ def test_overflowing_unnatural_constants_are_named(kind, params, name):
 
 
 def test_reference_cells_converge_in_at_most_13_lanczos_steps(monkeypatch):
-    # one dpttrs solve per Lanczos step; a random start needed 23-25, and
-    # the first-order Ritz bound 17-19 from the polynomial start
+    # one running-sum application per Lanczos step; the former shift-invert
+    # solve needed 23-25 from a random start and 17-19 with a first-order
+    # Ritz bound from the polynomial start
     steps = []
-    solve = oracle.dpttrs
+    apply = oracle._RunningSums.__call__
 
-    def counted(*args):
+    def counted(self, y):
         steps[-1] += 1
-        return solve(*args)
+        return apply(self, y)
 
-    monkeypatch.setattr(oracle, "dpttrs", counted)
+    monkeypatch.setattr(oracle._RunningSums, "__call__", counted)
     for params, sector, J in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS:
         steps.append(0)
         solve_lowest(discretize(params, Sector(sector, J), 8192), 5)
     assert max(steps) <= 13, steps
 
 
-def test_a_start_without_the_ground_mode_costs_steps_not_correctness():
-    # the start is half_weight * (1 + rho + rho^2); rescale the weight so
-    # that the start has the exact ground eigenvector projected out
+def test_a_start_without_the_ground_mode_costs_steps_not_correctness(
+        monkeypatch):
+    # the start W^(1/2) (rho + rho^2) has no constant term: the ground mode
+    # is the null vector, returned exactly; a start that lacks the first
+    # excited mode too costs steps or raises, and never gives wrong levels
     k, grid = 3, 256
     prob = discretize(REF, Sector.natural(0), grid)
-    poly = np.polyval(np.ones(k), prob.s_nodes ** 2)
-    ground = eigh_tridiagonal(prob.diag, prob.offdiag, select="i",
-                              select_range=(grid - 1, grid - 1))[1][:, 0]
-    start = prob.half_weight * poly
-    start -= (ground @ start) * ground
-    bad = dataclasses.replace(prob, half_weight=start / poly)
-    try:
-        e2 = solve_lowest(bad, k)
-    except NonConvergence:
-        return
-    lam = (e2 - prob.e2_offset) / prob.e2_scale
+    rho = prob.s_nodes ** 2
+    assert oracle._start_poly(grid, k) == pytest.approx(rho + rho ** 2,
+                                                        rel=1e-15)
     ref = eigvalsh_tridiagonal(prob.diag, prob.offdiag, select="i",
                                select_range=(grid - k, grid - 1),
                                tol=1e-11)[::-1]
-    assert np.all(np.abs(lam - ref) <= 1e-7)
+    e2 = solve_lowest(prob, k)
+    assert e2[0] == prob.e2_offset
+    assert np.all(np.abs((e2 - prob.e2_offset) / prob.e2_scale - ref) <= 1e-7)
+    first = eigh_tridiagonal(prob.diag, prob.offdiag, select="i",
+                             select_range=(grid - 2, grid - 2))[1][:, 0]
+    start = prob.half_weight * oracle._start_poly(grid, k)
+    start -= (first @ start) * first
+    monkeypatch.setattr(oracle, "_start_poly",
+                        lambda n, levels: start / prob.half_weight)
+    try:
+        e2 = solve_lowest(prob, k)
+    except NonConvergence:
+        return
+    assert np.all(np.abs((e2 - prob.e2_offset) / prob.e2_scale - ref) <= 1e-7)
 
 
 def _reference_outputs(grid):
@@ -443,15 +465,17 @@ def test_shared_grid_arrays_do_not_change_the_outputs():
     for other in (warm, rebuilt):
         assert all(np.array_equal(x, y) for x, y in zip(cold, other, strict=True))
     # the comparison sees a cached array that is made writable and changed
+    # (in the middle: a doubled first log-center would make a first row so
+    # stiff that the certificate rejects the solve)
     try:
         for cached in (oracle._grid(grid)[3], oracle._start_poly(grid, 5)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
             cached.flags.writeable = True
-            cached[0] *= 2.0
+            cached[grid // 2] *= 2.0
             assert not all(np.array_equal(x, y) for x, y in
                            zip(cold, _reference_outputs(grid), strict=True))
-            cached[0] /= 2.0
+            cached[grid // 2] /= 2.0
     finally:
         _clear_grid_caches()
 
@@ -469,3 +493,113 @@ def test_ground_level_on_the_finest_grid_is_below_1e_10():
     exact = energy_natural(REF, 0, 0).value
     numeric = lowest_energies(REF, Sector.natural(0), 1, 16384)[0]
     assert abs(numeric - exact) / exact < 1e-10
+
+
+def _sturm_problems(seed=7):
+    """(diag, off) of random symmetric tridiagonals and of oracle matrices,
+    grids 2 to 8192."""
+    rng = np.random.default_rng(seed)
+    for grid in (2, 3, 5, 8, 33, 256, 257, 1000, 4096, 8192):
+        yield rng.standard_normal(grid), rng.standard_normal(grid - 1)
+        kind = ("natural", "phi", "h0")[grid % 3]
+        p = ModelParams(1.0, float(rng.uniform(0.05, 2.0)),
+                        0.5 if kind == "natural" else 0.0, 1.0)
+        prob = discretize(p, Sector(kind, grid % 4), grid)
+        yield prob.diag, prob.offdiag
+
+
+def _record_pivot_counts(monkeypatch):
+    """The sizes of the matrices ``oracle._pivot_count`` is called on."""
+    sizes, pivots = [], oracle._pivot_count
+
+    def recorded(diag, off):
+        sizes.append(diag.size)
+        return pivots(diag, off)
+
+    monkeypatch.setattr(oracle, "_pivot_count", recorded)
+    return sizes
+
+
+def test_the_cyclic_sturm_count_matches_the_sequential_pivots(monkeypatch):
+    # shifts at mid-gap and at 1% of a gap from an eigenvalue, on both
+    # sides of it, with a slack of half of that 1%
+    pivots = oracle._pivot_count
+    fallbacks = _record_pivot_counts(monkeypatch)
+    shifts = 0
+    for diag, off in _sturm_problems():
+        lam = eigvalsh_tridiagonal(diag, off)
+        grid = diag.size
+        for i in sorted({0, grid // 3, grid // 2, grid - 2}):
+            if i + 1 >= grid:
+                continue
+            gap = lam[i + 1] - lam[i]
+            for shift in (lam[i] + 0.5 * gap, lam[i] + 0.01 * gap,
+                          lam[i + 1] - 0.01 * gap):
+                fallbacks.clear()
+                count = oracle._sturm_count(diag, off, shift, 0.005 * gap)
+                assert count == grid - 1 - i
+                assert count == pivots(diag - shift, off)
+                # the cyclic reduction served every grid above its last rows
+                assert grid <= oracle.SEQUENTIAL_ROWS or fallbacks[0] < grid
+                shifts += 1
+    assert shifts == 210
+
+
+def test_a_zero_cyclic_pivot_falls_back_to_the_sequential_pivots(monkeypatch):
+    # row 1 of T - shift I is 0: the first level divides by it, and the
+    # bound it feeds is no longer finite
+    grid = 1000
+    diag, off = np.full(grid, 3.0), np.ones(grid - 1)
+    diag[1] = 0.0
+    lam = eigvalsh_tridiagonal(diag, off)
+    fallbacks = _record_pivot_counts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = oracle._sturm_count(diag, off, 0.0, 1e-3)
+    assert fallbacks == [grid]
+    assert count == np.count_nonzero(lam > 0.0)
+
+
+def test_a_sturm_count_it_cannot_resolve_raises_non_convergence():
+    # a slack below the rounding of the entries leaves no count certified
+    diag, off = np.full(300, -2.0e12), np.full(299, 1.0e12)
+    with pytest.raises(NonConvergence, match="cannot be resolved"):
+        oracle._sturm_count(diag, off, -1.0, 1e-6)
+
+
+def _coarse_cells(count, seed=2024):
+    """The coarse-grid probe: random sectors at grids 8 to 64 and alpha in
+    [1e-4, 1e-1], k up to min(grid, 8)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.choice(["natural", "phi", "h0"])
+        J = rng.randint(0, 4) if kind == "natural" else 0
+        alpha = 10.0 ** rng.uniform(-4.0, -1.0)
+        lambda0 = rng.uniform(0.0, 0.95) if kind == "natural" else 0.0
+        grid = rng.choice([8, 16, 32, 64])
+        k = rng.randint(1, min(grid, 8))
+        yield ModelParams(1.0, alpha, lambda0, 1.0), Sector(kind, J), grid, k
+
+
+def test_coarse_grids_solve_or_name_the_grid_as_too_coarse():
+    # every 5th cell of the 1,500-cell probe; the former shift-invert solve
+    # raised NonConvergence on 61 grid-8 and 3 grid-16 cells of it, and a
+    # RuntimeWarning on one
+    outcomes = collections.Counter()
+    for params, sector, grid, k in itertools.islice(_coarse_cells(1500), 0,
+                                                    None, 5):
+        try:
+            prob = discretize(params, sector, grid)
+        except UnsupportedRegime as exc:
+            assert "overflow" in str(exc)
+            outcomes["entries overflow"] += 1
+            continue
+        try:
+            assert_matches_tight_bisection(prob, k)
+            outcomes["solved"] += 1
+        except (NonConvergence, UnsupportedRegime) as exc:
+            assert re.search(rf"grid {grid} is too coarse for alpha = "
+                             rf"{params.alpha:g}", str(exc)), str(exc)
+            outcomes[type(exc).__name__] += 1
+    assert outcomes["solved"] >= 180
+    assert outcomes["NonConvergence"] == 0

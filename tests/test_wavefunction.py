@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -562,3 +563,25 @@ def test_every_build_in_the_timed_domain_passes_its_checks(sector, n, J,
     assert sol.residual_sup <= 1e-8
     assert abs(deformed_norm(sol, p) - 1.0) <= 1e-9
     assert count_nodes(sol) == n
+
+
+@pytest.mark.parametrize("sector", ["natural", "h0"])
+@pytest.mark.parametrize("alpha,n,cause", [
+    (1e-30, 2, "underflows to 0 at every grid point"),
+    (1e-60, 2, "underflows to 0 at every grid point"),
+    (1e-60, 4, "P_4 or its derivatives overflow"),
+    (1e-100, 2, "P_2 or its derivatives overflow"),
+])
+def test_a_sample_beyond_the_float_range_is_unsupported(sector, alpha, n,
+                                                        cause):
+    # far below the documented alpha range the weight rho^a (1-rho)^b
+    # underflows at every grid point, and the Jacobi values overflow: the
+    # audit used to pass an all-zero sample, or to blame the grid for a NaN
+    # residual after numpy's overflow warnings
+    params = ModelParams(1.0, alpha, 0.5 if sector == "natural" else 0.0, 1.0)
+    build = (lambda: natural_solution(params, n, 0)) if sector == "natural" \
+        else (lambda: unnatural_solution(params, n, sector))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedRegime, match=cause):
+            build()
