@@ -12,7 +12,7 @@ Two independent verification layers live here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def _levi_civita(i: int, j: int, k: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class DkpMatrixSet:
+class DkpMatrixSet(NamedTuple):
     """The four 10x10 beta matrices plus the spin matrices and the metric,
     as complex128 arrays whose entries are Gaussian integers."""
 
@@ -77,8 +76,7 @@ def build_matrices() -> DkpMatrixSet:
     return DkpMatrixSet(tuple(beta), spins)
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     """Result of checking the trilinear identities over all index triples."""
 
     violations: tuple[tuple[int, int, int], ...]
@@ -92,27 +90,22 @@ class AlgebraReport:
 def verify_algebra(mats: DkpMatrixSet) -> AlgebraReport:
     """Check b^s b^k b^l + b^l b^k b^s = g^{sk} b^l + g^{kl} b^s exactly.
 
-    All 64 (sigma, kappa, lambda) triples.  The entries of the matrices and
-    of each left-hand side are asserted to be Gaussian integers below 2^53.
+    All 64 (sigma, kappa, lambda) triples at once, indexed [s, k, l] on the
+    leading axes.  The entries of the matrices and of each left-hand side are
+    asserted to be Gaussian integers below 2^53.
     """
-    b = mats.beta
-    g = mats.metric
-    _exact(*b)
-    bad = []
-    for s in range(4):
-        for k in range(4):
-            for lo in range(4):
-                lhs = b[s] @ b[k] @ b[lo] + b[lo] @ b[k] @ b[s]
-                rhs = (g[s] if s == k else 0) * b[lo] + \
-                    (g[k] if k == lo else 0) * b[s]
-                _exact(lhs)
-                if not np.array_equal(lhs, rhs):
-                    bad.append((s, k, lo))
-    return AlgebraReport(tuple(bad), 64)
+    b = np.stack(mats.beta)
+    g = np.diag(mats.metric)[..., None, None]     # g^{sk}, diagonal
+    _exact(b)
+    bbb = (b[:, None] @ b[None, :])[:, :, None] @ b   # b^s b^k b^l
+    lhs = bbb + bbb.transpose(2, 1, 0, 3, 4)
+    rhs = g[:, :, None] * b + g[None] * b[:, None, None]
+    _exact(lhs)
+    bad = np.argwhere(np.any(lhs != rhs, axis=(3, 4)))
+    return AlgebraReport(tuple(tuple(int(i) for i in t) for t in bad), 64)
 
 
-@dataclass(frozen=True)
-class ProjectorMatrix:
+class ProjectorMatrix(NamedTuple):
     matrix: np.ndarray
 
     def diagonal(self) -> list[complex]:
@@ -258,8 +251,7 @@ def commutator_grid(alpha: float) -> np.ndarray:
     return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     alpha: float
     n_functions: int              # relations checked
     n_points: int

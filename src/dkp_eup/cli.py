@@ -7,17 +7,17 @@ Each flag's type and default are stated once, in ``build_parser``.  Flag
 values override a ``--config`` file (plain ``key = value`` lines, each parsed
 exactly like its flag), which overrides the defaults.
 
-Only ``wavefunction`` and ``verify`` import numpy, inside their commands, so
-the closed-form commands start without it; no command imports scipy.
+Only ``wavefunction`` and ``verify`` import numpy, and only ``figures`` the
+figure and SVG modules, each inside its command, so the closed-form commands
+start without them; no command imports scipy.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from . import figures, spectrum
+from . import spectrum
 from .errors import ComplexEnergy, ComplexExponent, ComplexShift, DkpError
 from .model import Branch, ModelParams, validate
 
@@ -150,7 +150,7 @@ def _float_set(text: str) -> tuple[float, ...]:
 
 
 def cmd_figures(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    from . import figures
     ids = figures.FIGURE_IDS if args.fig == "all" else (args.fig,)
     for fig_id in ids:
         csv_path, svg_path = figures.emit_figure(
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit reference figures (CSV + SVG)")
     p.add_argument("--out-dir", dest="out_dir", default="figures")
-    p.add_argument("--fig", choices=figures.FIGURE_IDS + ("all",), default="all")
+    p.add_argument("--fig", default="all",
+                   help="one figure id (fig1, fig2, ...), or all")
     p.add_argument("--lambda0-set", dest="lambda0_set", type=_float_set,
                    help="comma-separated lambda0 sweep for fig1")
     p.add_argument("--alpha-set", dest="alpha_set", type=_float_set,

@@ -15,7 +15,7 @@ through the CLI):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ModelParams
 from .spectrum import level, level_spacing
@@ -31,8 +31,7 @@ FIG3_NMAX = 200
 FIG4_NMAX = 20
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     fig_id: str
     header: list
     rows: list          # list of tuples, first entry n
@@ -112,8 +111,10 @@ def write_csv(data: FigureData, path) -> None:
 
 def emit_figure(fig_id: str, out_dir, lambda0_set=None,
                 alpha_set=None) -> tuple[str, str]:
-    """Write <fig>.csv and <fig>.svg into out_dir; returns the two paths."""
+    """Write <fig>.csv and <fig>.svg into out_dir, made if missing; returns
+    the two paths."""
     data = build_figure(fig_id, lambda0_set, alpha_set)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{fig_id}.csv")
     svg_path = os.path.join(out_dir, f"{fig_id}.svg")
     write_csv(data, csv_path)

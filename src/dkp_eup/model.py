@@ -8,8 +8,8 @@ expressions containing 1/alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Parity(Enum):
@@ -22,8 +22,7 @@ class Branch(Enum):
     MINUS = -1
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Mass, deformation strength and the two vector coupling constants.
 
     Construction never raises; use :func:`validate` for a report of any
@@ -45,24 +44,34 @@ class ModelParams:
         return 1.0 + 4.0 * (ra * (ra + 1.0) - r0 * r0)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class _QuantumNumbers(NamedTuple):
     n: int
     J: int
     parity: Parity = Parity.NATURAL
     branch: Branch = Branch.PLUS
 
-    def __post_init__(self):
+
+class QuantumNumbers(_QuantumNumbers):
+    """Validated on construction, ``_replace`` included (it calls ``_make``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.J < 0:
             raise ValueError(f"J must be >= 0, got {self.J}")
         if self.parity is Parity.UNNATURAL and self.J != 0:
             raise ValueError("unnatural parity is only solved for J = 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

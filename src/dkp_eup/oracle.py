@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ SEQUENTIAL_ROWS = 128   # rows the cyclic Sturm count leaves to the pivots
 HW_FLOOR = EPS          # W^(1/2), relative to its peak, of the solved cells
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     """Which reduced equation to solve; J only matters for the natural one."""
 
     kind: str  # "natural" | "phi" | "h0"
@@ -145,8 +143,7 @@ def _start_poly(n: int, k: int) -> np.ndarray:
     return poly
 
 
-@dataclass
-class DiscretizedProblem:
+class DiscretizedProblem(NamedTuple):
     """Symmetric tridiagonal discretization plus the affine eigenvalue map."""
 
     grid_size: int
@@ -551,16 +548,14 @@ def lowest_energies(params: ModelParams, sector: Sector, n_levels: int,
     return np.sqrt(e2)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     n: int
     analytic: float
     numeric: float
     rel_error: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     sector: Sector
     grid_size: int
     tol: float

@@ -17,8 +17,8 @@ no large cancelling terms as alpha -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (ComplexEnergy, ComplexExponent, ComplexShift,
                      NonFiniteParameter, UnsupportedRegime)
@@ -32,8 +32,7 @@ class Formula(Enum):
     UNNATURAL_H0 = "unnatural-h0"
 
 
-@dataclass(frozen=True)
-class HypergeomData:
+class HypergeomData(NamedTuple):
     """Exponents and parameters of the reduced hypergeometric problem."""
 
     a: float
@@ -46,8 +45,7 @@ class HypergeomData:
     v2: float
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     qn: QuantumNumbers
     value: float
     formula: Formula
@@ -55,7 +53,7 @@ class EnergyLevel:
 
 def _require_finite(params: ModelParams):
     """Raise NonFiniteParameter naming the first NaN or infinite parameter."""
-    for name, value in vars(params).items():
+    for name, value in params._asdict().items():
         if not math.isfinite(value):
             raise NonFiniteParameter(name, value)
 

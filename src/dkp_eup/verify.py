@@ -5,7 +5,7 @@ propagates a NaN, so that a NaN anywhere fails its check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ UNNATURAL_CELLS = tuple(
     for al in UNNATURAL_ALPHAS for sector in ("phi", "h0"))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's worst measured value against ``tol``, and its failures."""
 
     name: str

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def chebyshev_grid(size: int) -> np.ndarray:
     return grid
 
 
-@dataclass
-class RadialSolution:
+class RadialSolution(NamedTuple):
     """One bound-state radial solution sampled on a rho grid.
 
     The exponents (a, b), n and ``norm_constant`` reproduce the primary

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from collections import Counter
 
@@ -58,10 +57,31 @@ def test_verifier_detects_corruption():
     bad = MATS.beta[1].copy()
     assert bad.dtype == np.complex128
     bad[0, 5] = 1  # wrong u-vector slot
-    corrupt = dataclasses.replace(
-        MATS, beta=(MATS.beta[0], bad, MATS.beta[2], MATS.beta[3]))
+    corrupt = MATS._replace(
+        beta=(MATS.beta[0], bad, MATS.beta[2], MATS.beta[3]))
     report = verify_algebra(corrupt)
     assert not report.passed
+
+
+def _violations_one_by_one(mats):
+    """The violated (s, k, l) triples, checked one triple at a time."""
+    b, g = mats.beta, mats.metric
+    return tuple((s, k, lo) for s in range(4) for k in range(4) for lo in range(4)
+                 if not np.array_equal(
+                     b[s] @ b[k] @ b[lo] + b[lo] @ b[k] @ b[s],
+                     (g[s] if s == k else 0) * b[lo]
+                     + (g[k] if k == lo else 0) * b[s]))
+
+
+@pytest.mark.parametrize("which, row, col, value", [
+    (1, 0, 5, 1), (0, 2, 2, 1j), (3, 9, 0, -1), (2, 4, 8, 2)])
+def test_batched_check_reports_the_triples_a_loop_finds(which, row, col, value):
+    beta = [b.copy() for b in MATS.beta]
+    beta[which][row, col] = value
+    corrupt = MATS._replace(beta=tuple(beta))
+    report = verify_algebra(corrupt)
+    assert report.violations == _violations_one_by_one(corrupt)
+    assert report.violations and report.triples_checked == 64
 
 
 def test_spin_matrices_su2_commutators():
@@ -79,8 +99,8 @@ def test_projector_is_the_printed_diagonal():
 
 
 def test_projector_guard_raises_on_bad_set():
-    bad = dataclasses.replace(MATS, beta=(MATS.beta[0], MATS.beta[0],
-                                          MATS.beta[2], MATS.beta[3]))
+    bad = MATS._replace(beta=(MATS.beta[0], MATS.beta[0],
+                              MATS.beta[2], MATS.beta[3]))
     with pytest.raises(AlgebraInconsistent):
         build_projector(bad)
 
@@ -93,8 +113,8 @@ def test_exactness_guard_rejects_inexact_entries(value):
         algebra._exact(MATS.beta[0], m)
     algebra._exact(MATS.beta[0], MATS.beta[2])
     with pytest.raises(AlgebraInconsistent):
-        verify_algebra(dataclasses.replace(
-            MATS, beta=(MATS.beta[0], MATS.beta[1], m, MATS.beta[3])))
+        verify_algebra(MATS._replace(
+            beta=(MATS.beta[0], MATS.beta[1], m, MATS.beta[3])))
 
 
 # --- deformed commutators ---------------------------------------------------

@@ -156,6 +156,15 @@ def test_figures_single_fig_byte_stable(tmp_path, capsys):
     assert (d1 / "fig2.svg").read_bytes() == (d2 / "fig2.svg").read_bytes()
 
 
+def test_unknown_figure_id_is_invalid_input_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    code, _, err = run(capsys, "figures", "--out-dir", str(out_dir),
+                       "--fig", "fig9")
+    assert code == cli.EXIT_INVALID
+    assert "unknown figure id 'fig9'" in err
+    assert not out_dir.exists()
+
+
 def test_figures_sweep_sets_are_overridable(tmp_path, capsys):
     code, _, _ = run(capsys, "figures", "--out-dir", str(tmp_path),
                      "--fig", "fig1", "--lambda0-set", "0,0.25")

@@ -36,10 +36,19 @@ def _fresh(code: str) -> list[str]:
     ).stdout.split()
 
 
-def _loaded_after(code: str) -> set[str]:
-    """Which of numpy and scipy a fresh interpreter holds after ``code``."""
+def _loaded_after(code: str, watched=("numpy", "scipy")) -> set[str]:
+    """Which of the ``watched`` modules a fresh interpreter holds after
+    ``code``."""
     return set(_fresh(f"import sys\n{code}\n"
-                      "print(*({'numpy', 'scipy'} & set(sys.modules)))"))
+                      f"print(*({set(watched)!r} & set(sys.modules)))"))
+
+
+def _cli_code(argv: list[str]) -> str:
+    """Code that runs ``dkp-eup ARGV`` quietly and asserts it exits 0."""
+    return ("import contextlib, io\nfrom dkp_eup import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -49,11 +58,31 @@ def _loaded_after(code: str) -> set[str]:
 ])
 def test_closed_form_commands_load_no_numpy_or_scipy(argv, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    code = ("import contextlib, io\nfrom dkp_eup import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0")
-    assert _loaded_after(code) == set()
+    assert _loaded_after(_cli_code(argv)) == set()
+
+
+# dataclasses imports inspect, ast, dis and tokenize; the figure modules
+# serve only the figures command
+COLD_PATH_EXTRAS = ("dataclasses", "inspect", "dkp_eup.figures",
+                    "dkp_eup.svgplot")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["spectrum", "--n-max", "3"], set()),
+    (["spacing", "--n-max", "3"], set()),
+    (["figures", "--out-dir", "{tmp}"], {"dkp_eup.figures", "dkp_eup.svgplot"}),
+])
+def test_closed_form_path_loads_only_what_it_uses(argv, loaded, tmp_path):
+    code = ("import dkp_eup" if argv is None else
+            _cli_code([arg.format(tmp=tmp_path) for arg in argv]))
+    assert _loaded_after(code, COLD_PATH_EXTRAS) == loaded
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # records are typing.NamedTuple: no class is built by exec at import
+    assert "dataclasses" not in _imports(path)[1]
 
 
 @pytest.mark.parametrize("code", [

@@ -1,6 +1,5 @@
 import ast
 import collections
-import dataclasses
 import itertools
 import math
 import pathlib
@@ -344,10 +343,10 @@ def test_a_matrix_far_from_its_flux_raises_non_convergence():
     # certificate, not the levels, and past the level gaps it fails it
     prob = discretize(REF, Sector.natural(0), 256)
     want = solve_lowest(prob, 3)
-    near = dataclasses.replace(prob, diag=prob.diag + 2.0)
+    near = prob._replace(diag=prob.diag + 2.0)
     assert np.array_equal(solve_lowest(near, 3), want)
     with pytest.raises(NonConvergence, match="overlap"):
-        solve_lowest(dataclasses.replace(prob, diag=prob.diag + 1e4), 3)
+        solve_lowest(prob._replace(diag=prob.diag + 1e4), 3)
 
 
 def test_overflowing_matrix_entries_raise_unsupported_regime():

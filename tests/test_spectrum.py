@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -282,7 +281,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("field", ["m", "alpha", "lambda0", "lambda_r"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_finite_parameter_is_rejected_by_name(entry, field, value):
-    params = dataclasses.replace(UNNAT, **{field: value})
+    params = UNNAT._replace(**{field: value})
     with pytest.raises(NonFiniteParameter, match=f"parameter {field} = {value} "):
         ENTRY_POINTS[entry](params)
 
@@ -312,7 +311,7 @@ def test_non_finite_energy_is_rejected_by_abc(energy):
     ("level_spacing", "m", 1e200, r"E\^2"),
 ])
 def test_overflow_is_rejected_naming_the_quantity(entry, field, value, quantity):
-    params = dataclasses.replace(UNNAT, **{field: value})
+    params = UNNAT._replace(**{field: value})
     with pytest.raises(UnsupportedRegime, match=f"^{quantity}.* overflows"):
         ENTRY_POINTS[entry](params)
 
@@ -329,7 +328,7 @@ def test_underflowed_alpha_still_raises_complex_exponent(entry):
 
 
 def test_huge_parameters_with_a_representable_level_still_evaluate():
-    level = energy_unnatural_phi(dataclasses.replace(UNNAT, lambda_r=1e200), 0)
+    level = energy_unnatural_phi(UNNAT._replace(lambda_r=1e200), 0)
     assert level.value == pytest.approx(math.sqrt(6e200), rel=1e-12)
 
 
@@ -381,7 +380,7 @@ def test_deformed_level_approaches_the_alpha_zero_limit(m, alpha, lambda_r,
     p = ModelParams(m=m, alpha=alpha, lambda0=ratio * lambda_r,
                     lambda_r=lambda_r)
     e2 = level(p, "natural", n, J).value ** 2
-    e2_limit = level(dataclasses.replace(p, alpha=0.0), "natural", n, J).value ** 2
+    e2_limit = level(p._replace(alpha=0.0), "natural", n, J).value ** 2
     beta = n + (2 * J + 3) / 4.0
     bound = (alpha * (0.25 + 4.0 * beta * beta + J * (J + 1))
              + 4.0 * beta * math.sqrt(alpha * lambda_r + alpha * alpha / 4.0))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 from dkp_eup import spectrum, verify
@@ -25,7 +24,7 @@ def test_nan_fails_the_closure_check(monkeypatch):
 
     def nan_at_j1(params, J, energy):
         data = real_abc(params, J, energy)
-        return dataclasses.replace(data, B=math.nan) if J == 1 else data
+        return data._replace(B=math.nan) if J == 1 else data
 
     monkeypatch.setattr(spectrum, "abc", nan_at_j1)
     result = verify.check_closure()

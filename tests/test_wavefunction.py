@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -83,7 +82,7 @@ def test_poly_derivatives_match_mpmath_near_the_origin(alpha, n):
     # phi exponents, b ~ 1/(2 alpha): on rho < 40/b, where the weight
     # rho^a (1-rho)^b is not negligible, the recurrence in x = 1 - 2 rho lost
     # terms of size jb^2 and erred by ~3e-12 at alpha 1e-5
-    p = dataclasses.replace(UNNAT, alpha=alpha)
+    p = UNNAT._replace(alpha=alpha)
     a, b = exponents(p, "phi")
     rho = chebyshev_grid(1024)
     rho = rho[rho < 40.0 / b]
@@ -106,9 +105,9 @@ def test_norm_integral_matches_mpmath(alpha, sector):
     # 6.6e-10 relative at alpha 1e-6 and 3.0e-7 at 1e-8
     n = 10
     if sector == "natural":
-        a, b = exponents(dataclasses.replace(REF, alpha=alpha), "natural")
+        a, b = exponents(REF._replace(alpha=alpha), "natural")
     else:
-        a, b = exponents(dataclasses.replace(UNNAT, alpha=alpha), "phi")
+        a, b = exponents(UNNAT._replace(alpha=alpha), "phi")
     with mpmath.workdps(50):
         ja, jb = 2 * mpmath.mpf(a) - 0.5, 2 * mpmath.mpf(b) - 0.5
         g = mpmath.gamma
@@ -158,11 +157,11 @@ def test_node_count_matches_the_product_rule(sector, alpha):
     # rho ~ 2e-5, where a 10,000-point Chebyshev grid has only 28 points.
     for n in (0, 1, 2, 5, 10, 20, 30, 40):
         if sector == "natural":
-            sol = natural_solution(dataclasses.replace(REF, alpha=alpha),
-                                   n, 0, tol=math.inf)
+            sol = natural_solution(REF._replace(alpha=alpha), n, 0,
+                                   tol=math.inf)
         else:
-            sol = unnatural_solution(dataclasses.replace(UNNAT, alpha=alpha),
-                                     n, sector, tol=math.inf)
+            sol = unnatural_solution(UNNAT._replace(alpha=alpha), n, sector,
+                                     tol=math.inf)
         nodes = count_nodes(sol)
         assert nodes == _product_rule_nodes(sol)
         assert nodes == n
@@ -182,7 +181,7 @@ def test_a_natural_build_computes_its_components_once(monkeypatch):
 
 @pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
 def test_build_residual_equals_the_public_audit(alpha):
-    p = dataclasses.replace(REF, alpha=alpha)
+    p = REF._replace(alpha=alpha)
     for n in range(7):
         for J in range(5):
             sol = natural_solution(p, n, J)
@@ -206,7 +205,7 @@ def test_swapped_couplings_are_a_formula_error_not_the_floor(J, monkeypatch):
 def test_natural_builds_pass_every_check_up_to_n_40(alpha, J):
     # the README criterion-8 row: natural J = 0, 1, 2, 4 at lambda0 = 0.5
     # pass every n <= 40 over alpha in [1e-6, 1]; sampled here
-    p = dataclasses.replace(REF, alpha=alpha)
+    p = REF._replace(alpha=alpha)
     for n in (0, 10, 20, 30, 40):
         sol = natural_solution(p, n, J)
         assert sol.residual_sup <= 1e-8
@@ -240,7 +239,7 @@ def test_normalization_is_unit():
 
 def test_norm_scales_quadratically():
     sol = natural_solution(REF, 1, 0)
-    doubled = dataclasses.replace(sol, norm_constant=2.0 * sol.norm_constant)
+    doubled = sol._replace(norm_constant=2.0 * sol.norm_constant)
     assert deformed_norm(doubled, REF) == pytest.approx(4.0, rel=1e-10)
 
 
@@ -258,7 +257,7 @@ def test_ground_state_norm_matches_beta_function():
 def test_eigenfunctions_are_orthonormal(alpha):
     # <n|m> under the deformed measure at fixed J, by Gauss-Jacobi quadrature
     # of the polynomial parts, exact for degree 2 * 20 at 32 nodes
-    p = dataclasses.replace(REF, alpha=alpha)
+    p = REF._replace(alpha=alpha)
     sols = [natural_solution(p, n, 1) for n in range(21)]
     a, b = sols[0].exponent_a, sols[0].exponent_b
     ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
@@ -272,7 +271,7 @@ def test_eigenfunctions_are_orthonormal(alpha):
 
 def test_divergent_norm_guard():
     sol = natural_solution(REF, 0, 0)
-    pathological = dataclasses.replace(sol, exponent_b=-0.3)
+    pathological = sol._replace(exponent_b=-0.3)
     with pytest.raises(DivergentNorm):
         deformed_norm(pathological, REF)
 
@@ -308,14 +307,14 @@ def test_residual_sensitive_to_energy_perturbation():
     sol = natural_solution(REF, 1, 0)
     level = energy_natural(REF, 1, 0)
     baseline = residual_first_order(REF, level, sol)
-    bumped = dataclasses.replace(level, value=1.01 * level.value)
+    bumped = level._replace(value=1.01 * level.value)
     assert residual_first_order(REF, bumped, sol) > 10.0 * max(baseline, 1e-12)
 
 
 def test_zero_solution_has_zero_residual():
     sol = natural_solution(REF, 1, 0)
-    zero = dataclasses.replace(
-        sol, norm_constant=0.0, primary=0.0 * sol.primary,
+    zero = sol._replace(
+        norm_constant=0.0, primary=0.0 * sol.primary,
         secondary={k: 0.0 * v for k, v in sol.secondary.items()})
     assert residual_first_order(REF, energy_natural(REF, 1, 0), zero) == 0.0
 
@@ -485,7 +484,7 @@ def test_csv_export(tmp_path):
 
 BUILDS = [
     lambda p: natural_solution(p, 0, 0),
-    lambda p: unnatural_solution(dataclasses.replace(p, lambda0=0.0), 0, "phi"),
+    lambda p: unnatural_solution(p._replace(lambda0=0.0), 0, "phi"),
 ]
 
 
@@ -525,7 +524,7 @@ def test_residual_at_the_rounding_floor_names_the_floor(which):
 def _off_by_1e_6(real):
     def wrong(*args):
         lev = real(*args)
-        return dataclasses.replace(lev, value=lev.value * (1 + 1e-6))
+        return lev._replace(value=lev.value * (1 + 1e-6))
     return wrong
 
 
@@ -537,10 +536,9 @@ def test_a_wrong_energy_is_not_mistaken_for_the_floor(sector, alpha,
     for n in (0, 3):
         with pytest.raises(GridTooCoarse) as info:
             if sector == "natural":
-                natural_solution(dataclasses.replace(REF, alpha=alpha), n, 2)
+                natural_solution(REF._replace(alpha=alpha), n, 2)
             else:
-                unnatural_solution(dataclasses.replace(UNNAT, alpha=alpha),
-                                   n, sector)
+                unnatural_solution(UNNAT._replace(alpha=alpha), n, sector)
         assert not isinstance(info.value, ResidualFloor)
 
 
