@@ -19,7 +19,7 @@ import time
 
 from . import spectrum
 from .errors import ComplexEnergy, ComplexExponent, ComplexShift, DkpError
-from .model import Branch, ModelParams, validate
+from .model import Branch, ModelParams, require_valid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -54,13 +54,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def _params(args) -> ModelParams:
     """The model parameters of the command line; invalid ones raise."""
-    params = ModelParams(m=args.m, alpha=args.alpha,
-                         lambda0=args.lambda0, lambda_r=args.lambdaR)
-    report = validate(params)
-    if not report.passed:
-        raise ValueError(f"invalid parameters {params}: violated "
-                         f"{', '.join(report.violations)}")
-    return params
+    return require_valid(ModelParams(m=args.m, alpha=args.alpha,
+                                     lambda0=args.lambda0,
+                                     lambda_r=args.lambdaR))
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -146,16 +142,20 @@ def cmd_verify(args) -> int:
 
 
 def _float_set(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"no value in {text!r}")
+    return values
 
 
 def cmd_figures(args) -> int:
     from . import figures
     ids = figures.FIGURE_IDS if args.fig == "all" else (args.fig,)
-    for fig_id in ids:
-        csv_path, svg_path = figures.emit_figure(
-            fig_id, args.out_dir,
-            lambda0_set=args.lambda0_set, alpha_set=args.alpha_set)
+    # every figure is built before any is written: a bad sweep writes nothing
+    built = [figures.build_figure(fig_id, args.lambda0_set, args.alpha_set)
+             for fig_id in ids]
+    for data in built:
+        csv_path, svg_path = figures.write_figure(data, args.out_dir)
         print(f"wrote {csv_path} {svg_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .model import ModelParams
+from .model import ModelParams, require_valid
 from .spectrum import level, level_spacing
 from .svgplot import write_svg
 
@@ -53,25 +53,25 @@ def _table(fig_id: str, ns: list, columns: list, y_label: str,
 
 def fig1_data(lambda0_values=FIG1_LAMBDA0) -> FigureData:
     ns = list(range(FIG12_NMAX + 1))
-    cols = [(f"E[lambda0={l0:g}]", f"lambda0={l0:g}",
-             [level(ModelParams(1.0, 0.0, l0, 1.0), "natural", n).value for n in ns])
-            for l0 in lambda0_values]
+    sweep = [require_valid(ModelParams(1.0, 0.0, l0, 1.0)) for l0 in lambda0_values]
+    cols = [(f"E[lambda0={p.lambda0:g}]", f"lambda0={p.lambda0:g}",
+             [level(p, "natural", n).value for n in ns]) for p in sweep]
     return _table("fig1", ns, cols, "E", "undeformed levels vs n")
 
 
 def fig2_data(alpha_values=FIG2_ALPHA) -> FigureData:
     ns = list(range(FIG12_NMAX + 1))
-    cols = [(f"E[alpha={al:g}]", f"alpha={al:g}",
-             [level(ModelParams(1.0, al, 0.5, 1.0), "natural", n).value for n in ns])
-            for al in alpha_values]
+    sweep = [require_valid(ModelParams(1.0, al, 0.5, 1.0)) for al in alpha_values]
+    cols = [(f"E[alpha={p.alpha:g}]", f"alpha={p.alpha:g}",
+             [level(p, "natural", n).value for n in ns]) for p in sweep]
     return _table("fig2", ns, cols, "E", "levels vs n for several deformations")
 
 
 def fig3_data(alpha_values=FIG2_ALPHA) -> FigureData:
     ns = list(range(FIG3_NMAX + 1))
-    cols = [(f"dE[alpha={al:g}]", f"alpha={al:g}",
-             [level_spacing(ModelParams(1.0, al, 0.5, 1.0), n, 0) for n in ns])
-            for al in alpha_values]
+    sweep = [require_valid(ModelParams(1.0, al, 0.5, 1.0)) for al in alpha_values]
+    cols = [(f"dE[alpha={p.alpha:g}]", f"alpha={p.alpha:g}",
+             [level_spacing(p, n, 0) for n in ns]) for p in sweep]
     # horizontal asymptotes 2 sqrt(alpha) for the deformed curves (SVG only)
     asymptotes = [(f"2 sqrt({al:g})", [0, ns[-1]], [2.0 * al ** 0.5] * 2, "dashed")
                   for al in alpha_values if al > 0]
@@ -81,9 +81,10 @@ def fig3_data(alpha_values=FIG2_ALPHA) -> FigureData:
 
 def fig4_data(alpha_values=FIG4_ALPHA) -> FigureData:
     ns = list(range(FIG4_NMAX + 1))
-    cols = [(f"E_{sector}[alpha={al:g}]", f"E_{sector}[alpha={al:g}]",
-             [level(ModelParams(1.0, al, 0.0, 1.0), sector, n).value for n in ns])
-            for al in alpha_values for sector in ("phi", "h0")]
+    sweep = [require_valid(ModelParams(1.0, al, 0.0, 1.0)) for al in alpha_values]
+    cols = [(f"E_{sector}[alpha={p.alpha:g}]", f"E_{sector}[alpha={p.alpha:g}]",
+             [level(p, sector, n).value for n in ns])
+            for p in sweep for sector in ("phi", "h0")]
     return _table("fig4", ns, cols, "E", "unnatural-parity levels vs n")
 
 
@@ -91,14 +92,21 @@ _BUILDERS = dict(zip(FIGURE_IDS, (fig1_data, fig2_data, fig3_data, fig4_data)))
 
 
 def build_figure(fig_id: str, lambda0_set=None, alpha_set=None) -> FigureData:
-    """Build one figure; sweep sets default to the package choices.
+    """Build one figure; a sweep set of None is the package default.
 
-    fig1 sweeps lambda0, the others sweep alpha.
+    fig1 sweeps lambda0, the others sweep alpha.  An empty sweep set, or a
+    value whose parameters ``model.validate`` rejects, raises ValueError
+    (every builder passes its parameters through ``model.require_valid``).
     """
     if fig_id not in _BUILDERS:
         raise ValueError(f"unknown figure id {fig_id!r}")
-    sweep = lambda0_set if fig_id == "fig1" else alpha_set
-    return _BUILDERS[fig_id](tuple(sweep)) if sweep else _BUILDERS[fig_id]()
+    name, sweep = (("lambda0", lambda0_set) if fig_id == "fig1"
+                   else ("alpha", alpha_set))
+    if sweep is None:
+        return _BUILDERS[fig_id]()
+    if not len(sweep):
+        raise ValueError(f"empty {name} sweep set for {fig_id}")
+    return _BUILDERS[fig_id](tuple(sweep))
 
 
 def write_csv(data: FigureData, path) -> None:
@@ -109,14 +117,18 @@ def write_csv(data: FigureData, path) -> None:
                 str(v) if isinstance(v, int) else f"{v:.12g}" for v in row) + "\n")
 
 
-def emit_figure(fig_id: str, out_dir, lambda0_set=None,
-                alpha_set=None) -> tuple[str, str]:
+def write_figure(data: FigureData, out_dir) -> tuple[str, str]:
     """Write <fig>.csv and <fig>.svg into out_dir, made if missing; returns
     the two paths."""
-    data = build_figure(fig_id, lambda0_set, alpha_set)
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{fig_id}.csv")
-    svg_path = os.path.join(out_dir, f"{fig_id}.svg")
+    csv_path = os.path.join(out_dir, f"{data.fig_id}.csv")
+    svg_path = os.path.join(out_dir, f"{data.fig_id}.svg")
     write_csv(data, csv_path)
     write_svg(svg_path, data.series, data.x_label, data.y_label, data.title)
     return csv_path, svg_path
+
+
+def emit_figure(fig_id: str, out_dir, lambda0_set=None,
+                alpha_set=None) -> tuple[str, str]:
+    """Build one figure and write it (``write_figure``)."""
+    return write_figure(build_figure(fig_id, lambda0_set, alpha_set), out_dir)

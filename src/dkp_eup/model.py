@@ -106,6 +106,16 @@ def validate(params: ModelParams) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def require_valid(params: ModelParams) -> ModelParams:
+    """``params`` when :func:`validate` passes them, else a ValueError that
+    names every violated constraint."""
+    report = validate(params)
+    if not report.passed:
+        raise ValueError(f"invalid parameters {params}: violated "
+                         f"{', '.join(report.violations)}")
+    return params
+
+
 def xi_zeta(J: int) -> tuple[float, float]:
     """Angular coupling coefficients (xi_J, zeta_J) of the radial reduction.
 

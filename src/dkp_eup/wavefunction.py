@@ -41,6 +41,10 @@ p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for H+1 and
 where p^2 F0''/m enters as its parts p^2 (F0'/r)/m and p^2 4 alpha rho
 F_rhorho/m, which cancel as rho -> 0.
 
+Nodes are counted from the build's own samples: Poly has degree n, so n sign
+changes there are all its zeros, and only a grid that shows another count
+sends ``count_nodes`` to a finer one.
+
 Grids are built once per size: ``chebyshev_grid`` keeps the last
 GRID_CACHE_SIZE sizes, and every build and node count of that size shares
 the one read-only array, ``RadialSolution.rho_grid`` included.  Copy it to
@@ -54,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
+from .errors import (DivergentNorm, GridTooCoarse, OutOfDomain, ResidualFloor,
                      UnsupportedRegime)
 from .model import ModelParams, xi_zeta
 from .spectrum import EnergyLevel, _finite, exponents, level
@@ -159,21 +163,25 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     df = 2.0 * np.sqrt(al * rho) * frho  # chain rule in rho
     r, q = np.sqrt(rho / al), 1.0 - rho
     p = np.sqrt(q)
-    ar, dp = lr * r / p, -al * r / p
+    ar, dp, pr = lr * r / p, -al * r / p, p / r
     e2 = energy ** 2 + (l0 * r / p) ** 2
-    g0 = np.sqrt(e2) * f / m
-    relations, hs = [(np.sqrt(e2) * f, -m * g0)], []
+    ef = np.sqrt(e2) * f
+    g0 = ef / m
+    relations, hs = [(ef, -m * g0)], []
     closure = [q * df / (m * r), q * 4.0 * al * rho * frhorho / m,
                e2 * f / m, -m * f]
+    # the parts of H and of dH/dr (less its -(c/m) p F0'' part) that do not
+    # depend on (c, s), each formed once in the order the sums need
+    pdf, arf = p * df, ar * f
+    dh0 = dp * df - lr / p ** 3 * f - ar * df
+    dh1 = (dp / r - p / r ** 2) * f + pr * df
     xi, zeta = xi_zeta(J)
     for c, s in ((zeta, -(J + 1)), (xi, J)):
-        pdf, spf, arf = p * df, s * (p / r) * f, ar * f
+        spf = s * pr * f
         h = -(c / m) * (pdf + spf - arf)
-        # dH/dr less its -(c/m) p F0'' part
-        dh = -(c / m) * (dp * df - lr / p ** 3 * f - ar * df
-                         + s * ((dp / r - p / r ** 2) * f + (p / r) * df))
+        dh = -(c / m) * (dh0 + s * dh1)
         relations.append((c * pdf, c * spf, -c * arf, m * h))
-        closure += (-c * p * dh, c * s * (p / r) * h, -c * ar * h)
+        closure += (-c * p * dh, c * s * pr * h, -c * ar * h)
         hs.append(h)
     return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, relations + [closure]
 
@@ -229,7 +237,13 @@ def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
 def _residual_sup(relations) -> float:
     """Sup over the grid and the relations of |sum of each relation's terms|;
     np.max, unlike the builtin max, propagates a NaN from any of them."""
-    return float(np.max([np.max(np.abs(sum(terms))) for terms in relations]))
+    sups = []
+    for first, second, *rest in relations:
+        total = first + second
+        for term in rest:
+            total += term
+        sups.append(np.max(np.abs(total, out=total)))
+    return float(np.max(sups))
 
 
 def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
@@ -310,8 +324,13 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
 
 
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:
-    """Evaluate the primary component analytically at arbitrary rho in (0, 1)."""
+    """Evaluate the primary component analytically at any rho in [0, 1];
+    a point outside the ball, or not finite, raises OutOfDomain."""
     rho = np.asarray(rho, dtype=float)
+    outside = ~((rho >= 0.0) & (rho <= 1.0))  # NaN compares False
+    if np.any(outside):
+        raise OutOfDomain(f"rho = {rho[outside].flat[0]} is outside [0, 1], "
+                          f"the deformation ball alpha r^2 <= 1")
     a, b = sol.exponent_a, sol.exponent_b
     return sol.norm_constant * rho ** a * (1.0 - rho) ** b * _poly(a, b, sol.n, rho)
 
@@ -344,12 +363,24 @@ def residual_first_order(params: ModelParams, level: EnergyLevel,
 def count_nodes(sol: RadialSolution) -> int:
     """Interior sign changes of the primary component (Sturm oscillation).
 
-    Only the polynomial is sampled, at NODE_SAMPLES points: N rho^a (1-rho)^b is
-    positive on (0, 1) and cannot change a sign, and at small alpha
-    (1-rho)^b underflows to 0.  Neighbours are compared by sign bit, not by
-    their product, which underflows to 0 below ~1e-154 and hides a change."""
-    sign = np.signbit(_poly(sol.exponent_a, sol.exponent_b, sol.n,
-                            _node_grid(sol, NODE_SAMPLES)))
+    N rho^a (1-rho)^b is positive on (0, 1) and cannot change a sign, so the
+    zeros are those of the polynomial, of degree n: it has at most n, and n
+    sign changes on any grid is the exact count.  The build's own samples
+    are counted first; their sign bits survive where the weight underflows,
+    as 0 times a negative value is -0.0.  Only when they show another count
+    (fewer where zeros lie closer than the build grid resolves) is the
+    polynomial alone sampled at NODE_SAMPLES points of ``_node_grid``.
+    Neighbours are compared by sign bit, not by their product, which
+    underflows to 0 below ~1e-154 and hides a change."""
+    nodes = _sign_changes(sol.primary)
+    if nodes == sol.n:
+        return nodes
+    return _sign_changes(_poly(sol.exponent_a, sol.exponent_b, sol.n,
+                               _node_grid(sol, NODE_SAMPLES)))
+
+
+def _sign_changes(values: np.ndarray) -> int:
+    sign = np.signbit(values)
     return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 

@@ -178,6 +178,42 @@ def test_figures_sweep_sets_are_overridable(tmp_path, capsys):
     assert header == "n,dE[alpha=0.1]"
 
 
+@pytest.mark.parametrize("flag,value,violated", [
+    ("--lambda0-set", "1.5", "lambdaR >= lambda0"),
+    ("--lambda0-set", "-0.5", "lambda0 >= 0"),
+    ("--alpha-set", "-0.1", "alpha >= 0"),
+    ("--alpha-set", "0.1,nan", "alpha finite"),
+])
+def test_an_invalid_sweep_value_exits_2_naming_the_constraint(tmp_path, capsys,
+                                                              flag, value,
+                                                              violated):
+    # every sweep value is validated like the spectrum flags: 1.5 used to
+    # exit 3 as "no real spectrum", -0.5 drew a curve, and -0.1 blamed the
+    # alpha = 0 limit formula
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, "figures", "--out-dir", str(out_dir),
+                         f"{flag}={value}")
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: invalid parameters")
+    assert violated in err
+    assert "limit formula" not in err
+    assert not out_dir.exists()        # built before anything is written
+
+
+@pytest.mark.parametrize("flag", ["--alpha-set", "--lambda0-set"])
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_an_empty_sweep_set_is_a_usage_error_naming_the_flag(tmp_path, capsys,
+                                                             flag, value):
+    # it used to draw the default sweep without a word
+    with pytest.raises(SystemExit) as info:
+        cli.main(["figures", "--out-dir", str(tmp_path / "figs"),
+                  f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"argument {flag}: no value in" in capsys.readouterr().err
+    assert not (tmp_path / "figs").exists()
+
+
 def test_fig3_svg_has_dashed_asymptotes(tmp_path, capsys):
     run(capsys, "figures", "--out-dir", str(tmp_path), "--fig", "fig3")
     svg = (tmp_path / "fig3.svg").read_text()

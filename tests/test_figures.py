@@ -42,6 +42,27 @@ def test_unknown_figure_id():
         figures.build_figure("fig9")
 
 
+@pytest.mark.parametrize("fig_id,sweep,violated", [
+    ("fig1", {"lambda0_set": (0.5, 1.5)}, "lambdaR >= lambda0"),
+    ("fig1", {"lambda0_set": (-0.5,)}, "lambda0 >= 0"),
+    ("fig2", {"alpha_set": (-0.1,)}, "alpha >= 0"),
+    ("fig3", {"alpha_set": (math.inf,)}, "alpha finite"),
+    ("fig4", {"alpha_set": (0.1, -1.0)}, "alpha >= 0"),
+])
+def test_a_sweep_value_that_validate_rejects_raises(fig_id, sweep, violated):
+    with pytest.raises(ValueError, match=violated):
+        figures.build_figure(fig_id, **sweep)
+
+
+@pytest.mark.parametrize("fig_id,sweep", [("fig1", "lambda0_set"),
+                                          ("fig3", "alpha_set")])
+def test_an_empty_sweep_set_raises_and_none_is_the_default(fig_id, sweep):
+    with pytest.raises(ValueError, match="empty"):
+        figures.build_figure(fig_id, **{sweep: ()})
+    assert figures.build_figure(fig_id, **{sweep: None}) \
+        == figures.build_figure(fig_id)
+
+
 def test_csv_floats_carry_12_significant_digits(tmp_path):
     path = tmp_path / "fig2.csv"
     figures.write_csv(figures.fig2_data(), path)

@@ -10,8 +10,8 @@ from scipy.special import beta as beta_fn
 from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 
 from dkp_eup import wavefunction
-from dkp_eup.errors import (DivergentNorm, GridTooCoarse, ResidualFloor,
-                            UnsupportedRegime)
+from dkp_eup.errors import (DivergentNorm, GridTooCoarse, OutOfDomain,
+                            ResidualFloor, UnsupportedRegime)
 from dkp_eup.model import ModelParams, xi_zeta
 from dkp_eup.spectrum import energy_natural, energy_unnatural_phi, exponents
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
@@ -167,6 +167,101 @@ def test_node_count_matches_the_product_rule(sector, alpha):
         assert nodes == n
 
 
+def _fine_count(sol):
+    """Sign changes of the polynomial on the NODE_SAMPLES points of
+    ``_node_grid``: the count of the fallback path."""
+    sign = np.signbit(wavefunction._poly(
+        sol.exponent_a, sol.exponent_b, sol.n,
+        wavefunction._node_grid(sol, wavefunction.NODE_SAMPLES)))
+    return int(np.count_nonzero(sign[:-1] != sign[1:]))
+
+
+def _grid_count(sol):
+    """Sign changes of the build's own samples, by sign bit."""
+    sign = np.signbit(sol.primary)
+    return int(np.count_nonzero(sign[:-1] != sign[1:]))
+
+
+def _forbid_poly(monkeypatch):
+    def poly(*args, **kwargs):
+        raise AssertionError("count_nodes sampled the polynomial again")
+    monkeypatch.setattr(wavefunction, "_poly", poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector=st.sampled_from(["natural", "phi", "h0"]),
+       n=st.integers(0, 40), J=st.integers(0, 4),
+       log_alpha=st.floats(-8.0, 0.0),
+       lambda0=st.floats(0.0, 1.0, exclude_max=True))
+def test_node_count_is_n_and_the_fine_grid_count(sector, n, J, log_alpha,
+                                                 lambda0):
+    # the degree bound makes n sign changes on the build grid exact; where
+    # the build grid shows fewer, the fine grid must agree as well
+    alpha = 10.0 ** log_alpha
+    if sector == "natural":
+        sol = natural_solution(ModelParams(1.0, alpha, lambda0, 1.0), n, J,
+                               tol=math.inf)
+    else:
+        sol = unnatural_solution(UNNAT._replace(alpha=alpha), n, sector,
+                                 tol=math.inf)
+    assert count_nodes(sol) == n
+    assert _fine_count(sol) == n
+
+
+@pytest.mark.parametrize("build,shown", [
+    # 8 grid points cannot show 10 sign changes
+    (lambda: natural_solution(REF, 10, 0, grid_size=8, tol=math.inf), 2),
+    # every zero of n = 30 lies below rho ~ 2e-5, between two grid points
+    (lambda: natural_solution(REF._replace(alpha=1e-7), 30, 0, tol=math.inf),
+     1),
+])
+def test_a_build_grid_that_misses_zeros_falls_back_to_the_fine_grid(
+        build, shown, monkeypatch):
+    sol = build()
+    assert _grid_count(sol) == shown
+    sampled = []
+    poly = wavefunction._poly
+
+    def spy(a, b, n, rho, k=0):
+        sampled.append(rho)
+        return poly(a, b, n, rho, k)
+    monkeypatch.setattr(wavefunction, "_poly", spy)
+    assert count_nodes(sol) == sol.n
+    assert len(sampled) == 1
+    assert np.array_equal(sampled[0], wavefunction._node_grid(
+        sol, wavefunction.NODE_SAMPLES))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, 0.1, 0.03, 1e-2, 5e-3, 2e-3])
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
+def test_the_timed_domain_counts_nodes_from_the_build_grid(sector, alpha,
+                                                           monkeypatch):
+    # alpha >= 2e-3, n <= 6: the eigenfunctions benchmark's domain, where
+    # every default build shows all n sign changes on its own samples
+    if sector == "natural":
+        sols = [natural_solution(ModelParams(1.0, alpha, l0, 1.0), n, J)
+                for l0 in (0.0, 0.5, 0.99) for J in range(5) for n in range(7)]
+    else:
+        sols = [unnatural_solution(UNNAT._replace(alpha=alpha), n, sector)
+                for n in range(7)]
+    _forbid_poly(monkeypatch)
+    for sol in sols:
+        assert count_nodes(sol) == sol.n
+
+
+def test_underflowed_samples_keep_their_sign(monkeypatch):
+    # at alpha 1e-4 the weight rho^a (1-rho)^b underflows on most of the
+    # grid; 0 times the negative polynomial beyond its last zero is -0.0,
+    # whose sign bit keeps the count at 3, where +0.0 would add a change
+    sol = natural_solution(REF._replace(alpha=1e-4), 3, 0)
+    zeros = sol.primary == 0.0
+    assert np.count_nonzero(zeros & np.signbit(sol.primary)) > 1000
+    assert _grid_count(sol._replace(
+        primary=np.where(zeros, 0.0, sol.primary))) == 4
+    _forbid_poly(monkeypatch)
+    assert count_nodes(sol) == 3
+
+
 def test_a_natural_build_computes_its_components_once(monkeypatch):
     calls = []
     system = wavefunction._natural_system
@@ -177,6 +272,54 @@ def test_a_natural_build_computes_its_components_once(monkeypatch):
     monkeypatch.setattr(wavefunction, "_natural_system", counted)
     natural_solution(REF, 3, 2)
     assert len(calls) == 1
+
+
+def _reference_natural_system(params, J, energy, a, b, n, rho, scale):
+    """``_natural_system`` as each product was once formed where it was used:
+    the reference for the bit-identity of the shared-product form."""
+    al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
+    f, frho, frhorho = (scale * d for d in
+                        wavefunction._prefactor_derivs(a, b, n, rho))
+    df = 2.0 * np.sqrt(al * rho) * frho
+    r, q = np.sqrt(rho / al), 1.0 - rho
+    p = np.sqrt(q)
+    ar, dp = lr * r / p, -al * r / p
+    e2 = energy ** 2 + (l0 * r / p) ** 2
+    g0 = np.sqrt(e2) * f / m
+    relations, hs = [(np.sqrt(e2) * f, -m * g0)], []
+    closure = [q * df / (m * r), q * 4.0 * al * rho * frhorho / m,
+               e2 * f / m, -m * f]
+    xi, zeta = xi_zeta(J)
+    for c, s in ((zeta, -(J + 1)), (xi, J)):
+        pdf, spf, arf = p * df, s * (p / r) * f, ar * f
+        h = -(c / m) * (pdf + spf - arf)
+        dh = -(c / m) * (dp * df - lr / p ** 3 * f - ar * df
+                         + s * ((dp / r - p / r ** 2) * f + (p / r) * df))
+        relations.append((c * pdf, c * spf, -c * arf, m * h))
+        closure += (-c * p * dh, c * s * (p / r) * h, -c * ar * h)
+        hs.append(h)
+    residual = float(np.max([np.max(np.abs(sum(terms)))
+                             for terms in relations + [closure]]))
+    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, residual
+
+
+@pytest.mark.parametrize("lambda0", [0.0, 0.5])
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
+def test_natural_builds_are_bit_identical_to_the_reference_system(alpha,
+                                                                  lambda0):
+    # the wavefunction CSVs are not digest-pinned (libm differs by CPU), so
+    # this in-process equality guards their bytes
+    p = ModelParams(1.0, alpha, lambda0, 1.0)
+    for n in range(7):
+        for J in range(5):
+            sol = natural_solution(p, n, J)
+            f, secondary, residual = _reference_natural_system(
+                p, J, sol.energy, sol.exponent_a, sol.exponent_b, n,
+                sol.rho_grid, sol.norm_constant)
+            assert np.array_equal(sol.primary, f)
+            for name in ("H_plus1", "H_minus1", "G0"):
+                assert np.array_equal(sol.secondary[name], secondary[name])
+            assert sol.residual_sup == residual
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
@@ -223,6 +366,22 @@ def test_grid_too_coarse_guard():
     # lowers it to 1e-20, so the floor is named, not the grid
     with pytest.raises(ResidualFloor, match="first-order system"):
         natural_solution(REF, 1, 0, tol=1e-20)
+
+
+@pytest.mark.parametrize("rho", [1.5, -0.1, math.nan, math.inf, -math.inf,
+                                 [0.2, 1.0 + 1e-12], [0.5, math.nan]])
+def test_evaluate_primary_rejects_points_outside_the_ball(rho):
+    # 1.5 used to give NaN with a RuntimeWarning, -0.1 a finite -14.08
+    sol = natural_solution(REF, 2, 1)
+    with pytest.raises(OutOfDomain, match="outside"):
+        evaluate_primary(sol, rho)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_primary_accepts_the_closed_ball():
+    sol = natural_solution(REF, 2, 1)
+    assert np.array_equal(evaluate_primary(sol, [0.0, 1.0]), [0.0, 0.0])
+    assert evaluate_primary(sol, 0.3).shape == ()
 
 
 def test_primary_vanishes_at_both_endpoints():
