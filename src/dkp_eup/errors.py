@@ -61,7 +61,8 @@ class DivergentNorm(DkpError):
 
 
 class OutOfDomain(DkpError):
-    """A grid point lies outside the deformation ball alpha*r^2 < 1."""
+    """A point lies outside the deformation ball: ``evaluate_primary`` at a
+    rho = alpha r^2 outside [0, 1], or not finite."""
 
 
 class AlgebraInconsistent(DkpError):

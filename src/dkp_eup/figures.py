@@ -126,9 +126,3 @@ def write_figure(data: FigureData, out_dir) -> tuple[str, str]:
     write_csv(data, csv_path)
     write_svg(svg_path, data.series, data.x_label, data.y_label, data.title)
     return csv_path, svg_path
-
-
-def emit_figure(fig_id: str, out_dir, lambda0_set=None,
-                alpha_set=None) -> tuple[str, str]:
-    """Build one figure and write it (``write_figure``)."""
-    return write_figure(build_figure(fig_id, lambda0_set, alpha_set), out_dir)

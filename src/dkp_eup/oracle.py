@@ -334,8 +334,11 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     an exact tridiagonal eigensolver: the running sums resolve a level only
     to about eps |lambda/lambda_1|.
     """
-    if not 1 <= k <= problem.grid_size:
-        raise ValueError("k must be in 1..grid_size")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > problem.grid_size:
+        raise ValueError(f"{k} levels need a grid of at least {k} cells, "
+                         f"got grid_size {problem.grid_size}")
     levels = np.full(k, problem.e2_offset)
     if k == 1:
         return levels

@@ -1,17 +1,16 @@
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkp_eup import algebra
 from dkp_eup.algebra import (AlgebraInconsistent, build_matrices,
                              build_projector, check_deformed_commutators,
-                             commutator_grid, evaluate_poly, poly_sub,
-                             spin_matrices, verify_algebra)
-from dkp_eup.errors import OutOfDomain
+                             poly_sub, spin_matrices, verify_algebra)
 
 MATS = build_matrices()
 
@@ -120,9 +119,23 @@ def test_exactness_guard_rejects_inexact_entries(value):
 # --- deformed commutators ---------------------------------------------------
 #
 # The reference below applies both operator orderings to the monomials
-# x^ex y^ey z^ez and evaluates the residual functions on the grid.  It covers
+# x^ex y^ey z^ez and evaluates the residual functions on a lattice.  It covers
 # those monomials only, and shares with the operator form only the
-# PolyFunction helpers _acc, poly_sub and evaluate_poly.
+# PolyFunction helpers _acc and poly_sub.
+
+
+def evaluate(f, pts, alpha):
+    """The PolyFunction f at points of shape (k, 3) inside the ball."""
+    x, y, z = pts.T
+    w = np.sqrt(1.0 - alpha * (x * x + y * y + z * z))
+    return sum(c * w ** s * x ** ex * y ** ey * z ** ez
+               for (s, ex, ey, ez), c in f.items())
+
+
+def lattice(alpha, corner=0.9):
+    """The 5^3 cube lattice with corners at alpha*r^2 = corner."""
+    g = np.linspace(-1.0, 1.0, 5) * np.sqrt(corner / alpha / 3.0)
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def monomial(ex, ey, ez):
@@ -175,14 +188,14 @@ def apply_angular(f, i, j):
 
 
 def monomial_reference(alpha, test_fns, weight=1):
-    """Worst [X,X], [X,P] and [P,P] residuals over test_fns on the grid."""
-    grid = commutator_grid(alpha)
+    """Worst [X,X], [X,P] and [P,P] residuals over test_fns on the lattice."""
+    grid = lattice(alpha)
     worst = [0.0, 0.0, 0.0]
 
     def raise_worst(which, residual):
         if residual:
             worst[which] = max(worst[which], float(np.max(np.abs(
-                evaluate_poly(residual, grid, alpha)))))
+                evaluate(residual, grid, alpha)))))
 
     def p(f, i):
         return apply_p(f, i, alpha, weight)
@@ -218,21 +231,20 @@ G = {(-2, 1, 1, 0): 1j, (0, 0, 0, 2): 3.0 + 0j}
 
 
 def test_mul_is_the_pointwise_product():
-    grid = commutator_grid(0.1)
-    assert np.allclose(evaluate_poly(algebra.mul(F, G), grid, 0.1),
-                       evaluate_poly(F, grid, 0.1) * evaluate_poly(G, grid, 0.1),
+    grid = lattice(0.1)
+    assert np.allclose(evaluate(algebra.mul(F, G), grid, 0.1),
+                       evaluate(F, grid, 0.1) * evaluate(G, grid, 0.1),
                        rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_deriv_matches_a_central_difference(k):
     # interior points, alpha*r^2 <= 0.5, so that grid +- step stays inside
-    g = np.linspace(-1.0, 1.0, 5) * np.sqrt(0.5 / 0.1 / 3.0)
-    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = lattice(0.1, corner=0.5)
     step = 1e-5 * np.eye(3)[k]
-    difference = (evaluate_poly(F, grid + step, 0.1)
-                  - evaluate_poly(F, grid - step, 0.1)) / 2e-5
-    exact = evaluate_poly(algebra.deriv(F, k, 0.1), grid, 0.1)
+    difference = (evaluate(F, grid + step, 0.1)
+                  - evaluate(F, grid - step, 0.1)) / 2e-5
+    exact = evaluate(algebra.deriv(F, k, 0.1), grid, 0.1)
     assert np.max(np.abs(exact - difference)) < 1e-8 * np.max(np.abs(exact))
 
 
@@ -275,8 +287,8 @@ def test_full_degree_six_suite(alpha):
     report = check_deformed_commutators(alpha=alpha)
     assert report.n_functions == 21  # 9 [X,X], 9 [X,P], 3 [P,P] relations
     assert report.passed
-    assert report.worst_position_momentum < 1e-10
-    assert report.worst_momentum_momentum < 1e-10
+    assert report.worst_position_momentum == 0.0
+    assert report.worst_momentum_momentum == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
@@ -311,26 +323,18 @@ def test_both_checks_fail_without_the_momentum_deformation(monkeypatch):
                report.worst_momentum_momentum) > 1e-10
 
 
-@settings(max_examples=100, deadline=None)
-@given(alpha=st.floats(-8.0, 1.0).map(lambda x: 10.0 ** x))
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(-1074.0, 1023.99).map(lambda e: 2.0 ** e))
+@example(alpha=5e-324)
+@example(alpha=sys.float_info.max)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_relation_cancels_exactly_for_any_alpha(alpha):
+    # log-uniform over the whole positive float range, subnormals included
     report = check_deformed_commutators(alpha)
     assert report.n_functions == 21
     assert (report.worst_position_position, report.worst_position_momentum,
             report.worst_momentum_momentum) == (0.0, 0.0, 0.0)
-
-
-def test_grid_stays_inside_the_ball():
-    grid = commutator_grid(0.1)
-    r2 = np.sum(grid ** 2, axis=1)
-    assert np.all(0.1 * r2 <= 0.9 + 1e-12)
-
-
-def test_out_of_domain_grid_rejected():
-    bad_grid = np.array([[4.0, 0.0, 0.0]])  # alpha r^2 = 1.6
-    with pytest.raises(OutOfDomain):
-        evaluate_poly(monomial(1, 0, 0), bad_grid, alpha=0.1)
+    assert report.passed
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -340,20 +344,24 @@ def test_alpha_must_be_positive(alpha):
 
 
 @pytest.mark.parametrize("alpha", [3e-309, 1e-320, 5e-324])
-def test_alpha_with_an_overflowing_lattice_is_rejected(alpha):
-    # 0.9/alpha is inf: the lattice would be NaN, and the check would pass
-    # only because every relation cancels symbolically
+def test_subnormal_alpha_passes(alpha):
+    # the exact check evaluates nothing at points, so nothing can overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"got {alpha}"):
-            check_deformed_commutators(alpha)
+        report = check_deformed_commutators(alpha)
+    assert report.passed
+    assert (report.worst_position_position, report.worst_position_momentum,
+            report.worst_momentum_momentum) == (0.0, 0.0, 0.0)
 
 
 def test_tiny_alpha_with_a_finite_lattice_still_passes():
+    # the monomial reference's lattice is still finite at 1e-300, and the
+    # reference agrees with the exact check there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = check_deformed_commutators(1e-300)
-        assert np.all(np.isfinite(commutator_grid(1e-300)))
+        assert np.all(np.isfinite(lattice(1e-300)))
+        assert monomial_reference(1e-300, monomial_basis(4)) == [0.0] * 3
     assert report.passed
     assert (report.worst_position_position, report.worst_position_momentum,
             report.worst_momentum_momentum) == (0.0, 0.0, 0.0)
@@ -370,9 +378,7 @@ def test_nan_residual_fails_the_commutator_check(monkeypatch):
 
 
 def test_a_momentum_without_its_deformation_term_fails_the_check(monkeypatch):
-    # every residual of the correct operators cancels symbolically, so only
-    # a wrong operator reaches the numeric evaluation on the grid; without
-    # its w factor the momentum breaks every [X,P] and [P,P] relation
+    # without its w factor the momentum breaks every [X,P] and [P,P] relation
     monkeypatch.setattr(algebra, "momentum", undeformed_momentum)
     broken = Counter(relation for relation, residual
                      in algebra._residuals(0.1) if any(residual))
@@ -381,4 +387,17 @@ def test_a_momentum_without_its_deformation_term_fails_the_check(monkeypatch):
     assert report.worst_position_position == 0.0
     assert report.worst_position_momentum > 1e-10
     assert report.worst_momentum_momentum > 1e-10
+    assert not report.passed
+
+
+def test_a_momentum_off_by_1e_15_fails_the_check(monkeypatch):
+    # -i (1 + 1e-15) w d_j leaves coefficients of ~1e-15: far below any
+    # pointwise tolerance, but not cancelled
+    monkeypatch.setattr(algebra, "momentum", lambda j: tuple(
+        {(1, 0, 0, 0): -1j * (1 + 1e-15)} if l == j + 1 else {}
+        for l in range(4)))
+    report = check_deformed_commutators(0.1)
+    assert report.worst_position_position == 0.0
+    assert 0.0 < report.worst_position_momentum < 1e-14
+    assert 0.0 < report.worst_momentum_momentum < 1e-14
     assert not report.passed

@@ -138,6 +138,16 @@ def test_verify_oracle_small_grid(capsys):
     assert "PASS oracle" in out
 
 
+@pytest.mark.parametrize("grid_size", ["2", "3", "4"])
+def test_verify_grid_below_the_level_count_exits_2_naming_both(capsys,
+                                                               grid_size):
+    code, out, err = run(capsys, "verify", "--only", "oracle",
+                         "--grid-size", grid_size)
+    assert (code, out) == (2, "")
+    assert err == (f"error: 5 levels need a grid of at least 5 cells, "
+                   f"got grid_size {grid_size}\n")
+
+
 def test_figures_emits_all_pairs(tmp_path, capsys):
     code, _, err = run(capsys, "figures", "--out-dir", str(tmp_path))
     assert code == 0

@@ -121,8 +121,11 @@ def test_unnatural_sector_guards():
         discretize(ModelParams(1.0, 0.1, 1.5, 1.0), Sector.natural(0), 64)
     with pytest.raises(ValueError):
         discretize(REF, Sector("bogus"), 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="9 levels need a grid of at least "
+                                         "9 cells, got grid_size 8"):
         solve_lowest(discretize(REF, Sector.natural(0), 8), 9)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        solve_lowest(discretize(REF, Sector.natural(0), 8), 0)
 
 
 @pytest.mark.parametrize("alpha", [4e-3, 2e-3, 1e-3])
