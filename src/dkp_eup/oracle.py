@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -97,6 +98,8 @@ def _sector_constants(params: ModelParams, sector: Sector):
             # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
             raise ComplexExponent(4.0 * q / al / al)
         J = sector.J
+        if J < 0:
+            raise ValueError(f"J must be >= 0, got {J}")
         c = J + 1.5
         sigma = (2 * J + 3) / 2.0 + math.sqrt(q) / al
         offset = m * m + lr + al * (4 * J + 5) / 2.0 + (2 * J + 3) * math.sqrt(q)
@@ -168,10 +171,10 @@ def discretize(params: ModelParams, sector: Sector,
     ``half_weight`` and ``flux`` are W^(1/2) and p divided by the largest
     W^(1/2), so -T = G^T G with G = diag(sqrt(p)) D diag(1/half_weight).
     """
-    if grid_size < 2:
+    n = operator.index(grid_size)  # 100.5 would put a cell centre at s = 1
+    if n < 2:
         raise ValueError("grid_size must be >= 2")
     c, sigma, offset = _sector_constants(params, sector)
-    n = grid_size
     centers, log_f, log1m_f2, log_c, log1m_c2 = _grid(n)
     pw, qw = 2.0 * c - 1.0, sigma - c
 

@@ -97,6 +97,8 @@ def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, floa
     equation also has the root (1-x)/2, normalizable too for x < 1/2; its
     closed-form level E^2 = m^2 + 4 alpha (n+1/2)(n+1/2+x) fixes b = x/2.
     """
+    if J < 0:
+        raise ValueError(f"J must be >= 0, got {J}")
     if sector == "natural":
         sqrt_q = _sqrt_q(params)
         return (J + 1) / 2.0, _finite("wall exponent b",

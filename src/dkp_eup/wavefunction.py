@@ -26,14 +26,15 @@ Normalization uses the deformed measure: the line integral
 int_0^{1/sqrt(alpha)} |F(r)|^2 (1 - alpha r^2)^{-1/2} dr, which in rho carries
 the Jacobi weight rho^ja (1-rho)^jb, so it is the Jacobi norm h_n (DLMF 18.3).
 
-One audit rule serves every build: each relation is a tuple of terms, the
-residual is the sup of |sum of terms| over the grid and the relations, and
-a residual above the tolerance is ResidualFloor (rounding no grid lowers)
-when it is <= 16 (n+1)^2 eps times the largest term, else GridTooCoarse.
-phi and h0 have one relation, their rho-form equation, whose constants are
-written from lr/alpha, so it checks b; natural parity has four, with
-p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for H+1 and
-(xi, J) for H-1, and G0 real (its phase is free when A0 != 0):
+One audit rule serves every build, on one equation each: its residual is the
+sup over the grid of |sum of its terms|, and a residual above the tolerance
+is ResidualFloor (rounding no grid lowers) when it is <= 16 (n+1)^2 eps
+times the largest term, else GridTooCoarse.  phi and h0 audit their rho-form
+equation, whose constants are written from lr/alpha, so it checks b.  Natural
+parity forms H and G0 from their first-order relations, which then hold to
+rounding, and audits the closure; p = sqrt(1 - alpha r^2), Ar = lr r/p,
+(c, s) = (zeta, -(J+1)) for H+1 and (xi, J) for H-1, G0 real (its phase is
+free when A0 != 0):
 
     H = -(c/m) [p F0' + s (p/r) F0 - Ar F0],     G0 = sqrt(E^2 + A0^2) F0/m,
     -p sum_c c (d/dr - s/r + Ar/p) H + (E^2 + A0^2) F0/m - m F0 = 0,
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -156,8 +158,8 @@ def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
 
 def _natural_system(params: ModelParams, J: int, energy: float,
                     a: float, b: float, n: int, rho: np.ndarray, scale: float):
-    """F0, {H_plus1, H_minus1, G0} and the four first-order relations as term
-    tuples; xi^2 + zeta^2 = 1 puts p^2 F0''/m in the closure once."""
+    """F0, {H_plus1, H_minus1, G0} and the terms of the closure, the one
+    equation that can fail; xi^2 + zeta^2 = 1 puts p^2 F0''/m in it once."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
     f, frho, frhorho = (scale * d for d in _prefactor_derivs(a, b, n, rho))
     df = 2.0 * np.sqrt(al * rho) * frho  # chain rule in rho
@@ -165,9 +167,7 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     p = np.sqrt(q)
     ar, dp, pr = lr * r / p, -al * r / p, p / r
     e2 = energy ** 2 + (l0 * r / p) ** 2
-    ef = np.sqrt(e2) * f
-    g0 = ef / m
-    relations, hs = [(ef, -m * g0)], []
+    hs = []
     closure = [q * df / (m * r), q * 4.0 * al * rho * frhorho / m,
                e2 * f / m, -m * f]
     # the parts of H and of dH/dr (less its -(c/m) p F0'' part) that do not
@@ -177,13 +177,12 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     dh1 = (dp / r - p / r ** 2) * f + pr * df
     xi, zeta = xi_zeta(J)
     for c, s in ((zeta, -(J + 1)), (xi, J)):
-        spf = s * pr * f
-        h = -(c / m) * (pdf + spf - arf)
+        h = -(c / m) * (pdf + s * pr * f - arf)
         dh = -(c / m) * (dh0 + s * dh1)
-        relations.append((c * pdf, c * spf, -c * arf, m * h))
         closure += (-c * p * dh, c * s * pr * h, -c * ar * h)
         hs.append(h)
-    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, relations + [closure]
+    g0 = np.sqrt(e2) * f / m
+    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, closure
 
 
 # --- sector assembly -------------------------------------------------------
@@ -234,23 +233,19 @@ def _raw_norm_integral(a: float, b: float, n: int, alpha: float) -> float:
     return value
 
 
-def _residual_sup(relations) -> float:
-    """Sup over the grid and the relations of |sum of each relation's terms|;
-    np.max, unlike the builtin max, propagates a NaN from any of them."""
-    sups = []
-    for first, second, *rest in relations:
-        total = first + second
-        for term in rest:
-            total += term
-        sups.append(np.max(np.abs(total, out=total)))
-    return float(np.max(sups))
+def _residual_sup(terms) -> float:
+    """Sup over the grid of |sum of terms|, NaN when any term is NaN."""
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return float(np.max(np.abs(total, out=total)))
 
 
 def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
-                      equation: str, relations) -> Exception:
+                      equation: str, terms) -> Exception:
     """The error for a residual above ``tol`` by the module's audit rule
     (GridTooCoarse also for a NaN residual)."""
-    term_max = float(np.max([np.max(np.abs(terms)) for terms in relations]))
+    term_max = float(np.max(np.abs(terms)))
     if residual <= FLOOR_ULPS * (n + 1) ** 2 * EPS * term_max:
         return ResidualFloor(
             f"residual {residual:.3e} above tolerance {tol:.1e} is rounding "
@@ -263,7 +258,7 @@ def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
 def _build(params: ModelParams, sector: str, n: int, J: int,
            grid_size: int, tol: float) -> RadialSolution:
     """The normalized solution of ``sector``, gated on its residual audit."""
-    if grid_size < 2:
+    if operator.index(grid_size) < 2:  # 100.5 would put a point at rho = 1
         raise ValueError("grid_size must be >= 2")
     energy = level(params, sector, n, J).value
     a, b = exponents(params, sector, J)
@@ -273,19 +268,18 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
     try:
         with np.errstate(over="raise", invalid="raise"):
             if sector == "natural":
-                f, secondary, relations = _natural_system(params, J, energy, a,
-                                                          b, n, rho, n1)
-                name, equation = "F0", "first-order system"
+                f, secondary, terms = _natural_system(params, J, energy, a, b,
+                                                      n, rho, n1)
+                name, equation = "F0", "closure of the first-order system"
             else:  # the rho-form terms, and their rounding, grow like b ~ 1/alpha
                 c_wall, c_const = _unnatural_sector_data(params, sector,
                                                          energy ** 2)
                 f, frho, frhorho = (n1 * d for d in _prefactor_derivs(a, b, n, rho))
-                relations = [((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-                              -c_wall * f / (1.0 - rho), c_const * f)]
-                secondary = {}
+                terms = ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+                         -c_wall * f / (1.0 - rho), c_const * f)
+                secondary, equation = {}, "rho-form equation"
                 name = "phi" if sector == "phi" else "H0"
-                equation = "rho-form equation"
-            residual_sup = _residual_sup(relations)
+            residual_sup = _residual_sup(terms)
     except FloatingPointError:
         raise UnsupportedRegime(
             f"the Jacobi polynomial P_{n} or its derivatives overflow the "
@@ -298,7 +292,7 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
             f"nothing")
     if not residual_sup <= tol:
         raise _residual_failure(residual_sup, tol, n, grid_size, equation,
-                                relations)
+                                terms)
     return RadialSolution(
         sector=sector, n=n, J=J, energy=energy, params=params, rho_grid=rho,
         primary=f, primary_name=name, secondary=secondary, norm_constant=n1,
@@ -308,7 +302,7 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
 def natural_solution(params: ModelParams, n: int, J: int,
                      grid_size: int = DEFAULT_GRID_SIZE,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
-    """Normalized natural-parity solution and its first-order-system residual."""
+    """Normalized natural-parity solution and its closure-equation residual."""
     return _build(params, "natural", n, J, grid_size, tol)
 
 
@@ -348,16 +342,16 @@ def deformed_norm(sol: RadialSolution, params: ModelParams) -> float:
 
 def residual_first_order(params: ModelParams, level: EnergyLevel,
                          sol: RadialSolution) -> float:
-    """Sup-norm residual of the four first-order relations of the natural
-    sector (module docstring) at ``level``, on the solution's grid."""
+    """Sup-norm residual of the natural sector's closure equation (module
+    docstring) at ``level``, on the solution's grid."""
     if sol.sector != "natural":
         raise UnsupportedRegime(
             "first-order residuals are defined for the natural sector; "
             "unnatural solutions carry their ODE residual in residual_sup")
-    *_, relations = _natural_system(params, sol.J, level.value, sol.exponent_a,
-                                    sol.exponent_b, sol.n, sol.rho_grid,
-                                    sol.norm_constant)
-    return _residual_sup(relations)
+    *_, closure = _natural_system(params, sol.J, level.value, sol.exponent_a,
+                                  sol.exponent_b, sol.n, sol.rho_grid,
+                                  sol.norm_constant)
+    return _residual_sup(closure)
 
 
 def count_nodes(sol: RadialSolution) -> int:

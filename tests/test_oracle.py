@@ -36,6 +36,20 @@ def test_discretize_shapes():
     assert np.all(np.diff(prob.s_nodes) > 0)
 
 
+def test_a_negative_J_is_rejected_by_name():
+    # Sector.natural(-1) belongs to no sector of the paper
+    with pytest.raises(ValueError, match="J must be >= 0, got -1"):
+        lowest_energies(REF, Sector.natural(-1), 3, 256)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid_size", [100.5, 8.0])
+def test_a_fractional_grid_size_is_a_type_error(grid_size):
+    # 100.5 put a cell centre at s = 1, where log1p(-s^2) warned
+    with pytest.raises(TypeError):
+        discretize(REF, Sector.natural(0), grid_size)
+
+
 def test_constant_function_is_the_ground_mode():
     # u = 1 satisfies the regularized equation with eigenvalue 0 (n = 0);
     # the zero-flux scheme reproduces that exactly up to rounding

@@ -58,6 +58,17 @@ def test_exponents_raise_below_real_threshold():
         exponents(ModelParams(1.0, 0.0, 0.5, 1.0), "natural", 0)
 
 
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
+def test_a_negative_J_is_rejected_by_name(sector):
+    # natural J = -3 gave a = -1.0, and abc served J = -1; exponents is the
+    # one place every build and abc decide (a, b)
+    params = REF if sector == "natural" else REF._replace(lambda0=0.0)
+    with pytest.raises(ValueError, match="J must be >= 0, got -3"):
+        exponents(params, sector, -3)
+    with pytest.raises(ValueError, match="J must be >= 0, got -1"):
+        abc(REF, -1, energy_natural(REF, 0, 0).value)
+
+
 def test_abc_sum_identity():
     data = abc(REF, 2, 2.5)
     assert data.A + data.B == pytest.approx(2.0 * (data.a + data.b), rel=1e-14)

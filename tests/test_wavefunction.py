@@ -274,9 +274,9 @@ def test_a_natural_build_computes_its_components_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _reference_natural_system(params, J, energy, a, b, n, rho, scale):
-    """``_natural_system`` as each product was once formed where it was used:
-    the reference for the bit-identity of the shared-product form."""
+def _reference_relations(params, J, energy, a, b, n, rho, scale):
+    """F0, {H_plus1, H_minus1, G0}, the G0 and two H definitions as relations,
+    and the closure terms, each product formed where it is used."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
     f, frho, frhorho = (scale * d for d in
                         wavefunction._prefactor_derivs(a, b, n, rho))
@@ -298,9 +298,22 @@ def _reference_natural_system(params, J, energy, a, b, n, rho, scale):
         relations.append((c * pdf, c * spf, -c * arf, m * h))
         closure += (-c * p * dh, c * s * (p / r) * h, -c * ar * h)
         hs.append(h)
-    residual = float(np.max([np.max(np.abs(sum(terms)))
+    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, relations, closure
+
+
+def _sup_of_sum(terms):
+    return float(np.max(np.abs(sum(terms))))
+
+
+def _reference_natural_system(params, J, energy, a, b, n, rho, scale):
+    """``_natural_system`` as each product was once formed where it was used,
+    audited on all four first-order relations: the reference for the
+    bit-identity of the shared-product, closure-only form."""
+    f, secondary, relations, closure = _reference_relations(
+        params, J, energy, a, b, n, rho, scale)
+    residual = float(np.max([_sup_of_sum(terms)
                              for terms in relations + [closure]]))
-    return f, {"H_plus1": hs[0], "H_minus1": hs[1], "G0": g0}, residual
+    return f, secondary, residual
 
 
 @pytest.mark.parametrize("lambda0", [0.0, 0.5])
@@ -330,6 +343,29 @@ def test_build_residual_equals_the_public_audit(alpha):
             sol = natural_solution(p, n, J)
             audit = residual_first_order(p, energy_natural(p, n, J), sol)
             assert sol.residual_sup == audit
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_alpha=st.floats(-8.0, 1.0), n=st.integers(0, 40),
+       J=st.integers(0, 20), lambda0=st.floats(0.0, 1.0, exclude_max=True))
+def test_the_closure_alone_audits_what_the_four_relations_did(log_alpha, n, J,
+                                                              lambda0):
+    # G0 and each H are formed from their own definitions, so their relations
+    # measure only that rounding (at most 2.3 eps of their largest term over
+    # 3,000 random cells): the closure residual is the build's residual, and
+    # the four-relation residual passes the 1e-8 gate exactly when it does.
+    # Below alpha ~ 1e-6, where a handful of samples carry the function, the
+    # definitional rounding (<= 4.5e-16 seen) can exceed the closure residual.
+    p = ModelParams(1.0, 10.0 ** log_alpha, lambda0, 1.0)
+    sol = natural_solution(p, n, J, tol=math.inf)
+    *_, relations, closure = _reference_relations(
+        p, J, sol.energy, sol.exponent_a, sol.exponent_b, n, sol.rho_grid,
+        sol.norm_constant)
+    assert sol.residual_sup == _sup_of_sum(closure)
+    for terms in relations:
+        assert _sup_of_sum(terms) <= 4 * wavefunction.EPS * np.max(np.abs(terms))
+    four = max(_sup_of_sum(terms) for terms in relations + [closure])
+    assert (sol.residual_sup <= 1e-8) == (four <= 1e-8)
 
 
 @pytest.mark.parametrize("J", [1, 2, 4])
@@ -576,6 +612,17 @@ def test_an_overflowing_wall_exponent_is_named(sector, alpha, lambda_r,
 
 
 # --- misc ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid_size", [100.5, 64.0])
+@pytest.mark.parametrize("sector", ["natural", "h0"])
+def test_a_fractional_grid_size_is_a_type_error(sector, grid_size):
+    # 100.5 put a point at rho = 1, and the build then blamed a Jacobi overflow
+    with pytest.raises(TypeError):
+        if sector == "natural":
+            natural_solution(REF, 1, 0, grid_size=grid_size)
+        else:
+            unnatural_solution(UNNAT, 1, sector, grid_size=grid_size)
 
 
 def test_chebyshev_grid_properties():
