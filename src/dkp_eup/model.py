@@ -8,6 +8,7 @@ expressions containing 1/alpha.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -58,9 +59,9 @@ class QuantumNumbers(_QuantumNumbers):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n < 0:
+        if operator.index(self.n) < 0:  # 1.5 is a TypeError
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.J < 0:
+        if operator.index(self.J) < 0:
             raise ValueError(f"J must be >= 0, got {self.J}")
         if self.parity is Parity.UNNATURAL and self.J != 0:
             raise ValueError("unnatural parity is only solved for J = 0")

@@ -98,7 +98,7 @@ def _sector_constants(params: ModelParams, sector: Sector):
             # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
             raise ComplexExponent(4.0 * q / al / al)
         J = sector.J
-        if J < 0:
+        if operator.index(J) < 0:  # 1.5 is a TypeError
             raise ValueError(f"J must be >= 0, got {J}")
         c = J + 1.5
         sigma = (2 * J + 3) / 2.0 + math.sqrt(q) / al

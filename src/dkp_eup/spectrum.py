@@ -17,6 +17,7 @@ no large cancelling terms as alpha -> 0.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -97,7 +98,7 @@ def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, floa
     equation also has the root (1-x)/2, normalizable too for x < 1/2; its
     closed-form level E^2 = m^2 + 4 alpha (n+1/2)(n+1/2+x) fixes b = x/2.
     """
-    if J < 0:
+    if operator.index(J) < 0:  # 1.5 is a TypeError
         raise ValueError(f"J must be >= 0, got {J}")
     if sector == "natural":
         sqrt_q = _sqrt_q(params)

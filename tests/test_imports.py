@@ -107,7 +107,7 @@ def test_importing_builds_no_grid():
     # grids are built on first use, so an import pays for none of them
     sizes = _fresh("from dkp_eup import wavefunction, oracle\n"
                    "print(*[f.cache_info().currsize for f in (\n"
-                   "    wavefunction.chebyshev_grid, oracle._grid,\n"
+                   "    wavefunction._chebyshev_grid, oracle._grid,\n"
                    "    oracle._start_poly)])")
     assert sizes == ["0", "0", "0"]
 

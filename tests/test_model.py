@@ -84,6 +84,10 @@ def test_quantum_number_invariants():
         QuantumNumbers(0, -2)
     with pytest.raises(ValueError):
         QuantumNumbers(0, 1, Parity.UNNATURAL)
+    # (1.5, 2.5) constructed, and every level goes through this constructor
+    for n, J in [(1.5, 2.5), (1.5, 2), (1, 1.5), (1, 2.0)]:
+        with pytest.raises(TypeError):
+            QuantumNumbers(n, J)
 
 
 def test_branch_enum_signs():

@@ -40,6 +40,10 @@ def test_a_negative_J_is_rejected_by_name():
     # Sector.natural(-1) belongs to no sector of the paper
     with pytest.raises(ValueError, match="J must be >= 0, got -1"):
         lowest_energies(REF, Sector.natural(-1), 3, 256)
+    # nor does Sector.natural(1.5), which solved
+    for J in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            lowest_energies(REF, Sector.natural(J), 3, 256)
 
 
 @pytest.mark.filterwarnings("error")

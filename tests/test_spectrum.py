@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -65,8 +66,16 @@ def test_a_negative_J_is_rejected_by_name(sector):
     params = REF if sector == "natural" else REF._replace(lambda0=0.0)
     with pytest.raises(ValueError, match="J must be >= 0, got -3"):
         exponents(params, sector, -3)
+    with pytest.raises(TypeError):  # natural J = 1.5 gave a = 1.25
+        exponents(params, sector, 1.5)
     with pytest.raises(ValueError, match="J must be >= 0, got -1"):
         abc(REF, -1, energy_natural(REF, 0, 0).value)
+
+
+def test_numpy_integer_quantum_numbers_pass():
+    n, J = np.int64(2), np.int64(3)
+    assert level(REF, "natural", n, J).value == level(REF, "natural", 2, 3).value
+    assert exponents(REF, "natural", J) == exponents(REF, "natural", 3)
 
 
 def test_abc_sum_identity():

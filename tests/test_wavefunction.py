@@ -1,19 +1,21 @@
+import itertools
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 
 from dkp_eup import wavefunction
-from dkp_eup.errors import (DivergentNorm, GridTooCoarse, OutOfDomain,
-                            ResidualFloor, UnsupportedRegime)
+from dkp_eup.errors import (DivergentNorm, DkpError, GridTooCoarse,
+                            OutOfDomain, ResidualFloor, UnsupportedRegime)
 from dkp_eup.model import ModelParams, xi_zeta
-from dkp_eup.spectrum import energy_natural, energy_unnatural_phi, exponents
+from dkp_eup.spectrum import (energy_natural, energy_unnatural_phi, exponents,
+                              level)
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
                                   evaluate_primary, natural_solution,
                                   residual_first_order, unnatural_solution,
@@ -274,12 +276,61 @@ def test_a_natural_build_computes_its_components_once(monkeypatch):
     assert len(calls) == 1
 
 
+# --- expression-form references of the in-place kernels ---------------------
+# Each operation allocates its result here, as numpy evaluates the expression;
+# the library writes the same operations, in the same order, into arrays it
+# allocates once per build, so every build must equal these bit for bit.
+
+
+def _reference_jacobi(n, ja, jb, rho):
+    """``wavefunction._jacobi`` as an expression per recurrence step."""
+    if n <= 0:
+        return np.full_like(rho, float(n == 0))
+    prev, cur = np.ones_like(rho), (ja + 1.0) - (ja + jb + 2.0) * rho
+    for k in range(1, n):
+        s = 2 * k + ja + jb
+        d = 2 * (k + 1) * (k + ja + jb + 1) * s
+        c0 = (s + 1) * ((2 * k + ja) * (2 * k + ja + 2 * jb) + ja * ja + 2 * s) / d
+        c1 = 2 * (s + 1) * (s + 2) * s / d
+        c2 = 2 * (k + ja) * (k + jb) * (s + 2) / d
+        prev, cur = cur, (c0 - c1 * rho) * cur - c2 * prev
+    return cur
+
+
+def _reference_poly(a, b, n, rho, k=0):
+    ja, jb = 2.0 * a - 0.5, 2.0 * b - 0.5
+    scale = math.prod([(i + 1) / (ja + 1 + i) for i in range(n)]
+                      + [-(n + ja + jb + 1 + i) for i in range(k)])
+    return scale * _reference_jacobi(n - k, ja + k, jb + k, rho)
+
+
+def _reference_prefactor_derivs(a, b, n, rho):
+    q = 1.0 - rho
+    p0, p1, p2 = (_reference_poly(a, b, n, rho, k) for k in range(3))
+    w = rho ** a * q ** b
+    g1 = (a * q - b * rho) * p0 + rho * q * p1
+    dg1 = -(a + b) * p0 + (a * q - b * rho + q - rho) * p1 + rho * q * p2
+    g2 = ((a - 1.0) * q - (b - 1.0) * rho) * g1 + rho * q * dg1
+    w1 = w / (rho * q)
+    return w * p0, w1 * g1, w1 / (rho * q) * g2
+
+
+def _reference_rho_form(params, sector, energy, a, b, n, rho, scale):
+    """The phi or h0 sample and its rho-form equation terms."""
+    c_wall, c_const = wavefunction._unnatural_sector_data(params, sector,
+                                                          energy ** 2)
+    f, frho, frhorho = (scale * d for d in
+                        _reference_prefactor_derivs(a, b, n, rho))
+    return f, {}, ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
+                   -c_wall * f / (1.0 - rho), c_const * f)
+
+
 def _reference_relations(params, J, energy, a, b, n, rho, scale):
     """F0, {H_plus1, H_minus1, G0}, the G0 and two H definitions as relations,
     and the closure terms, each product formed where it is used."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
     f, frho, frhorho = (scale * d for d in
-                        wavefunction._prefactor_derivs(a, b, n, rho))
+                        _reference_prefactor_derivs(a, b, n, rho))
     df = 2.0 * np.sqrt(al * rho) * frho
     r, q = np.sqrt(rho / al), 1.0 - rho
     p = np.sqrt(q)
@@ -366,6 +417,88 @@ def test_the_closure_alone_audits_what_the_four_relations_did(log_alpha, n, J,
         assert _sup_of_sum(terms) <= 4 * wavefunction.EPS * np.max(np.abs(terms))
     four = max(_sup_of_sum(terms) for terms in relations + [closure])
     assert (sol.residual_sup <= 1e-8) == (four <= 1e-8)
+
+
+def _reference_build(params, sector, n, J):
+    """(primary, secondary, residual_sup) of a default-grid build at
+    tol = inf from the expression-form kernels, raising the error class that
+    ``_build`` raises."""
+    energy = level(params, sector, n, J).value
+    a, b = exponents(params, sector, J)
+    wavefunction._finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)
+    n1 = 1.0 / math.sqrt(wavefunction._raw_norm_integral(a, b, n, params.alpha))
+    rho = chebyshev_grid(wavefunction.DEFAULT_GRID_SIZE)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if sector == "natural":
+                f, secondary, _, terms = _reference_relations(
+                    params, J, energy, a, b, n, rho, n1)
+            else:
+                f, secondary, terms = _reference_rho_form(
+                    params, sector, energy, a, b, n, rho, n1)
+            residual = _sup_of_sum(terms)
+    except FloatingPointError:
+        raise UnsupportedRegime("overflow") from None
+    if not np.any(f):
+        raise UnsupportedRegime("the weight underflows at every grid point")
+    if not residual <= math.inf:
+        raise GridTooCoarse("nan residual")
+    return f, secondary, residual
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector=st.sampled_from(["natural", "phi", "h0"]),
+       log_alpha=st.floats(-8.0, 1.0), n=st.integers(0, 40),
+       J=st.integers(0, 20), lambda0=st.floats(0.0, 1.0, exclude_max=True))
+# far below the domain, where builds raise: a Jacobi overflow, an underflow
+@example(sector="natural", log_alpha=-60.0, n=4, J=0, lambda0=0.5)
+@example(sector="h0", log_alpha=-30.0, n=2, J=0, lambda0=0.0)
+def test_builds_are_bit_identical_to_the_expression_reference(sector, log_alpha,
+                                                              n, J, lambda0):
+    # the in-place kernels perform the reference's operations in its order
+    if sector == "natural":
+        params = ModelParams(1.0, 10.0 ** log_alpha, lambda0, 1.0)
+    else:
+        params, J = ModelParams(1.0, 10.0 ** log_alpha, 0.0, 1.0), 0
+    try:
+        sol = wavefunction._build(params, sector, n, J,
+                                  wavefunction.DEFAULT_GRID_SIZE, math.inf)
+    except DkpError as exc:
+        with pytest.raises(DkpError) as info:
+            _reference_build(params, sector, n, J)
+        assert type(info.value) is type(exc)
+        return
+    f, secondary, residual = _reference_build(params, sector, n, J)
+    # by bytes: np.array_equal takes -0.0 for 0.0, whose sign bits count nodes
+    assert sol.primary.tobytes() == f.tobytes()
+    assert sol.secondary.keys() == secondary.keys()
+    for name, values in secondary.items():
+        assert sol.secondary[name].tobytes() == values.tobytes()
+    assert sol.residual_sup == residual
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7])
+def test_the_jacobi_kernel_equals_the_reference(n):
+    # degrees n - k from -2 to 7: the constant, the linear start and the
+    # recurrence, with P_n left in either of its two buffers
+    rho = chebyshev_grid(257)
+    for k in range(3):
+        assert (wavefunction._poly(1.25, 3.7, n, rho, k).tobytes()
+                == _reference_poly(1.25, 3.7, n, rho, k).tobytes())
+
+
+def test_build_arrays_are_fresh_and_unshared():
+    # no workspace outlives a build: each sampled array owns its memory, and
+    # later builds leave an earlier one as it was
+    sol = natural_solution(REF, 3, 2)
+    arrays = [sol.primary, *sol.secondary.values()]
+    copies = [x.copy() for x in arrays]
+    assert all(x.base is None and x.flags.owndata for x in arrays)
+    assert not any(np.shares_memory(x, y)
+                   for x, y in itertools.combinations(arrays, 2))
+    natural_solution(REF._replace(alpha=0.3), 5, 1)
+    unnatural_solution(UNNAT, 2, "phi")
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, copies))
 
 
 @pytest.mark.parametrize("J", [1, 2, 4])
@@ -615,12 +748,15 @@ def test_an_overflowing_wall_exponent_is_named(sector, alpha, lambda_r,
 
 
 @pytest.mark.parametrize("grid_size", [100.5, 64.0])
-@pytest.mark.parametrize("sector", ["natural", "h0"])
+@pytest.mark.parametrize("sector", ["natural", "h0", "grid"])
 def test_a_fractional_grid_size_is_a_type_error(sector, grid_size):
-    # 100.5 put a point at rho = 1, and the build then blamed a Jacobi overflow
+    # 100.5 put a point at rho = 1, and the build then blamed a Jacobi
+    # overflow; chebyshev_grid(100.5) returned 101 points, the last rho = 1
     with pytest.raises(TypeError):
         if sector == "natural":
             natural_solution(REF, 1, 0, grid_size=grid_size)
+        elif sector == "grid":
+            chebyshev_grid(grid_size)
         else:
             unnatural_solution(UNNAT, 1, sector, grid_size=grid_size)
 
@@ -658,7 +794,7 @@ def _arrays(sol):
 
 
 def test_builds_at_alternating_grid_sizes_do_not_cross_talk():
-    chebyshev_grid.cache_clear()
+    wavefunction._chebyshev_grid.cache_clear()
     first = {}
     for size in (64, 2048, 64, 2048):
         for sol in (natural_solution(REF, 3, 2, grid_size=size),
@@ -673,7 +809,7 @@ def test_builds_at_alternating_grid_sizes_do_not_cross_talk():
 def test_the_grid_cache_stays_bounded():
     for size in range(100, 120):
         chebyshev_grid(size)
-    info = chebyshev_grid.cache_info()
+    info = wavefunction._chebyshev_grid.cache_info()
     assert info.currsize <= info.maxsize == wavefunction.GRID_CACHE_SIZE
 
 
