@@ -29,12 +29,14 @@ the Jacobi weight rho^ja (1-rho)^jb, so it is the Jacobi norm h_n (DLMF 18.3).
 One audit rule serves every build, on one equation each: its residual is the
 sup over the grid of |sum of its terms|, and a residual above the tolerance
 is ResidualFloor (rounding no grid lowers) when it is <= 16 (n+1)^2 eps
-times the largest term, else GridTooCoarse.  phi and h0 audit their rho-form
-equation, whose constants are written from lr/alpha, so it checks b.  Natural
-parity forms H and G0 from their first-order relations, which then hold to
-rounding, and audits the closure; p = sqrt(1 - alpha r^2), Ar = lr r/p,
-(c, s) = (zeta, -(J+1)) for H+1 and (xi, J) for H-1, G0 real (its phase is
-free when A0 != 0):
+times the largest term, else GridTooCoarse.  phi and h0 audit Poly's
+hypergeometric equation (DLMF 15.10.1) times N rho^a (1-rho)^b: that is their
+rho-form equation rho (1-rho) F'' + (1/2 - rho) F' + (c_const - c_wall/(1-rho))
+F = 0 once b solves 2b^2 - b = 2 c_wall, checked as a scalar, and its terms
+are ~n b |F|, not b^2 |F|.  Natural parity forms H and G0 from their
+first-order relations, which then hold to rounding, and audits the closure;
+p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for H+1 and
+(xi, J) for H-1, G0 real (its phase is free when A0 != 0):
 
     H = -(c/m) [p F0' + s (p/r) F0 - Ar F0],     G0 = sqrt(E^2 + A0^2) F0/m,
     -p sum_c c (d/dr - s/r + Ar/p) H + (E^2 + A0^2) F0/m - m F0 = 0,
@@ -46,12 +48,12 @@ Nodes are counted from the build's own samples: Poly has degree n, so n sign
 changes there are all its zeros, and only a grid that shows another count
 sends ``count_nodes`` to a finer one.
 
-A build writes its operations into arrays it allocates once per build
-(``out=`` and augmented assignment), each block following the expression
-quoted next to it, operation for operation and in the same order, so its
-samples and residual equal those expressions bit for bit.  At 2,048 points
-allocating each result was about 40% of a pass.  No workspace outlives a
-build, and no build writes into the shared grid.
+``_jacobi``, ``_prefactor_derivs`` and ``_natural_system`` write into arrays
+allocated once per build (``out=`` and augmented assignment), each block
+following the expression quoted next to it, operation for operation and in
+the same order, so their results equal those expressions bit for bit.  At
+2,048 points allocating each result was about 40% of a pass.  No workspace
+outlives a build, and no build writes into the shared grid.
 
 Grids are built once per size: ``chebyshev_grid`` keeps the last
 GRID_CACHE_SIZE sizes, and every build and node count of that size shares
@@ -78,8 +80,9 @@ NODE_SAMPLES = 10000
 GRID_CACHE_SIZE = 8     # grid sizes ``chebyshev_grid`` holds at once
 EPS = float(np.finfo(float).eps)
 # Rounding of a residual in eps times its largest term, against 16 (n + 1)^2,
-# over alpha in [1e-6, 1]: rho-form ~2 at n = 0, ~610 at n = 40; the natural
-# system ~3.7 and ~480 (J <= 20, lambda0 < 1, grids 16 to 16384).
+# over alpha in [1e-6, 1]: hypergeometric ~3.8 at n = 1, ~300 at n = 40; the
+# natural system ~3.7 and ~480 (J <= 20, lambda0 < 1, grids 16 to 16384); the
+# wall check 0.82 (alpha in [1e-8, 1e4], lr in [0, 3]).
 FLOOR_ULPS = 16
 
 
@@ -283,13 +286,12 @@ def _natural_system(params: ModelParams, J: int, energy: float,
 
 
 def _unnatural_sector_data(params: ModelParams, which: str, e2: float):
-    """(c_wall, c_const) of the rho-form equation of "phi" or "h0" at E^2 = e2."""
-    al, lr = params.alpha, params.lambda_r
-    x = lr / al
+    """(c_wall, c_const - c_wall) of "phi" or "h0" at E^2 = e2, x^2/4 cancelled."""
+    al = params.alpha
+    x, k = params.lambda_r / al, (e2 - params.m ** 2) / (4 * al)
     if which == "phi":
-        return (x * (x + 1.0) / 4.0,
-                (e2 - params.m ** 2) / (4 * al) + 0.25 + (lr / (4 * al)) * (x - 2.0))
-    return x * (x - 1.0) / 4.0, (e2 - params.m ** 2) / (4 * al) + x * x / 4.0
+        return x * (x + 1.0) / 4.0, k + 0.25 - 0.75 * x
+    return x * (x - 1.0) / 4.0, k + 0.25 * x
 
 
 # B_2k / (2k (2k - 1)), k = 1..6: Stirling's series for log Gamma (DLMF 5.11.1)
@@ -356,7 +358,12 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
         raise ValueError("grid_size must be >= 2")
     energy = level(params, sector, n, J).value
     a, b = exponents(params, sector, J)
-    _finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # scales F''
+    _finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # F'', the wall check
+    if sector != "natural":  # b solves the indicial equation 2b^2 - b = 2 c_wall
+        c_wall, c_diff = _unnatural_sector_data(params, sector, energy ** 2)
+        if not (abs(2.0 * b * b - b - 2.0 * c_wall)
+                <= FLOOR_ULPS * EPS * (2.0 * b * b + b + 2.0 * abs(c_wall))):
+            raise GridTooCoarse(f"wall exponent b = {b!r} misses 2b^2 - b = 2 c_wall")
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(grid_size)
     try:
@@ -365,22 +372,15 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
                 f, secondary, terms = _natural_system(params, J, energy, a, b,
                                                       n, rho, n1)
                 name, equation = "F0", "closure of the first-order system"
-            else:  # the rho-form terms, and their rounding, grow like b ~ 1/alpha
-                c_wall, c_const = _unnatural_sector_data(params, sector,
-                                                         energy ** 2)
-                f, frho, frhorho = derivs = _prefactor_derivs(a, b, n, rho)
-                for d in derivs:  # n1 * d
-                    d *= n1
-                # terms = ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-                #          -c_wall * f / (1.0 - rho), c_const * f)
+            else:  # N w [rho q P'' + (2a + 1/2 - (2a+2b+1) rho) P' + u P]
+                p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
                 q = 1.0 - rho
-                t = q * rho
-                frhorho *= t
-                frho *= np.subtract(0.5, rho, out=t)
-                np.multiply(f, -c_wall, out=t)
-                t /= q
-                terms = (frhorho, frho, t, f * c_const)
-                secondary, equation = {}, "rho-form equation"
+                w = rho ** a * q ** b
+                f, nw = (p0 * w) * n1, n1 * w
+                terms = (nw * (rho * q * p2),
+                         nw * ((2.0 * a + 0.5 - (2.0 * (a + b) + 1.0) * rho) * p1),
+                         nw * ((c_diff - 0.25 - 1.5 * b) * p0))
+                secondary, equation = {}, "hypergeometric equation"
                 name = "phi" if sector == "phi" else "H0"
             residual_sup = _residual_sup(terms)
     except FloatingPointError:
@@ -413,7 +413,7 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
                        grid_size: int = DEFAULT_GRID_SIZE,
                        tol: float = DEFAULT_RESIDUAL_TOL) -> RadialSolution:
     """Normalized solution of a decoupled unnatural sector ("phi" or "h0"),
-    audited on its second-order rho-form equation: the printed first-order
+    audited on its polynomial's hypergeometric equation: the printed first-order
     unnatural system is not mutually consistent and is not used here."""
     if which not in ("phi", "h0"):
         raise ValueError(f"unknown unnatural sector {which!r}")

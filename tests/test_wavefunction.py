@@ -315,14 +315,19 @@ def _reference_prefactor_derivs(a, b, n, rho):
     return w * p0, w1 * g1, w1 / (rho * q) * g2
 
 
-def _reference_rho_form(params, sector, energy, a, b, n, rho, scale):
-    """The phi or h0 sample and its rho-form equation terms."""
-    c_wall, c_const = wavefunction._unnatural_sector_data(params, sector,
-                                                          energy ** 2)
-    f, frho, frhorho = (scale * d for d in
-                        _reference_prefactor_derivs(a, b, n, rho))
-    return f, {}, ((1.0 - rho) * rho * frhorho, (0.5 - rho) * frho,
-                   -c_wall * f / (1.0 - rho), c_const * f)
+def _reference_hypergeometric(params, sector, energy, a, b, n, rho, scale):
+    """The phi or h0 sample and the terms of Poly's hypergeometric equation,
+    rho (1-rho) P'' + (2a + 1/2 - (2a + 2b + 1) rho) P' + u P, times N w."""
+    c_wall, c_diff = wavefunction._unnatural_sector_data(params, sector,
+                                                         energy ** 2)
+    p0, p1, p2 = (_reference_poly(a, b, n, rho, k) for k in range(3))
+    q = 1.0 - rho
+    w = rho ** a * q ** b
+    nw = scale * w
+    return (p0 * w) * scale, {}, (
+        nw * (rho * q * p2),
+        nw * ((2.0 * a + 0.5 - (2.0 * (a + b) + 1.0) * rho) * p1),
+        nw * ((c_diff - 0.25 - 1.5 * b) * p0))
 
 
 def _reference_relations(params, J, energy, a, b, n, rho, scale):
@@ -434,7 +439,7 @@ def _reference_build(params, sector, n, J):
                 f, secondary, _, terms = _reference_relations(
                     params, J, energy, a, b, n, rho, n1)
             else:
-                f, secondary, terms = _reference_rho_form(
+                f, secondary, terms = _reference_hypergeometric(
                     params, sector, energy, a, b, n, rho, n1)
             residual = _sup_of_sum(terms)
     except FloatingPointError:
@@ -722,6 +727,60 @@ def test_h0_build_on_the_other_root_fails_the_gate(n, monkeypatch):
         unnatural_solution(p, n, "h0")
 
 
+def _off_by_1e_12(values, i):
+    """``values`` with its i-th result scaled by 1 + 1e-12."""
+    def wrong(*args):
+        out = list(values(*args))
+        out[i] *= 1 + 1e-12
+        return tuple(out)
+    return wrong
+
+
+_WALL_MUTATIONS = [
+    pytest.param(name, i, sector, alpha, id=f"{label}-{sector}-{alpha}")
+    for name, i, label in (("exponents", 1, "b"),
+                           ("_unnatural_sector_data", 0, "c_wall"))
+    for sector in ("phi", "h0") for alpha in (1.0, 0.1, 2e-3, 1e-4, 1e-5)
+    # c_wall = x (x - 1)/4 is 0 for h0 at x = 1: scaling it changes nothing
+    if not (label == "c_wall" and sector == "h0" and alpha == 1.0)]
+
+
+@pytest.mark.parametrize("name,i,sector,alpha", _WALL_MUTATIONS)
+def test_a_wall_off_by_1e_12_fails_the_indicial_check(name, i, sector, alpha,
+                                                      monkeypatch):
+    # b or c_wall 1e-12 off: b no longer solves 2b^2 - b = 2 c_wall, which is
+    # checked once, as a scalar, to 16 eps of its terms (the rho-form audit on
+    # the grid passed both, or called them rounding)
+    monkeypatch.setattr(wavefunction, name,
+                        _off_by_1e_12(getattr(wavefunction, name), i))
+    for n in (0, 3):
+        with pytest.raises(GridTooCoarse, match="wall exponent b"):
+            unnatural_solution(UNNAT._replace(alpha=alpha), n, sector)
+
+
+@pytest.mark.parametrize("alpha", [10.0, 1.0, 0.1, 2e-3, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("sector", ["phi", "h0"])
+def test_the_hand_cancelled_constant_is_the_rho_form_difference(sector,
+                                                                alpha):
+    # c_const - c_wall with the x^2/4 parts cancelled by hand, against the
+    # rho-form constants in 50-digit arithmetic, where they cancel exactly
+    for lr in (0.3, 1.0, 2.7):
+        p = ModelParams(m=1.0, alpha=alpha, lambda0=0.0, lambda_r=lr)
+        for n in (0, 3, 40):
+            e2 = level(p, sector, n).value ** 2
+            c_wall, c_diff = wavefunction._unnatural_sector_data(p, sector, e2)
+            with mpmath.workdps(50):
+                al, m = mpmath.mpf(alpha), mpmath.mpf(p.m)
+                x, k = mpmath.mpf(lr) / al, (mpmath.mpf(e2) - m ** 2) / (4 * al)
+                if sector == "phi":
+                    wall, const = x * (x + 1) / 4, k + 0.25 + x * (x - 2) / 4
+                else:
+                    wall, const = x * (x - 1) / 4, k + x * x / 4
+                assert abs(c_wall - wall) <= 2 * wavefunction.EPS * abs(wall)
+                assert (abs(c_diff - (const - wall))
+                        <= 4 * wavefunction.EPS * (abs(k) + x + 1))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sector,alpha,lambda_r,quantity", [
     # lambdaR/alpha overflows while the level stays finite
@@ -832,10 +891,11 @@ BUILDS = [
 
 @pytest.mark.parametrize("build", BUILDS)
 def test_nan_residual_fails_the_residual_gate(build, monkeypatch):
-    # every sampled component, and so the residual, is NaN
-    def nan_derivs(a, b, n, rho):
-        return (np.full_like(rho, np.nan),) * 3
-    monkeypatch.setattr(wavefunction, "_prefactor_derivs", nan_derivs)
+    # every sampled component, and so the residual, is NaN: the polynomial
+    # and its derivatives feed every build
+    def nan_poly(a, b, n, rho, k=0):
+        return np.full_like(rho, np.nan)
+    monkeypatch.setattr(wavefunction, "_poly", nan_poly)
     with pytest.raises(GridTooCoarse, match="nan"):
         build(REF)
 
@@ -855,11 +915,12 @@ def test_small_alpha_builds_pass_every_check(build, alpha):
 
 @pytest.mark.parametrize("which", ["phi", "h0"])
 def test_residual_at_the_rounding_floor_names_the_floor(which):
-    # at alpha = 1e-5 the rho-form terms reach ~2e9, so their rounding alone
-    # exceeds the 1e-8 gate: the build still fails, but not on the grid
-    p = ModelParams(m=1.0, alpha=1e-5, lambda0=0.0, lambda_r=1.0)
+    # at alpha = 1e-6, n = 20 the hypergeometric terms reach ~2e7, so their
+    # rounding alone exceeds the 1e-8 gate: the build still fails, but not on
+    # the grid
+    p = ModelParams(m=1.0, alpha=1e-6, lambda0=0.0, lambda_r=1.0)
     with pytest.raises(ResidualFloor, match="rounding") as info:
-        unnatural_solution(p, 0, which)
+        unnatural_solution(p, 20, which)
     assert not isinstance(info.value, GridTooCoarse)
 
 
@@ -905,19 +966,27 @@ def test_every_build_in_the_timed_domain_passes_its_checks(sector, n, J,
     assert count_nodes(sol) == n
 
 
-@pytest.mark.parametrize("sector", ["natural", "h0"])
-@pytest.mark.parametrize("alpha,n,cause", [
-    (1e-30, 2, "underflows to 0 at every grid point"),
-    (1e-60, 2, "underflows to 0 at every grid point"),
-    (1e-60, 4, "P_4 or its derivatives overflow"),
-    (1e-100, 2, "P_2 or its derivatives overflow"),
-])
+_UNDERFLOW = "underflows to 0 at every grid point"
+_BEYOND_THE_FLOAT_RANGE = [
+    (1e-30, 2, _UNDERFLOW, "natural"), (1e-30, 2, _UNDERFLOW, "h0"),
+    (1e-60, 2, _UNDERFLOW, "natural"), (1e-60, 2, _UNDERFLOW, "h0"),
+    (1e-60, 4, "P_4 or its derivatives overflow", "natural"),
+    (1e-60, 4, _UNDERFLOW, "h0"),
+    (1e-100, 2, "P_2 or its derivatives overflow", "natural"),
+    (1e-100, 2, _UNDERFLOW, "h0"),
+]
+
+
+@pytest.mark.parametrize("alpha,n,cause,sector", [
+    pytest.param(*case, id="-".join(map(str, case)))
+    for case in _BEYOND_THE_FLOAT_RANGE])
 def test_a_sample_beyond_the_float_range_is_unsupported(sector, alpha, n,
                                                         cause):
     # far below the documented alpha range the weight rho^a (1-rho)^b
     # underflows at every grid point, and the Jacobi values overflow: the
     # audit used to pass an all-zero sample, or to blame the grid for a NaN
-    # residual after numpy's overflow warnings
+    # residual after numpy's overflow warnings.  h0 forms no term of size
+    # b^2 |F|, so its weight underflows before anything overflows.
     params = ModelParams(1.0, alpha, 0.5 if sector == "natural" else 0.0, 1.0)
     build = (lambda: natural_solution(params, n, 0)) if sector == "natural" \
         else (lambda: unnatural_solution(params, n, sector))
