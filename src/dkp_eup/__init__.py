@@ -21,8 +21,7 @@ from .spectrum import (EnergyLevel, Formula, HypergeomData, abc,
 __version__ = "0.1.0"
 
 _LAZY = ("wavefunction", "RadialSolution", "count_nodes", "deformed_norm",
-         "evaluate_primary", "natural_solution", "residual_first_order",
-         "unnatural_solution")
+         "evaluate_primary", "natural_solution", "unnatural_solution")
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")}
                  | set(_LAZY))

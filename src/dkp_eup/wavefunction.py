@@ -33,7 +33,9 @@ times the largest term, else GridTooCoarse.  phi and h0 audit Poly's
 hypergeometric equation (DLMF 15.10.1) times N rho^a (1-rho)^b: that is their
 rho-form equation rho (1-rho) F'' + (1/2 - rho) F' + (c_const - c_wall/(1-rho))
 F = 0 once b solves 2b^2 - b = 2 c_wall, checked as a scalar, and its terms
-are ~n b |F|, not b^2 |F|.  Natural parity forms H and G0 from their
+are ~n b |F|, not b^2 |F|.  Its constant term (c_const - c_wall - 1/4 - 3b/2) P
+enters as two products, as at n = 0 it is all that is left: the difference of
+two numbers of size b, rounding only.  Natural parity forms H and G0 from their
 first-order relations, which then hold to rounding, and audits the closure;
 p = sqrt(1 - alpha r^2), Ar = lr r/p, (c, s) = (zeta, -(J+1)) for H+1 and
 (xi, J) for H-1, G0 real (its phase is free when A0 != 0):
@@ -53,7 +55,11 @@ allocated once per build (``out=`` and augmented assignment), each block
 following the expression quoted next to it, operation for operation and in
 the same order, so their results equal those expressions bit for bit.  At
 2,048 points allocating each result was about 40% of a pass.  No workspace
-outlives a build, and no build writes into the shared grid.
+outlives a build, and no build writes into the shared grid.  Returning from
+``_prefactor_derivs`` frees w, q and rho q before ``_natural_system``
+allocates its own arrays; kept alive through it, they make glibc trim the
+heap after each build and fault it back in on the next, about 84 minor page
+faults per build when natural builds run back to back, against none.
 
 Grids are built once per size: ``chebyshev_grid`` keeps the last
 GRID_CACHE_SIZE sizes, and every build and node count of that size shares
@@ -72,7 +78,7 @@ import numpy as np
 from .errors import (DivergentNorm, GridTooCoarse, OutOfDomain, ResidualFloor,
                      UnsupportedRegime)
 from .model import ModelParams, xi_zeta
-from .spectrum import EnergyLevel, _finite, exponents, level
+from .spectrum import _finite, exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -145,8 +151,8 @@ class RadialSolution(NamedTuple):
     """One bound-state radial solution sampled on a rho grid.
 
     The exponents (a, b), n and ``norm_constant`` reproduce the primary
-    component exactly (``evaluate_primary``); the sampled arrays are a
-    convenience view of the same function.
+    component exactly: ``evaluate_primary`` at ``rho_grid`` returns
+    ``primary`` bit for bit, and evaluates the same function anywhere else.
     """
 
     sector: str                       # "natural" | "phi" | "h0"
@@ -201,6 +207,8 @@ def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
     t /= rq
     s *= t
     p0 *= w
+    # returning frees w, q and rq before _natural_system allocates: kept
+    # alive, they cost ~84 minor page faults per back-to-back build
     return p0, g1, s
 
 
@@ -348,7 +356,7 @@ def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
             f"in the {equation}, whose terms reach {term_max:.2e}: no grid "
             f"can reach the tolerance")
     return GridTooCoarse(f"residual {residual:.3e} above tolerance {tol:.1e} "
-                         f"at grid size {grid_size}")
+                         f"in the {equation} at grid size {grid_size}")
 
 
 def _build(params: ModelParams, sector: str, n: int, J: int,
@@ -372,14 +380,17 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
                 f, secondary, terms = _natural_system(params, J, energy, a, b,
                                                       n, rho, n1)
                 name, equation = "F0", "closure of the first-order system"
-            else:  # N w [rho q P'' + (2a + 1/2 - (2a+2b+1) rho) P' + u P]
+            else:  # N w [rho q P'' + (2a + 1/2 - (2a+2b+1) rho) P'
+                #            + c_diff P - (1/4 + 3b/2) P]
                 p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
                 q = 1.0 - rho
                 w = rho ** a * q ** b
                 f, nw = (p0 * w) * n1, n1 * w
+                # the last two stay apart: at n = 0 they are all there is, and
+                # their difference is rounding that their own size must scale
                 terms = (nw * (rho * q * p2),
                          nw * ((2.0 * a + 0.5 - (2.0 * (a + b) + 1.0) * rho) * p1),
-                         nw * ((c_diff - 0.25 - 1.5 * b) * p0))
+                         nw * (c_diff * p0), nw * (-(0.25 + 1.5 * b) * p0))
                 secondary, equation = {}, "hypergeometric equation"
                 name = "phi" if sector == "phi" else "H0"
             residual_sup = _residual_sup(terms)
@@ -421,15 +432,18 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
 
 
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:
-    """Evaluate the primary component analytically at any rho in [0, 1];
-    a point outside the ball, or not finite, raises OutOfDomain."""
+    """Evaluate the primary component analytically at any rho in [0, 1],
+    in the build's order of operations, so that at ``sol.rho_grid`` it
+    returns ``sol.primary`` bit for bit; a point outside the ball, or not
+    finite, raises OutOfDomain."""
     rho = np.asarray(rho, dtype=float)
     outside = ~((rho >= 0.0) & (rho <= 1.0))  # NaN compares False
     if np.any(outside):
         raise OutOfDomain(f"rho = {rho[outside].flat[0]} is outside [0, 1], "
                           f"the deformation ball alpha r^2 <= 1")
     a, b = sol.exponent_a, sol.exponent_b
-    return sol.norm_constant * rho ** a * (1.0 - rho) ** b * _poly(a, b, sol.n, rho)
+    w = rho ** a * (1.0 - rho) ** b
+    return (_poly(a, b, sol.n, rho) * w) * sol.norm_constant
 
 
 def deformed_norm(sol: RadialSolution, params: ModelParams) -> float:
@@ -441,20 +455,6 @@ def deformed_norm(sol: RadialSolution, params: ModelParams) -> float:
     raw = _raw_norm_integral(sol.exponent_a, sol.exponent_b, sol.n,
                              params.alpha)
     return sol.norm_constant ** 2 * raw
-
-
-def residual_first_order(params: ModelParams, level: EnergyLevel,
-                         sol: RadialSolution) -> float:
-    """Sup-norm residual of the natural sector's closure equation (module
-    docstring) at ``level``, on the solution's grid."""
-    if sol.sector != "natural":
-        raise UnsupportedRegime(
-            "first-order residuals are defined for the natural sector; "
-            "unnatural solutions carry their ODE residual in residual_sup")
-    *_, closure = _natural_system(params, sol.J, level.value, sol.exponent_a,
-                                  sol.exponent_b, sol.n, sol.rho_grid,
-                                  sol.norm_constant)
-    return _residual_sup(closure)
 
 
 def count_nodes(sol: RadialSolution) -> int:

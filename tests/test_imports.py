@@ -23,8 +23,8 @@ PUBLIC_API = {
     "abc", "count_nodes", "deformed_norm", "energy_natural", "energy_natural_limit",
     "energy_unnatural_h0", "energy_unnatural_phi", "errors", "evaluate_primary",
     "exponents", "level", "level_spacing", "minimum_momentum_uncertainty",
-    "model", "natural_solution", "residual_first_order", "spectrum",
-    "unnatural_solution", "validate", "wavefunction", "xi_zeta",
+    "model", "natural_solution", "spectrum", "unnatural_solution",
+    "validate", "wavefunction", "xi_zeta",
 }
 
 

@@ -14,12 +14,10 @@ from dkp_eup import wavefunction
 from dkp_eup.errors import (DivergentNorm, DkpError, GridTooCoarse,
                             OutOfDomain, ResidualFloor, UnsupportedRegime)
 from dkp_eup.model import ModelParams, xi_zeta
-from dkp_eup.spectrum import (energy_natural, energy_unnatural_phi, exponents,
-                              level)
+from dkp_eup.spectrum import exponents, level
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
                                   evaluate_primary, natural_solution,
-                                  residual_first_order, unnatural_solution,
-                                  write_csv)
+                                  unnatural_solution, write_csv)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
@@ -317,7 +315,8 @@ def _reference_prefactor_derivs(a, b, n, rho):
 
 def _reference_hypergeometric(params, sector, energy, a, b, n, rho, scale):
     """The phi or h0 sample and the terms of Poly's hypergeometric equation,
-    rho (1-rho) P'' + (2a + 1/2 - (2a + 2b + 1) rho) P' + u P, times N w."""
+    rho (1-rho) P'' + (2a + 1/2 - (2a + 2b + 1) rho) P' + c_diff P
+    - (1/4 + 3b/2) P, times N w."""
     c_wall, c_diff = wavefunction._unnatural_sector_data(params, sector,
                                                          energy ** 2)
     p0, p1, p2 = (_reference_poly(a, b, n, rho, k) for k in range(3))
@@ -327,7 +326,7 @@ def _reference_hypergeometric(params, sector, energy, a, b, n, rho, scale):
     return (p0 * w) * scale, {}, (
         nw * (rho * q * p2),
         nw * ((2.0 * a + 0.5 - (2.0 * (a + b) + 1.0) * rho) * p1),
-        nw * ((c_diff - 0.25 - 1.5 * b) * p0))
+        nw * (c_diff * p0), nw * (-(0.25 + 1.5 * b) * p0))
 
 
 def _reference_relations(params, J, energy, a, b, n, rho, scale):
@@ -389,16 +388,6 @@ def test_natural_builds_are_bit_identical_to_the_reference_system(alpha,
             for name in ("H_plus1", "H_minus1", "G0"):
                 assert np.array_equal(sol.secondary[name], secondary[name])
             assert sol.residual_sup == residual
-
-
-@pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3])
-def test_build_residual_equals_the_public_audit(alpha):
-    p = REF._replace(alpha=alpha)
-    for n in range(7):
-        for J in range(5):
-            sol = natural_solution(p, n, J)
-            audit = residual_first_order(p, energy_natural(p, n, J), sol)
-            assert sol.residual_sup == audit
 
 
 @settings(max_examples=100, deadline=None)
@@ -512,7 +501,7 @@ def test_swapped_couplings_are_a_formula_error_not_the_floor(J, monkeypatch):
     # the residual (~1.6-1.9) is far above any rounding of its terms
     monkeypatch.setattr(wavefunction, "xi_zeta", lambda J: xi_zeta(J)[::-1])
     for n in (0, 3):
-        with pytest.raises(GridTooCoarse) as info:
+        with pytest.raises(GridTooCoarse, match="closure") as info:
             natural_solution(REF, n, J)
         assert not isinstance(info.value, ResidualFloor)
 
@@ -556,6 +545,21 @@ def test_evaluate_primary_accepts_the_closed_ball():
     sol = natural_solution(REF, 2, 1)
     assert np.array_equal(evaluate_primary(sol, [0.0, 1.0]), [0.0, 0.0])
     assert evaluate_primary(sol, 0.3).shape == ()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 2e-3, 1e-5])
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
+def test_evaluate_primary_reproduces_the_samples(sector, alpha):
+    # by bytes, as the signs of -0.0 samples count nodes
+    for n in (0, 3, 10):
+        if sector == "natural":
+            sol = natural_solution(REF._replace(alpha=alpha), n, 2,
+                                   tol=math.inf)
+        else:
+            sol = unnatural_solution(UNNAT._replace(alpha=alpha), n, sector,
+                                     tol=math.inf)
+        assert evaluate_primary(sol, sol.rho_grid).tobytes() == \
+            sol.primary.tobytes()
 
 
 def test_primary_vanishes_at_both_endpoints():
@@ -636,27 +640,19 @@ def test_h_plus_vanishes_for_J_zero():
     assert np.all(sol.secondary["H_plus1"] == 0.0)
 
 
-def test_residual_sensitive_to_energy_perturbation():
-    sol = natural_solution(REF, 1, 0)
-    level = energy_natural(REF, 1, 0)
-    baseline = residual_first_order(REF, level, sol)
-    bumped = level._replace(value=1.01 * level.value)
-    assert residual_first_order(REF, bumped, sol) > 10.0 * max(baseline, 1e-12)
+def test_residual_sensitive_to_energy_perturbation(monkeypatch):
+    baseline = natural_solution(REF, 1, 0).residual_sup
+    monkeypatch.setattr(wavefunction, "level", _off_by(wavefunction.level, 0.01))
+    sol = natural_solution(REF, 1, 0, tol=math.inf)
+    assert sol.residual_sup > 10.0 * max(baseline, 1e-12)
 
 
 def test_zero_solution_has_zero_residual():
-    sol = natural_solution(REF, 1, 0)
-    zero = sol._replace(
-        norm_constant=0.0, primary=0.0 * sol.primary,
-        secondary={k: 0.0 * v for k, v in sol.secondary.items()})
-    assert residual_first_order(REF, energy_natural(REF, 1, 0), zero) == 0.0
-
-
-def test_first_order_residual_rejects_unnatural_sector():
-    p = ModelParams(m=1.0, alpha=0.1, lambda0=0.0, lambda_r=1.0)
-    sol = unnatural_solution(p, 0, "phi")
-    with pytest.raises(UnsupportedRegime):
-        residual_first_order(p, energy_unnatural_phi(p, 0), sol)
+    a, b = exponents(REF, "natural", 0)
+    energy = level(REF, "natural", 1).value
+    *_, closure = wavefunction._natural_system(
+        REF, 0, energy, a, b, 1, chebyshev_grid(2048), 0.0)
+    assert wavefunction._residual_sup(closure) == 0.0
 
 
 # --- unnatural-parity solutions ----------------------------------------------
@@ -924,10 +920,22 @@ def test_residual_at_the_rounding_floor_names_the_floor(which):
     assert not isinstance(info.value, GridTooCoarse)
 
 
-def _off_by_1e_6(real):
+@pytest.mark.parametrize("which,alpha,tol", [("phi", 1e-6, 1e-11),
+                                             ("h0", 1e-5, 1e-12)])
+def test_the_ground_state_floor_is_named(which, alpha, tol):
+    # at n = 0, P' = P'' = 0 and c_diff - 1/4 - 3b/2 cancels to rounding: its
+    # two products set the scale, where their difference alone was blamed
+    # on the grid
+    p = ModelParams(m=1.0, alpha=alpha, lambda0=0.0, lambda_r=1.0)
+    with pytest.raises(ResidualFloor, match="hypergeometric"):
+        unnatural_solution(p, 0, which, tol=tol)
+
+
+def _off_by(real, rel):
+    """``real`` with the level it returns scaled by 1 + rel."""
     def wrong(*args):
         lev = real(*args)
-        return lev._replace(value=lev.value * (1 + 1e-6))
+        return lev._replace(value=lev.value * (1 + rel))
     return wrong
 
 
@@ -935,9 +943,10 @@ def _off_by_1e_6(real):
 @pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
 def test_a_wrong_energy_is_not_mistaken_for_the_floor(sector, alpha,
                                                        monkeypatch):
-    monkeypatch.setattr(wavefunction, "level", _off_by_1e_6(wavefunction.level))
+    monkeypatch.setattr(wavefunction, "level", _off_by(wavefunction.level, 1e-6))
+    equation = "closure" if sector == "natural" else "hypergeometric"
     for n in (0, 3):
-        with pytest.raises(GridTooCoarse) as info:
+        with pytest.raises(GridTooCoarse, match=equation) as info:
             if sector == "natural":
                 natural_solution(REF._replace(alpha=alpha), n, 2)
             else:
