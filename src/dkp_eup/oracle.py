@@ -21,17 +21,19 @@ boundary rows, and a diagonal similarity makes the matrix symmetric
 tridiagonal.  Because the discrete operator is symmetric, eigenvalues
 converge at twice the nominal second-order rate of the scheme.
 
-The matrix is T = -G^T G, G = diag(sqrt(p)) D W^(-1/2) with D the difference
-matrix and p the face flux P/h^2; its top eigenvalue is exactly 0, the
-constant u, and gives level 0 with no arithmetic.  The next levels come
-from a certified Lanczos solve (``solve_lowest``) on the pseudo-inverse of
-G^T G, which running sums apply without forming T (``_RunningSums``), so
-that nothing rounds at eps ||T||.  It stops as soon as the gap theorem
-(Parlett, *The Symmetric Eigenvalue Problem*, sec. 11.7) bounds every wanted
-Ritz value by the square of its residual over its distance to the rest of
-the spectrum; the gaps it uses are proven by disjoint Ritz intervals and
-one Sturm count of the rounded T (``_sturm_count``, odd-even reduction)
-before any level is returned.
+The matrix is -G^T G, G = diag(sqrt(p)) D W^(-1/2) with D the difference
+matrix and p the face flux P/h^2, on the window of cells where W^(1/2) is
+at least HW_FLOOR of its peak (``discretize``); G is all the problem holds.
+Its top eigenvalue is exactly 0, the constant u, and gives level 0 with no
+arithmetic.  The next levels come from a certified Lanczos solve
+(``solve_lowest``) on the pseudo-inverse of G^T G, which running sums apply
+without forming the matrix (``_RunningSums``), so that nothing rounds at
+eps ||G^T G||.  It stops as soon as the gap theorem (Parlett, *The
+Symmetric Eigenvalue Problem*, sec. 11.7) bounds every wanted Ritz value by
+the square of its residual over its distance to the rest of the spectrum;
+the gaps it uses are proven by disjoint Ritz intervals and one Sturm count
+of G^T G, formed from p and W^(1/2) (``_sturm_count``, odd-even
+reduction), before any level is returned.
 
 What depends on the grid size alone is built once per size and shared
 read-only: the cell centers and the logarithms of the faces and centers
@@ -57,7 +59,7 @@ EPS = float(np.finfo(float).eps)
 LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
 GRID_CACHE_SIZE = 8     # grid sizes (and start polynomials) held at once
 SEQUENTIAL_ROWS = 128   # rows the cyclic Sturm count leaves to the pivots
-HW_FLOOR = EPS          # W^(1/2), relative to its peak, of the solved cells
+HW_FLOOR = EPS          # least W^(1/2), relative to its peak, in the window
 
 
 class Sector(NamedTuple):
@@ -147,29 +149,40 @@ def _start_poly(n: int, k: int) -> np.ndarray:
 
 
 class DiscretizedProblem(NamedTuple):
-    """Symmetric tridiagonal discretization plus the affine eigenvalue map."""
+    """G = diag(sqrt(flux)) D diag(1/half_weight) on the solved window, plus
+    the affine eigenvalue map."""
 
     grid_size: int
     sector: Sector
     s_nodes: np.ndarray          # cell centers in s = sqrt(rho), read-only
     half_weight: np.ndarray      # W^(1/2) at s_nodes, scaled to max 1
-    flux: np.ndarray             # p = P/h^2 on the inner faces, scaled alike
-    diag: np.ndarray
-    offdiag: np.ndarray
+    window: slice                # the cells with half_weight >= HW_FLOOR
+    flux: np.ndarray             # p = P/h^2 on the window's inner faces
     e2_offset: float
     e2_scale: float              # E^2 = e2_offset + e2_scale * matrix_eigenvalue
 
 
 def discretize(params: ModelParams, sector: Sector,
                grid_size: int) -> DiscretizedProblem:
-    """Assemble the grid_size x grid_size symmetric tridiagonal matrix.
+    """G of grid_size uniform cells on the ball 0 < s < 1, on its window.
 
-    The cells are uniform on the whole ball 0 < s < 1; its walls s = 0 and
-    s = 1 carry no flux.  Entries are formed in log space because the wall
-    factor (1-s^2)^(sigma-C) spans hundreds of orders of magnitude for small
-    alpha; once sigma - C passes ~1,010 they overflow (UnsupportedRegime).
-    ``half_weight`` and ``flux`` are W^(1/2) and p divided by the largest
-    W^(1/2), so -T = G^T G with G = diag(sqrt(p)) D diag(1/half_weight).
+    ``half_weight`` is W^(1/2) divided by its largest value, formed in log
+    space because the wall factor (1-s^2)^(sigma-C) spans hundreds of
+    orders of magnitude for small alpha; it only underflows, to 0.  The
+    window is the cells where it is at least HW_FLOOR, and its faces are
+    walls, like s = 0 and s = 1, which carry no flux.  The cells past them
+    carry less than HW_FLOOR^2 ~ 5e-32 of the peak weight, so the flux
+    through those faces, p u^2 with p below n^2 HW_FLOOR^2, moves no wanted
+    level by a rounding unit.  Cutting them also leaves out the rows of
+    G^T G whose diagonal grows with the steepness of W at the walls
+    (2^(2J+2) n^2 in the first cell; past the float range at s = 1 for
+    small alpha), which would make every norm-wise allowance of the
+    certificate exceed the level gaps.
+
+    ``flux`` is p on the window's inner faces, scaled like ``half_weight``
+    squared: P/(h^2 sqrt(W W')) from the logs, times the two W^(1/2).  No W
+    in the window is below HW_FLOOR^2 of the peak, so nothing overflows,
+    and every array of the problem is finite.
     """
     n = operator.index(grid_size)  # 100.5 would put a cell centre at s = 1
     if n < 2:
@@ -177,33 +190,28 @@ def discretize(params: ModelParams, sector: Sector,
     c, sigma, offset = _sector_constants(params, sector)
     centers, log_f, log1m_f2, log_c, log1m_c2 = _grid(n)
     pw, qw = 2.0 * c - 1.0, sigma - c
-
-    log_p = np.full(n + 1, -np.inf)      # P = 0 on the walls
-    log_p[1:n] = pw * log_f + (qw + 1) * log1m_f2
-    log_w = pw * log_c + qw * log1m_c2
-    l2h = 2.0 * math.log(1.0 / n)
-
-    with np.errstate(over="ignore"):    # the isfinite test below reports it
-        off = np.exp(log_p[1:n] - 0.5 * (log_w[:-1] + log_w[1:]) - l2h)
-        diag = -(np.exp(log_p[1:n + 1] - log_w - l2h)
-                 + np.exp(log_p[0:n] - log_w - l2h))
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise UnsupportedRegime(
-            f"matrix entries overflow the float range: the wall exponent "
-            f"sigma - C = {qw:.6g} is too large at alpha = {params.alpha:g}")
-
-    # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
+    with np.errstate(over="ignore"):    # -inf only where W^(1/2) is 0 anyway
+        log_w = pw * log_c + qw * log1m_c2
     half_weight = np.exp(0.5 * (log_w - log_w.max()))
+    inside = half_weight >= HW_FLOOR
+    first, stop = int(np.argmax(inside)), n - int(np.argmax(inside[::-1]))
+
+    # inner face i lies between cells i and i + 1
+    left, right = slice(first, stop - 1), slice(first + 1, stop)
+    log_p = pw * log_f[left] + (qw + 1) * log1m_f2[left]
+    off = np.exp(log_p - 0.5 * (log_w[left] + log_w[right])
+                 - 2.0 * math.log(1.0 / n))
+    # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
         grid_size=n, sector=sector, s_nodes=centers, half_weight=half_weight,
-        flux=off * half_weight[:-1] * half_weight[1:], diag=diag, offdiag=off,
+        window=slice(first, stop),
+        flux=off * half_weight[left] * half_weight[right],
         e2_offset=offset, e2_scale=-params.alpha)
 
 
 class _RunningSums:
-    """The pseudo-inverse of G^T G on the window of cells whose W^(1/2) is
-    at least HW_FLOOR of its peak, applied by running sums, and the data of
-    its certificate.
+    """The pseudo-inverse of G^T G on the window of ``discretize``, applied
+    by running sums, and the data of its certificate.
 
     G^T G x = y, x orthogonal to the null vector W^(1/2), is solved by three
     sums: the flux f = P u' obeys D^T f = W^(1/2) y, so f is a running sum of
@@ -213,30 +221,21 @@ class _RunningSums:
     that the map is the pseudo-inverse on every vector once the output loses
     it too, which ``solve_lowest``'s reorthogonalization does.
 
-    The window's faces are walls.  The cells past them carry less than
-    HW_FLOOR^2 ~ 5e-32 of the peak weight, so the flux through those faces,
-    p u^2 with p below n^2 HW_FLOOR^2, moves no wanted level by a rounding
-    unit.  Cutting them also leaves out the rows of T whose diagonal grows
-    with the steepness of W at the walls (2^(2J+2) n^2 in the first cell),
-    which would make every norm-wise allowance of the certificate exceed the
-    level gaps.
+    The Sturm count runs on (diag, off), the block -G^T G formed from p and
+    W^(1/2): off = p/(W^(1/2) W'^(1/2)), and each diagonal entry is minus
+    the sum of p/W over the two faces of its cell.  ``omega`` bounds the
+    2-norm of the rounding of forming it.
     """
 
     def __init__(self, problem: DiscretizedProblem, k: int):
-        n = problem.grid_size
-        inside = problem.half_weight >= HW_FLOOR
-        first = int(np.argmax(inside))
-        stop = n - int(np.argmax(inside[::-1]))
-        if stop - first < k:
+        self.hw = hw = problem.half_weight[problem.window]
+        if hw.size < k:
             raise UnsupportedRegime(
-                f"grid {n} is too coarse for alpha = {-problem.e2_scale:g}: "
-                f"only {stop - first} cells carry a weight W^(1/2) above "
-                f"{HW_FLOOR:.1e} of its peak, fewer than the {k} levels "
-                f"asked for")
-        self.cells = slice(first, stop)
-        self.hw = hw = problem.half_weight[first:stop]
-        # p >= off eps^2 > 0 between cells of W^(1/2) >= eps
-        p = problem.flux[first:stop - 1]
+                f"grid {problem.grid_size} is too coarse for alpha = "
+                f"{-problem.e2_scale:g}: only {hw.size} cells carry a weight "
+                f"W^(1/2) above {HW_FLOOR:.1e} of its peak, fewer than the "
+                f"{k} levels asked for")
+        p = problem.flux
         self.inv_p = 1.0 / p
         self.null = hw / math.sqrt(hw @ hw)
         self.hw_null = hw * self.null
@@ -250,21 +249,16 @@ class _RunningSums:
         # most (4m + 10) eps ||x||.
         bound = hw * self._outward(hw * hw, root=True)
         self.rounding = (4 * hw.size + 10) * EPS * math.sqrt(bound @ bound)
-        # The count runs on the window's block of the rounded T, the end
-        # rows without the flux of the cut faces.  flux = off hw hw' makes
-        # G^T G's off-diagonal agree with T's to 2 eps; its diagonal, from
-        # the ratios of hw, is compared with T's.
+        # Each off errs by 2 eps of itself and each diagonal term, through
+        # the ratio, by 4 eps, so their sum by 5 eps of the entry: by
+        # Gershgorin the rounding's 2-norm is below omega.
         ratio = hw[1:] / hw[:-1]
-        g_diag = np.zeros(hw.size)
-        off = problem.offdiag[first:stop - 1]
-        g_diag[:-1] -= off * ratio
-        g_diag[1:] -= off / ratio
-        self.diag, self.off = problem.diag[first:stop], off
-        if first > 0 or stop < n:
-            self.diag = self.diag.copy()
-            self.diag[[0, -1]] = g_diag[[0, -1]]
-        self.omega = float(np.max(np.abs(self.diag - g_diag)) + 8 * EPS * (
-            np.max(np.abs(self.diag)) + 2 * np.max(off, initial=0.0)))
+        self.off = off = p / (hw[:-1] * hw[1:])
+        self.diag = np.zeros(hw.size)
+        self.diag[:-1] -= off * ratio
+        self.diag[1:] -= off / ratio
+        self.omega = 8 * EPS * float(np.max(np.abs(self.diag))
+                                     + 2 * np.max(off))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         t = np.multiply(self.hw, y, out=self._t)
@@ -295,7 +289,7 @@ class _RunningSums:
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     """The k smallest E^2 values, ascending (largest matrix eigenvalues).
 
-    The matrix T = -G^T G (``discretize``) has the largest eigenvalue 0,
+    The matrix -G^T G (``discretize``) has the largest eigenvalue 0,
     exactly, with the null vector W^(1/2): level 0 is ``e2_offset``.
     Lanczos with full reorthogonalization runs on the pseudo-inverse of
     G^T G, applied by running sums (``_RunningSums``); its k - 1 largest
@@ -329,7 +323,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     the running sums: sqrt(j) times the bound ``_RunningSums.rounding`` of
     one of the j applications, since the coefficients of a unit Ritz vector
     have a 2-norm of 1.  ``_certify`` widens the intervals, mapped to
-    lambda, by the Weyl allowance between T and G^T G.  Mapped to lambda,
+    lambda, by the rounding of the block that it counts.  Mapped to lambda,
     the radius is a half-width of about radius * lambda^2: tight for the
     low levels, loose far from them, which a coarse grid reaches with k
     near its size.  At h0, m = 1, lambdaR = 1, alpha 0.02, grid 4, k 4 the
@@ -355,7 +349,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     basis[0] = sums.null
     alphas, betas = np.empty(steps), np.empty(steps)
     projected = np.zeros((steps, steps))     # its lower triangle
-    start = sums.hw * _start_poly(problem.grid_size, k)[sums.cells]
+    start = sums.hw * _start_poly(problem.grid_size, k)[problem.window]
     start -= (sums.null @ start) * sums.null
     basis[1] = start / math.sqrt(start @ start)
     worst = math.inf
@@ -429,7 +423,7 @@ def _count_floor(theta: float, radius: float, omega: float,
     """Floor vl of the Sturm count's interval (vl, inf).
 
     lo, the lower end of the lowest Ritz interval theta +- radius mapped to
-    lambda and widened by the Weyl allowance omega, must lie above vl by
+    lambda and widened by omega (``_RunningSums``), must lie above vl by
     half the gap down to ``below``, the next Ritz value, and by at most
     1 + |lo|, so that rounding in the count would have to move an
     eigenvalue by that much.  A ``below`` that is not below lo is treated
@@ -446,15 +440,16 @@ def _certify(sums: _RunningSums, theta: list[float], radius: list[float],
     """Check that the descending Ritz values theta, each within radius
     (< theta) of an eigenvalue of the pseudo-inverse of G^T G, are its
     len(theta) largest, so that with level 0 they are the k = len(theta) + 1
-    largest eigenvalues of T.
+    largest eigenvalues of -G^T G.
 
-    Mapped to lambda, each interval is widened by the Weyl allowance
-    omega >= ||T - (-G^T G)||, so that it holds an eigenvalue of the rounded
-    T, and level 0 is [-omega, omega].  The k intervals must be disjoint,
-    so that each holds its own eigenvalue, or NonConvergence is raised.
-    The return value is a Sturm count (``_sturm_count``) of the eigenvalues
-    of T above vl, with vl from ``_count_floor``: the levels are certified,
-    none missed, only when it is k.
+    Mapped to lambda, each interval is widened by omega, which bounds the
+    rounding of the block (diag, off) of ``_RunningSums``, so that it holds
+    an eigenvalue of that block, and level 0 is [-omega, omega].  The k
+    intervals must be disjoint, so that each holds its own eigenvalue, or
+    NonConvergence is raised.  The return value is a Sturm count
+    (``_sturm_count``) of the eigenvalues of the block above vl, with vl
+    from ``_count_floor``: the levels are certified, none missed, only when
+    it is k.
     """
     omega = sums.omega
     lo = [-omega] + [-1.0 / (t - x) - omega for t, x in zip(theta, radius)]
@@ -467,9 +462,9 @@ def _certify(sums: _RunningSums, theta: list[float], radius: list[float],
 def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: float,
                  slack: float) -> int:
     """The number of eigenvalues above ``shift`` of the symmetric
-    tridiagonal (diag, off), exact for a matrix within ``slack`` of it in
-    the 2-norm: the count of (diag, off) itself when no eigenvalue lies
-    within ``slack`` of ``shift``.
+    tridiagonal T = (diag, off), exact for a matrix within ``slack`` of it
+    in the 2-norm: the count of T itself when no eigenvalue lies within
+    ``slack`` of ``shift``.
 
     Odd-even (cyclic) reduction: each level eliminates every other row of
     B = T - shift I by a congruence, which keeps the inertia (Sylvester;
@@ -606,13 +601,10 @@ def extrapolated_limit_energy(m: float, lambda0: float, lambda_r: float,
     The deformed energy approaches its limit linearly in alpha, so the
     weights (8, -6, 1)/3 on alpha = (4a, 2a, a) eliminate the first two
     orders.  Used to validate the undeformed closed form without a separate
-    half-line solver.  The entries overflow once sigma - C = sqrt(Q)/alpha
-    passes ~1,010; a = 1e-3 max(1, 1.1 sqrt(lambda_r^2 - lambda0^2)) keeps
-    it below ~910, and is 1e-3 while lambda_r^2 - lambda0^2 < 0.83.  If
-    lambda_r^2 < lambda0^2, the solves raise ComplexExponent.
+    half-line solver; a = 1e-3.  If lambda_r^2 < lambda0^2, the solves raise
+    ComplexExponent.
     """
-    a = 1e-3 * max(1.0, 1.1 * math.sqrt(max(0.0, lambda_r * lambda_r
-                                             - lambda0 * lambda0)))
+    a = 1e-3
     es = [lowest_energies(ModelParams(m, k * a, lambda0, lambda_r),
                           Sector.natural(J), n + 1, LIMIT_GRID)[n]
           for k in (4, 2, 1)]

@@ -22,16 +22,46 @@ from dkp_eup.oracle import (LIMIT_GRID, Sector, compare, discretize,
                             solve_lowest)
 from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
-                              exponents)
+                              exponents, level)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
+
+
+def reference_t(params, sector, grid, cells=slice(None)):
+    """(diag, off) of T = -G^T G as the oracle formed it before it kept only
+    G: every entry from the logs of P and W, on the whole ball or on
+    ``cells``, whose end faces then carry no flux; None where an entry
+    overflows."""
+    c, sigma, _ = oracle._sector_constants(params, sector)
+    _, log_f, log1m_f2, log_c, log1m_c2 = oracle._grid(grid)
+    pw, qw = 2.0 * c - 1.0, sigma - c
+    log_p = np.full(grid + 1, -np.inf)      # P = 0 on the walls
+    log_p[1:grid] = pw * log_f + (qw + 1) * log1m_f2
+    log_w = pw * log_c + qw * log1m_c2
+    first, stop, _ = cells.indices(grid)
+    log_p, log_w = log_p[first:stop + 1].copy(), log_w[first:stop]
+    log_p[[0, -1]] = -np.inf
+    l2h = 2.0 * math.log(1.0 / grid)
+    with np.errstate(over="ignore"):
+        off = np.exp(log_p[1:-1] - 0.5 * (log_w[:-1] + log_w[1:]) - l2h)
+        diag = -(np.exp(log_p[1:] - log_w - l2h)
+                 + np.exp(log_p[:-1] - log_w - l2h))
+    if np.all(np.isfinite(diag)) and np.all(np.isfinite(off)):
+        return diag, off
+    return None
+
+
+def assert_finite(prob):
+    for array in (prob.s_nodes, prob.half_weight, prob.flux):
+        assert np.all(np.isfinite(array))
 
 
 def test_discretize_shapes():
     prob = discretize(REF, Sector.natural(0), 8)
     assert prob.grid_size == 8
-    assert prob.diag.shape == (8,)
-    assert prob.offdiag.shape == (7,)
+    assert prob.window == slice(0, 8)
+    assert prob.half_weight.shape == (8,)
+    assert prob.flux.shape == (7,)
     assert prob.s_nodes.shape == (8,)
     assert np.all(np.diff(prob.s_nodes) > 0)
 
@@ -66,12 +96,15 @@ def test_constant_function_is_the_ground_mode():
     # the Lanczos start reads this weight, scaled to a maximum of 1
     assert prob.half_weight == pytest.approx(half_w / half_w.max(),
                                              rel=1e-12)
+    # so does the block -G^T G that the Sturm count runs on
+    sums = oracle._RunningSums(prob, 2)
+    assert prob.window == slice(0, 64)
     v = half_w * np.ones(64)
-    res = prob.diag * v
-    res[:-1] += prob.offdiag * v[1:]
-    res[1:] += prob.offdiag * v[:-1]
+    res = sums.diag * v
+    res[:-1] += sums.off * v[1:]
+    res[1:] += sums.off * v[:-1]
     res /= half_w
-    assert np.max(np.abs(res)) < 1e-8 * np.max(np.abs(prob.diag))
+    assert np.max(np.abs(res)) < 1e-8 * np.max(np.abs(sums.diag))
 
 
 def test_lowest_level_matches_reference_energy():
@@ -170,8 +203,8 @@ def test_richardson_extrapolation_reaches_the_limit_formula(J, n):
 @pytest.mark.parametrize("n,J", [(0, 0), (1, 1)])
 @pytest.mark.parametrize("lambda0,lambda_r", [(0.0, 2.0), (3.0, 10.0)])
 def test_richardson_extrapolation_at_strong_couplings(lambda0, lambda_r, n, J):
-    # at alpha 1e-3 these couplings would overflow the entries; the scaled
-    # alphas keep them solvable (measured worst 8.0e-9)
+    # sigma - C = sqrt(Q)/alpha reaches 9,541 at alpha 1e-3 for (3, 10);
+    # the window keeps every entry finite (measured worst 1.1e-9)
     extrap = extrapolated_limit_energy(1.0, lambda0, lambda_r, n, J)
     params = ModelParams(1.0, 0.0, lambda0, lambda_r)
     closed = energy_natural_limit(params, n, J).value
@@ -179,7 +212,7 @@ def test_richardson_extrapolation_at_strong_couplings(lambda0, lambda_r, n, J):
 
 
 def test_richardson_extrapolation_without_a_real_exponent_raises():
-    # lambda_r^2 < lambda0^2: the scaling of alpha must not take a sqrt of it
+    # lambda_r^2 < lambda0^2: the oracle's own constants reject it
     with pytest.raises(ComplexExponent):
         extrapolated_limit_energy(1.0, 1.5, 1.0, 0, 0)
 
@@ -277,15 +310,19 @@ def test_solve_lowest_matches_tight_bisection(kind, J, alpha, lambda0, grid,
     p = ModelParams(m=1.0, alpha=alpha,
                     lambda0=lambda0 if kind == "natural" else 0.0,
                     lambda_r=1.0)
-    assert_matches_tight_bisection(discretize(p, Sector(kind, J), grid), k)
+    assert_matches_tight_bisection(p, Sector(kind, J), grid, k)
 
 
-def assert_matches_tight_bisection(prob, k):
+def assert_matches_tight_bisection(params, sector, grid, k):
+    """solve_lowest against LAPACK bisection on reference_t, of the whole
+    ball or, where an entry of that overflows, of the solved window."""
+    prob = discretize(params, sector, grid)
     e2 = solve_lowest(prob, k)
     lam = (e2 - prob.e2_offset) / prob.e2_scale
-    grid = prob.grid_size
-    ref = eigvalsh_tridiagonal(prob.diag, prob.offdiag, select="i",
-                               select_range=(grid - k, grid - 1),
+    diag, off = (reference_t(params, sector, grid)
+                 or reference_t(params, sector, grid, prob.window))
+    ref = eigvalsh_tridiagonal(diag, off, select="i",
+                               select_range=(diag.size - k, diag.size - 1),
                                tol=1e-11)[::-1]
     assert np.all(np.diff(e2) > 0)
     assert e2[0] == prob.e2_offset          # level 0 is exact
@@ -309,7 +346,7 @@ EARLY_OVERCOUNT_CELLS = [
 @pytest.mark.parametrize("params,sector,grid", EARLY_OVERCOUNT_CELLS,
                          ids=["natural-16384", "phi-8192"])
 def test_an_early_overcount_costs_steps_not_an_error(params, sector, grid):
-    assert_matches_tight_bisection(discretize(params, sector, grid), 3)
+    assert_matches_tight_bisection(params, sector, grid, 3)
 
 
 def test_a_single_spurious_overcount_returns_the_same_levels(monkeypatch):
@@ -339,8 +376,10 @@ def test_a_next_ritz_value_above_shift_is_treated_as_unknown(capfd):
     # `below` lies above the top of the spectrum and must count as unknown
     # (a shift-invert solve once handed such a floor to LAPACK's dstebz,
     # which rejected it on stderr and counted 0 levels)
-    prob = discretize(ModelParams(1.0, 1.0, 0.2, 1.0), Sector.natural(0), 64)
-    lam = eigh_tridiagonal(prob.diag, prob.offdiag, eigvals_only=True)[-2]
+    params = ModelParams(1.0, 1.0, 0.2, 1.0)
+    prob = discretize(params, Sector.natural(0), 64)
+    lam = eigh_tridiagonal(*reference_t(params, prob.sector, 64),
+                           eigvals_only=True)[-2]
     theta, radius = [-1.0 / lam], [-1e-13 / lam]
     sums = oracle._RunningSums(prob, 2)
     vl = oracle._count_floor(theta[-1], radius[-1], sums.omega, 1e16)
@@ -358,31 +397,53 @@ def test_an_unconverged_lanczos_raises_non_convergence(monkeypatch):
         solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
 
 
-def test_a_matrix_far_from_its_flux_raises_non_convergence():
-    # the Sturm count runs on T, the Lanczos on the running sums of the
-    # flux and W^(1/2); the Weyl allowance between them widens the
-    # certificate, not the levels, and past the level gaps it fails it
-    prob = discretize(REF, Sector.natural(0), 256)
-    want = solve_lowest(prob, 3)
-    near = prob._replace(diag=prob.diag + 2.0)
-    assert np.array_equal(solve_lowest(near, 3), want)
-    with pytest.raises(NonConvergence, match="overlap"):
-        solve_lowest(prob._replace(diag=prob.diag + 1e4), 3)
+def test_overlapping_ritz_intervals_raise_non_convergence():
+    # mapped to lambda, 0.5 +- 0.02 and 0.49 +- 0.02 share [-2.08, -1.96]:
+    # neither interval can be proven to hold its own eigenvalue
+    sums = oracle._RunningSums(discretize(REF, Sector.natural(0), 256), 3)
+    with pytest.raises(NonConvergence, match="Ritz intervals overlap"):
+        oracle._certify(sums, [0.5, 0.49], [0.02, 0.02], -1e3)
 
 
-def test_overflowing_matrix_entries_raise_unsupported_regime():
-    # at small alpha the wall weight overflows; the typed error must come
-    # without a RuntimeWarning from np.exp before it, and name the exponent
-    # that overflowed
-    for alpha, grid_size in ((1e-9, 64), (8e-4, 8192)):
-        weak = ModelParams(m=1.0, alpha=alpha, lambda0=0.5, lambda_r=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(UnsupportedRegime, match="overflow") as info:
-                discretize(weak, Sector.natural(0), grid_size)
-        message = str(info.value)
-        assert "sigma - C = " in message and f"alpha = {alpha:g}" in message
-        assert "auto_cut" not in message and "cut the domain" not in message
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,alpha,lambda0,tol", [
+    ("natural", 8e-4, 0.5, 1e-9),       # sigma - C = 1,083; measured 1.4e-10
+    ("natural", 2e-4, 0.5, 1e-8),       # 2.2e-9
+    ("phi", 1e-4, 0.0, 1e-7),           # 1.1e-8
+    ("h0", 1e-4, 0.0, 1e-7),            # 1.3e-8
+    ("natural", 1e-5, 0.5, 1e-5),       # sigma - C = 86,603; 8.7e-7
+])
+def test_cells_whose_whole_ball_entries_overflow_match_the_formulas(
+        kind, alpha, lambda0, tol):
+    # T over the whole ball overflows on these cells; G on the window does
+    # not, and its 5 lowest levels at grid 8192 meet the closed forms
+    params = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0, lambda_r=1.0)
+    sector = Sector(kind, 0)
+    assert reference_t(params, sector, 8192) is None
+    prob = discretize(params, sector, 8192)
+    assert_finite(prob)
+    numeric = lowest_energies(params, sector, 5, 8192)
+    closed = [level(params, kind, n).value for n in range(5)]
+    assert numeric == pytest.approx(closed, rel=tol)
+
+
+def test_a_window_of_fewer_cells_than_levels_names_the_grid():
+    # at alpha 1e-9 one cell of 64 carries W^(1/2) >= eps of its peak: the
+    # typed error names the grid, with no RuntimeWarning before it
+    weak = ModelParams(m=1.0, alpha=1e-9, lambda0=0.5, lambda_r=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = discretize(weak, Sector.natural(0), 64)
+        with pytest.raises(UnsupportedRegime,
+                           match="grid 64 is too coarse for alpha = 1e-09"):
+            solve_lowest(prob, 5)
+        # sigma - C = 1e308: the log of the wall weight overflows to -inf
+        tiny = discretize(ModelParams(1.0, 1e-308, 0.0, 1.0), Sector.phi(), 64)
+        with pytest.raises(UnsupportedRegime, match="grid 64 is too coarse"):
+            solve_lowest(tiny, 3)
+    for p in (prob, tiny):
+        assert p.window == slice(0, 1) and p.flux.size == 0
+        assert_finite(p)
 
 
 def test_overflowing_q_is_named_without_a_warning():
@@ -439,13 +500,14 @@ def test_a_start_without_the_ground_mode_costs_steps_not_correctness(
     rho = prob.s_nodes ** 2
     assert oracle._start_poly(grid, k) == pytest.approx(rho + rho ** 2,
                                                         rel=1e-15)
-    ref = eigvalsh_tridiagonal(prob.diag, prob.offdiag, select="i",
+    diag, off = reference_t(REF, prob.sector, grid)
+    ref = eigvalsh_tridiagonal(diag, off, select="i",
                                select_range=(grid - k, grid - 1),
                                tol=1e-11)[::-1]
     e2 = solve_lowest(prob, k)
     assert e2[0] == prob.e2_offset
     assert np.all(np.abs((e2 - prob.e2_offset) / prob.e2_scale - ref) <= 1e-7)
-    first = eigh_tridiagonal(prob.diag, prob.offdiag, select="i",
+    first = eigh_tridiagonal(diag, off, select="i",
                              select_range=(grid - 2, grid - 2))[1][:, 0]
     start = prob.half_weight * oracle._start_poly(grid, k)
     start -= (first @ start) * first
@@ -464,7 +526,7 @@ def _reference_outputs(grid):
     out = []
     for params, sector, J in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS:
         prob = discretize(params, Sector(sector, J), grid)
-        out += [prob.s_nodes, prob.half_weight, prob.diag, prob.offdiag,
+        out += [prob.s_nodes, prob.half_weight, prob.flux,
                 solve_lowest(prob, 5)]
     return out
 
@@ -516,16 +578,15 @@ def test_ground_level_on_the_finest_grid_is_below_1e_10():
 
 
 def _sturm_problems(seed=7):
-    """(diag, off) of random symmetric tridiagonals and of oracle matrices,
-    grids 2 to 8192."""
+    """(diag, off) of random symmetric tridiagonals and of the oracle's
+    former whole-ball T, grids 2 to 8192."""
     rng = np.random.default_rng(seed)
     for grid in (2, 3, 5, 8, 33, 256, 257, 1000, 4096, 8192):
         yield rng.standard_normal(grid), rng.standard_normal(grid - 1)
         kind = ("natural", "phi", "h0")[grid % 3]
         p = ModelParams(1.0, float(rng.uniform(0.05, 2.0)),
                         0.5 if kind == "natural" else 0.0, 1.0)
-        prob = discretize(p, Sector(kind, grid % 4), grid)
-        yield prob.diag, prob.offdiag
+        yield reference_t(p, Sector(kind, grid % 4), grid)
 
 
 def _record_pivot_counts(monkeypatch):
@@ -604,22 +665,18 @@ def _coarse_cells(count, seed=2024):
 def test_coarse_grids_solve_or_name_the_grid_as_too_coarse():
     # every 5th cell of the 1,500-cell probe; the former shift-invert solve
     # raised NonConvergence on 61 grid-8 and 3 grid-16 cells of it, and a
-    # RuntimeWarning on one
+    # RuntimeWarning on one.  Of all 1,500, 1,196 solve (263 of them where
+    # the whole-ball T overflows) and 304 name the grid as too coarse
     outcomes = collections.Counter()
     for params, sector, grid, k in itertools.islice(_coarse_cells(1500), 0,
                                                     None, 5):
+        assert_finite(discretize(params, sector, grid))
         try:
-            prob = discretize(params, sector, grid)
-        except UnsupportedRegime as exc:
-            assert "overflow" in str(exc)
-            outcomes["entries overflow"] += 1
-            continue
-        try:
-            assert_matches_tight_bisection(prob, k)
+            assert_matches_tight_bisection(params, sector, grid, k)
             outcomes["solved"] += 1
         except (NonConvergence, UnsupportedRegime) as exc:
             assert re.search(rf"grid {grid} is too coarse for alpha = "
                              rf"{params.alpha:g}", str(exc)), str(exc)
             outcomes[type(exc).__name__] += 1
-    assert outcomes["solved"] >= 180
+    assert outcomes["solved"] >= 235     # measured 241
     assert outcomes["NonConvergence"] == 0
