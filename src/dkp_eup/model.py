@@ -122,8 +122,8 @@ def xi_zeta(J: int) -> tuple[float, float]:
 
     xi_J = sqrt((J+1)/(2J+1)), zeta_J = sqrt(J/(2J+1)); xi^2 + zeta^2 = 1.
     """
-    if J < 0:
-        raise ValueError("J must be >= 0")
+    if operator.index(J) < 0:  # 1.5 or NaN is a TypeError
+        raise ValueError(f"J must be >= 0, got {J}")
     xi = math.sqrt((J + 1) / (2 * J + 1))
     zeta = math.sqrt(J / (2 * J + 1))
     return xi, zeta
@@ -131,6 +131,6 @@ def xi_zeta(J: int) -> tuple[float, float]:
 
 def minimum_momentum_uncertainty(alpha: float) -> float:
     """Smallest achievable momentum spread sqrt(alpha)/2 implied by alpha > 0."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:   # NaN too
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     return math.sqrt(alpha) / 2.0

@@ -22,8 +22,8 @@ tridiagonal.  Because the discrete operator is symmetric, eigenvalues
 converge at twice the nominal second-order rate of the scheme.
 
 The matrix is -G^T G, G = diag(sqrt(p)) D W^(-1/2) with D the difference
-matrix and p the face flux P/h^2, on the window of cells where W^(1/2) is
-at least HW_FLOOR of its peak (``discretize``); G is all the problem holds.
+matrix and p the face flux P/h^2, on the cells where W^(1/2) is at least
+HW_FLOOR of its peak (``discretize``); G on those cells is all it holds.
 Its top eigenvalue is exactly 0, the constant u, and gives level 0 with no
 arithmetic.  The next levels come from a certified Lanczos solve
 (``solve_lowest``) on the pseudo-inverse of G^T G, which running sums apply
@@ -37,9 +37,8 @@ reduction), before any level is returned.
 
 What depends on the grid size alone is built once per size and shared
 read-only: the cell centers and the logarithms of the faces and centers
-(``_grid``), and the polynomial of the Lanczos start (``_start_poly``).
-``DiscretizedProblem.s_nodes`` is that shared array of centers; copy it to
-modify it.
+(``_grid``).  ``DiscretizedProblem.s_nodes`` is a read-only view of the
+kept cells of that shared array of centers; copy it to modify it.
 """
 from __future__ import annotations
 
@@ -51,15 +50,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
-                     UnsupportedRegime)
+                     NonFiniteParameter, UnsupportedRegime)
 from .model import ModelParams
 
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
 LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
-GRID_CACHE_SIZE = 8     # grid sizes (and start polynomials) held at once
+GRID_CACHE_SIZE = 8     # grid sizes whose ``_grid`` arrays are held at once
 SEQUENTIAL_ROWS = 128   # rows the cyclic Sturm count leaves to the pivots
-HW_FLOOR = EPS          # least W^(1/2), relative to its peak, in the window
+HW_FLOOR = EPS          # least W^(1/2), relative to its peak, of a kept cell
 
 
 class Sector(NamedTuple):
@@ -86,8 +85,11 @@ def _sector_constants(params: ModelParams, sector: Sector):
 
     The constants are assembled in a cancellation-free arrangement; for the
     natural sector Q = lr^2 - l0^2 + alpha lr + alpha^2/4 so that
-    sqrt(D) = 2 sqrt(Q)/alpha.
+    sqrt(D) = 2 sqrt(Q)/alpha.  A NaN or inf field is named before any use.
     """
+    for name, value in params._asdict().items():
+        if not math.isfinite(value):
+            raise NonFiniteParameter(name, value)
     m, al, l0, lr = params.m, params.alpha, params.lambda0, params.lambda_r
     if al <= 0:
         raise UnsupportedRegime("the eigensolver needs alpha > 0")
@@ -140,49 +142,43 @@ def _grid(n: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _start_poly(n: int, k: int) -> np.ndarray:
-    """Read-only rho + rho^2 + ... + rho^(k-1) at the n cell centers."""
-    poly = np.polyval(np.append(np.ones(k - 1), 0.0), _grid(n)[0] ** 2)
-    poly.flags.writeable = False
-    return poly
-
-
 class DiscretizedProblem(NamedTuple):
-    """G = diag(sqrt(flux)) D diag(1/half_weight) on the solved window, plus
-    the affine eigenvalue map."""
+    """G = diag(sqrt(flux)) D diag(1/half_weight) on the kept cells, one
+    entry of s_nodes and half_weight each, plus the eigenvalue map."""
 
-    grid_size: int
-    sector: Sector
-    s_nodes: np.ndarray          # cell centers in s = sqrt(rho), read-only
+    grid_size: int               # cells on the whole ball, kept or not
+    s_nodes: np.ndarray          # kept cell centers in s = sqrt(rho), read-only
     half_weight: np.ndarray      # W^(1/2) at s_nodes, scaled to max 1
-    window: slice                # the cells with half_weight >= HW_FLOOR
-    flux: np.ndarray             # p = P/h^2 on the window's inner faces
+    flux: np.ndarray             # p = P/h^2 on the inner faces of the kept cells
     e2_offset: float
     e2_scale: float              # E^2 = e2_offset + e2_scale * matrix_eigenvalue
 
 
 def discretize(params: ModelParams, sector: Sector,
                grid_size: int) -> DiscretizedProblem:
-    """G of grid_size uniform cells on the ball 0 < s < 1, on its window.
+    """G of grid_size uniform cells on the ball, on the cells it keeps.
 
-    ``half_weight`` is W^(1/2) divided by its largest value, formed in log
-    space because the wall factor (1-s^2)^(sigma-C) spans hundreds of
-    orders of magnitude for small alpha; it only underflows, to 0.  The
-    window is the cells where it is at least HW_FLOOR, and its faces are
-    walls, like s = 0 and s = 1, which carry no flux.  The cells past them
+    W^(1/2), divided by its largest value, is formed in log space because
+    the wall factor (1-s^2)^(sigma-C) spans hundreds of orders of magnitude
+    for small alpha; it only underflows, to 0.  The kept cells run from the
+    first to the last where it is at least HW_FLOOR, and their end faces
+    are walls, like s = 0 and s = 1, which carry no flux.  The cells cut
     carry less than HW_FLOOR^2 ~ 5e-32 of the peak weight, so the flux
-    through those faces, p u^2 with p below n^2 HW_FLOOR^2, moves no wanted
-    level by a rounding unit.  Cutting them also leaves out the rows of
-    G^T G whose diagonal grows with the steepness of W at the walls
+    through those faces, p u^2 with p below n^2 HW_FLOOR^2, moves level 0
+    (u = 1) by less than a rounding unit.  Level n's u has degree n in rho
+    and reaches further out: at alpha 1e-3 and 1e-4 the cut moves levels
+    15 to 20 by up to 7.9e-3 relative, at any grid (ROADMAP.md: size the
+    cut for the highest wanted level).  The cut also leaves out the rows
+    of G^T G whose diagonal grows with the steepness of W at the walls
     (2^(2J+2) n^2 in the first cell; past the float range at s = 1 for
     small alpha), which would make every norm-wise allowance of the
     certificate exceed the level gaps.
 
-    ``flux`` is p on the window's inner faces, scaled like ``half_weight``
-    squared: P/(h^2 sqrt(W W')) from the logs, times the two W^(1/2).  No W
-    in the window is below HW_FLOOR^2 of the peak, so nothing overflows,
-    and every array of the problem is finite.
+    ``s_nodes`` is a read-only view of the kept cells of the shared centers
+    (``_grid``), ``half_weight`` is W^(1/2) on them, and ``flux`` p on their
+    inner faces, scaled like ``half_weight`` squared: P/(h^2 sqrt(W W'))
+    from the logs, times the two W^(1/2).  No kept W is below HW_FLOOR^2 of
+    the peak, so nothing overflows, and every array is finite.
     """
     n = operator.index(grid_size)  # 100.5 would put a cell centre at s = 1
     if n < 2:
@@ -195,23 +191,22 @@ def discretize(params: ModelParams, sector: Sector,
     half_weight = np.exp(0.5 * (log_w - log_w.max()))
     inside = half_weight >= HW_FLOOR
     first, stop = int(np.argmax(inside)), n - int(np.argmax(inside[::-1]))
+    hw, log_w = half_weight[first:stop], log_w[first:stop]
 
-    # inner face i lies between cells i and i + 1
-    left, right = slice(first, stop - 1), slice(first + 1, stop)
-    log_p = pw * log_f[left] + (qw + 1) * log1m_f2[left]
-    off = np.exp(log_p - 0.5 * (log_w[left] + log_w[right])
+    # inner face first + i lies between kept cells i and i + 1
+    log_p = pw * log_f[first:stop - 1] + (qw + 1) * log1m_f2[first:stop - 1]
+    off = np.exp(log_p - 0.5 * (log_w[:-1] + log_w[1:])
                  - 2.0 * math.log(1.0 / n))
     # matrix eigenvalue lam = 4 mu, so E^2 = offset - alpha * lam
     return DiscretizedProblem(
-        grid_size=n, sector=sector, s_nodes=centers, half_weight=half_weight,
-        window=slice(first, stop),
-        flux=off * half_weight[left] * half_weight[right],
-        e2_offset=offset, e2_scale=-params.alpha)
+        grid_size=n, s_nodes=centers[first:stop], half_weight=hw,
+        flux=off * hw[:-1] * hw[1:], e2_offset=offset,
+        e2_scale=-params.alpha)
 
 
 class _RunningSums:
-    """The pseudo-inverse of G^T G on the window of ``discretize``, applied
-    by running sums, and the data of its certificate.
+    """The pseudo-inverse of G^T G on the kept cells of ``discretize``,
+    applied by running sums, and the data of its certificate.
 
     G^T G x = y, x orthogonal to the null vector W^(1/2), is solved by three
     sums: the flux f = P u' obeys D^T f = W^(1/2) y, so f is a running sum of
@@ -228,7 +223,7 @@ class _RunningSums:
     """
 
     def __init__(self, problem: DiscretizedProblem, k: int):
-        self.hw = hw = problem.half_weight[problem.window]
+        self.hw = hw = problem.half_weight
         if hw.size < k:
             raise UnsupportedRegime(
                 f"grid {problem.grid_size} is too coarse for alpha = "
@@ -286,6 +281,11 @@ class _RunningSums:
         return u
 
 
+def _start_poly(s_nodes: np.ndarray, k: int) -> np.ndarray:
+    """rho + rho^2 + ... + rho^(k-1) at the cell centers s_nodes."""
+    return np.polyval(np.append(np.ones(k - 1), 0.0), s_nodes ** 2)
+
+
 def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     """The k smallest E^2 values, ascending (largest matrix eigenvalues).
 
@@ -307,8 +307,9 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     still too poor to place the floor, so it costs further steps; it
     raises only when no step is left.
 
-    The start is W^(1/2) (rho + rho^2 + ... + rho^(k-1)), less its
-    component along W^(1/2).  L maps polynomials in rho of degree < k to
+    The start is W^(1/2) (rho + rho^2 + ... + rho^(k-1)), formed on the
+    kept ``s_nodes`` at every solve (``_start_poly``), less its component
+    along W^(1/2).  L maps polynomials in rho of degree < k to
     themselves, so the eigenfunctions of the k lowest levels span exactly
     those polynomials, and the similarity turns them into the wanted
     eigenvectors W^(1/2) u up to the O(h^2) error of the scheme: the start
@@ -319,7 +320,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     certificate does not depend on it.
 
     The certified radius of theta_i adds to r_i the rounding of the
-    recurrence, m eps theta_0 on the m cells of the window, and that of
+    recurrence, m eps theta_0 on the m kept cells, and that of
     the running sums: sqrt(j) times the bound ``_RunningSums.rounding`` of
     one of the j applications, since the coefficients of a unit Ritz vector
     have a 2-norm of 1.  ``_certify`` widens the intervals, mapped to
@@ -347,35 +348,31 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     steps = min(m - 1, 40 + 4 * k)
     basis = np.empty((steps + 1, m))
     basis[0] = sums.null
-    alphas, betas = np.empty(steps), np.empty(steps)
-    projected = np.zeros((steps, steps))     # its lower triangle
-    start = sums.hw * _start_poly(problem.grid_size, k)[problem.window]
+    projected = np.zeros((steps, steps))     # the Lanczos alphas, betas below
+    start = sums.hw * _start_poly(problem.s_nodes, k)
     start -= (sums.null @ start) * sums.null
     basis[1] = start / math.sqrt(start @ start)
     worst = math.inf
     for j in range(steps):
         q = basis[j + 1]
         w = sums(q)
-        alphas[j] = q @ w
-        if j:
-            w -= np.array([betas[j - 1], alphas[j]]) @ basis[j:j + 2]
-        else:
-            w -= alphas[0] * q
+        projected[j, j] = q @ w
+        i = max(j - 1, 0)       # w -= beta_(j-1) q_(j-1) + alpha_j q_j
+        w -= projected[j, i:j + 1] @ basis[i + 1:j + 2]
         # full reorthogonalization, which also takes the null component
         # out of the running sums' output
         h = basis[:j + 2] @ w
         w -= h @ basis[:j + 2]
-        alphas[j] += h[j + 1]
-        projected[j, j] = alphas[j]
+        projected[j, j] += h[j + 1]
         # the Krylov space spans at most the m - 1 dimensions orthogonal
         # to the null vector; once it does, it is invariant: beta is 0
-        betas[j] = math.sqrt(w @ w) if j + 1 < m - 1 else 0.0
-        last = j + 1 == steps or not betas[j] > 0.0
+        beta = math.sqrt(w @ w) if j + 1 < m - 1 else 0.0
+        last = j + 1 == steps or not beta > 0.0
         if j + 1 > want + 1 or (j + 1 >= want and last):
             ritz, s = np.linalg.eigh(projected[:j + 1, :j + 1])
             # a handful of values: plain floats are cheaper than arrays
             theta = ritz[:-want - 1:-1].tolist()
-            r = [abs(betas[j] * x) for x in s[j, :-want - 1:-1].tolist()]
+            r = [abs(beta * x) for x in s[j, :-want - 1:-1].tolist()]
             floor = m * EPS * theta[0] + math.sqrt(j + 1) * sums.rounding
             radius = [x + floor for x in r]
             worst = math.inf
@@ -398,8 +395,8 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
                                          f"above {vl:.6g}, not {k}")
         if last:
             break
-        projected[j + 1, j] = betas[j]
-        np.multiply(w, 1.0 / betas[j], out=basis[j + 2])
+        projected[j + 1, j] = beta
+        np.multiply(w, 1.0 / beta, out=basis[j + 2])
     cause = (f"the worst gap bound is {worst:.3g} of max(1, |lambda|), "
              f"above RITZ_TOL = {RITZ_TOL:g}" if worst < math.inf
              else "a Ritz interval reaches theta = 0")

@@ -146,12 +146,12 @@ def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> Ener
 def energy_natural(params: ModelParams, n: int, J: int,
                    branch: Branch = Branch.PLUS) -> EnergyLevel:
     """Deformed natural-parity level E_{n;J}; requires alpha > 0."""
+    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     sqrt_q = _sqrt_q(params)
     beta = n + (2 * J + 3) / 4.0
     e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r + params.alpha / 4.0
                  + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
                  - params.alpha * J * (J + 1))
-    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     return _energy_from_square(e2, qn, Formula.NATURAL_DEFORMED)
 
 
@@ -163,13 +163,13 @@ def energy_natural_limit(params: ModelParams, n: int, J: int,
     limit of the deformed level (a radial oscillator with angular momentum
     J).  At lambda0 = lambda_r every level collapses to sqrt(m^2 + lr).
     """
+    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     _require_finite(params)
     gap2 = _finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
     if not gap2 >= 0:
         raise ComplexEnergy(gap2)
     e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r
                  + (4 * n + 2 * J + 3) * math.sqrt(gap2))
-    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     return _energy_from_square(e2, qn, Formula.NATURAL_LIMIT)
 
 
@@ -195,11 +195,11 @@ def energy_unnatural_phi(params: ModelParams, n: int,
     E^2 = m^2 + 4 lr + 4 alpha (n + 1/2)(n + 3/2 + lr/alpha); the lr/alpha
     product is expanded so no 1/alpha survives.
     """
+    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     _require_unnatural(params)
     e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
                  + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
                  + 4.0 * (n + 0.5) * params.lambda_r)
-    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_PHI)
 
 
@@ -209,10 +209,10 @@ def energy_unnatural_h0(params: ModelParams, n: int,
 
     E^2 = m^2 + 4 alpha (n + 1/2)(n + 1/2 + lr/alpha).
     """
+    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     _require_unnatural(params)
     e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
                  + 4.0 * (n + 0.5) * params.lambda_r)
-    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_H0)
 
 

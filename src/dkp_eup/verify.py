@@ -83,8 +83,9 @@ def check_closure(mutate: str | None = None) -> CheckResult:
         abs(spectrum.abc(params, J, e).B + n)
         for params, sector, J in NATURAL_CELLS
         for n, e in enumerate(analytic_levels(params, sector, J, mutate))]))
+    tol = np.format_float_scientific(CLOSURE_TOL, trim="-", exp_digits=1)
     failures = () if worst <= CLOSURE_TOL else (
-        f"closure: |B + n| = {worst:.3e} > 1e-9",)
+        f"closure: |B + n| = {worst:.3e} > {tol}",)
     return CheckResult("closure", worst, CLOSURE_TOL, failures)
 
 

@@ -63,6 +63,17 @@ def test_no_real_spectrum_exit_3(capsys, monkeypatch):
     assert "no real spectrum" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "spacing"])
+def test_out_writes_the_stdout_bytes_to_the_file(command, tmp_path, capsys):
+    args = (command, "--alpha", "0.1", "--n-max", "5")
+    code, out, _ = run(capsys, *args)
+    path = tmp_path / f"{command}.csv"
+    code_out, printed, _ = run(capsys, *args, "--out", str(path))
+    assert code == code_out == 0
+    assert printed == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_spacing_command(capsys):
     code, out, _ = run(capsys, "spacing", "--alpha", "0.04", "--n-max", "3")
     assert code == 0

@@ -107,9 +107,8 @@ def test_importing_builds_no_grid():
     # grids are built on first use, so an import pays for none of them
     sizes = _fresh("from dkp_eup import wavefunction, oracle\n"
                    "print(*[f.cache_info().currsize for f in (\n"
-                   "    wavefunction._chebyshev_grid, oracle._grid,\n"
-                   "    oracle._start_poly)])")
-    assert sizes == ["0", "0", "0"]
+                   "    wavefunction._chebyshev_grid, oracle._grid)])")
+    assert sizes == ["0", "0"]
 
 
 def test_package_import_loads_no_numpy():

@@ -68,6 +68,8 @@ def test_xi_zeta_low_J_values():
     xi, zeta = xi_zeta(1)
     assert xi == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
     assert zeta == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-15)
+    with pytest.raises(ValueError, match="J must be >= 0, got -1"):
+        xi_zeta(-1)
 
 
 @pytest.mark.parametrize("J", list(range(0, 40)) + [100, 1000])
@@ -100,6 +102,20 @@ def test_minimum_momentum_uncertainty():
     assert minimum_momentum_uncertainty(0.0) == 0.0
     with pytest.raises(ValueError):
         minimum_momentum_uncertainty(-1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_minimum_momentum_uncertainty_rejects_a_non_finite_alpha(alpha):
+    # NaN and inf used to come back as NaN and inf
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        minimum_momentum_uncertainty(alpha)
+
+
+@pytest.mark.parametrize("J", [1.5, 2.0, math.nan, math.inf])
+def test_xi_zeta_rejects_a_non_integral_J(J):
+    # 1.5 gave (0.79, 0.61) and NaN gave (nan, nan)
+    with pytest.raises(TypeError):
+        xi_zeta(J)
 
 
 @pytest.mark.parametrize("field,label", [("m", "m"), ("alpha", "alpha"),

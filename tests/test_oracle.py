@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from dkp_eup import oracle, verify
 from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonConvergence,
-                            UnsupportedRegime)
+                            NonFiniteParameter, UnsupportedRegime)
 from dkp_eup.model import ModelParams
 from dkp_eup.oracle import (LIMIT_GRID, Sector, compare, discretize,
                             extrapolated_limit_energy, lowest_energies,
@@ -27,18 +27,21 @@ from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
 
-def reference_t(params, sector, grid, cells=slice(None)):
+def reference_t(params, sector, grid, s_nodes=None):
     """(diag, off) of T = -G^T G as the oracle formed it before it kept only
-    G: every entry from the logs of P and W, on the whole ball or on
-    ``cells``, whose end faces then carry no flux; None where an entry
-    overflows."""
+    G: every entry from the logs of P and W, on the whole ball or on the
+    cells centred at ``s_nodes``, whose end faces then carry no flux; None
+    where an entry overflows."""
     c, sigma, _ = oracle._sector_constants(params, sector)
     _, log_f, log1m_f2, log_c, log1m_c2 = oracle._grid(grid)
     pw, qw = 2.0 * c - 1.0, sigma - c
     log_p = np.full(grid + 1, -np.inf)      # P = 0 on the walls
     log_p[1:grid] = pw * log_f + (qw + 1) * log1m_f2
     log_w = pw * log_c + qw * log1m_c2
-    first, stop, _ = cells.indices(grid)
+    first, stop = 0, grid
+    if s_nodes is not None:     # cell i is centred at (i + 1/2)/grid
+        first = round(s_nodes[0] * grid - 0.5)
+        stop = first + s_nodes.size
     log_p, log_w = log_p[first:stop + 1].copy(), log_w[first:stop]
     log_p[[0, -1]] = -np.inf
     l2h = 2.0 * math.log(1.0 / grid)
@@ -51,19 +54,28 @@ def reference_t(params, sector, grid, cells=slice(None)):
     return None
 
 
-def assert_finite(prob):
+def assert_well_formed(prob):
+    """One finite entry per kept cell, and s_nodes a read-only view of the
+    shared centres."""
+    assert prob.s_nodes.size == prob.half_weight.size == prob.flux.size + 1
+    assert not prob.s_nodes.flags.writeable
+    assert np.shares_memory(prob.s_nodes, oracle._grid(prob.grid_size)[0])
     for array in (prob.s_nodes, prob.half_weight, prob.flux):
         assert np.all(np.isfinite(array))
 
 
 def test_discretize_shapes():
+    assert oracle.DiscretizedProblem._fields == (
+        "grid_size", "s_nodes", "half_weight", "flux", "e2_offset", "e2_scale")
     prob = discretize(REF, Sector.natural(0), 8)
     assert prob.grid_size == 8
-    assert prob.window == slice(0, 8)
     assert prob.half_weight.shape == (8,)
     assert prob.flux.shape == (7,)
     assert prob.s_nodes.shape == (8,)
     assert np.all(np.diff(prob.s_nodes) > 0)
+    assert_well_formed(prob)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.s_nodes[0] = 0.0
 
 
 def test_a_negative_J_is_rejected_by_name():
@@ -90,7 +102,7 @@ def test_constant_function_is_the_ground_mode():
     params = ModelParams(1.0, 0.2, 0.5, 1.0)
     prob = discretize(params, Sector.natural(0), 64)
     # undo the similarity transform: the symmetric matrix acts on W^(1/2) u
-    c, sigma, _ = oracle._sector_constants(params, prob.sector)
+    c, sigma, _ = oracle._sector_constants(params, Sector.natural(0))
     s = prob.s_nodes
     half_w = np.exp(0.5 * ((2 * c - 1) * np.log(s) + (sigma - c) * np.log1p(-s * s)))
     # the Lanczos start reads this weight, scaled to a maximum of 1
@@ -98,7 +110,7 @@ def test_constant_function_is_the_ground_mode():
                                              rel=1e-12)
     # so does the block -G^T G that the Sturm count runs on
     sums = oracle._RunningSums(prob, 2)
-    assert prob.window == slice(0, 64)
+    assert s.size == prob.half_weight.size == 64     # every cell is kept
     v = half_w * np.ones(64)
     res = sums.diag * v
     res[:-1] += sums.off * v[1:]
@@ -164,8 +176,10 @@ def test_refinement_convergence_is_at_least_second_order():
 
 
 def test_unnatural_sector_guards():
-    with pytest.raises(UnsupportedRegime):
+    with pytest.raises(UnsupportedRegime, match="phi sector requires"):
         discretize(REF, Sector.phi(), 64)  # lambda0 != 0
+    with pytest.raises(UnsupportedRegime, match="h0 sector requires"):
+        discretize(REF, Sector.h0(), 64)
     with pytest.raises(UnsupportedRegime):
         discretize(ModelParams(1.0, 0.0, 0.5, 1.0), Sector.natural(0), 64)
     with pytest.raises(ComplexExponent):
@@ -204,7 +218,7 @@ def test_richardson_extrapolation_reaches_the_limit_formula(J, n):
 @pytest.mark.parametrize("lambda0,lambda_r", [(0.0, 2.0), (3.0, 10.0)])
 def test_richardson_extrapolation_at_strong_couplings(lambda0, lambda_r, n, J):
     # sigma - C = sqrt(Q)/alpha reaches 9,541 at alpha 1e-3 for (3, 10);
-    # the window keeps every entry finite (measured worst 1.1e-9)
+    # the cut keeps every entry finite (measured worst 1.1e-9)
     extrap = extrapolated_limit_energy(1.0, lambda0, lambda_r, n, J)
     params = ModelParams(1.0, 0.0, lambda0, lambda_r)
     closed = energy_natural_limit(params, n, J).value
@@ -315,12 +329,12 @@ def test_solve_lowest_matches_tight_bisection(kind, J, alpha, lambda0, grid,
 
 def assert_matches_tight_bisection(params, sector, grid, k):
     """solve_lowest against LAPACK bisection on reference_t, of the whole
-    ball or, where an entry of that overflows, of the solved window."""
+    ball or, where an entry of that overflows, of the kept cells."""
     prob = discretize(params, sector, grid)
     e2 = solve_lowest(prob, k)
     lam = (e2 - prob.e2_offset) / prob.e2_scale
     diag, off = (reference_t(params, sector, grid)
-                 or reference_t(params, sector, grid, prob.window))
+                 or reference_t(params, sector, grid, prob.s_nodes))
     ref = eigvalsh_tridiagonal(diag, off, select="i",
                                select_range=(diag.size - k, diag.size - 1),
                                tol=1e-11)[::-1]
@@ -337,16 +351,26 @@ def assert_matches_tight_bisection(params, sector, grid, k):
 # the first Sturm count finds k + 1 levels on these: the next Ritz value is
 # still too poor to place the floor, and the following step settles it
 EARLY_OVERCOUNT_CELLS = [
-    (ModelParams(1.0, 0.32077658231923, 0.7390495052943067, 1.0),
-     Sector.natural(0), 16384),
+    (ModelParams(1.0, 1.5601538242033932, 0.3376909040633287, 1.0),
+     Sector.natural(0), 8192),
     (ModelParams(1.0, 1.422429662160269, 0.0, 1.0), Sector("phi", 7), 8192),
 ]
 
 
 @pytest.mark.parametrize("params,sector,grid", EARLY_OVERCOUNT_CELLS,
-                         ids=["natural-16384", "phi-8192"])
-def test_an_early_overcount_costs_steps_not_an_error(params, sector, grid):
-    assert_matches_tight_bisection(params, sector, grid, 3)
+                         ids=["natural-8192", "phi-8192"])
+def test_an_early_overcount_costs_steps_not_an_error(params, sector, grid,
+                                                     monkeypatch):
+    k, count, counts = 3, oracle._sturm_count, []
+
+    def recorded(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(oracle, "_sturm_count", recorded)
+    assert_matches_tight_bisection(params, sector, grid, k)
+    # the cell still reaches the path it names: an overcount, then k
+    assert counts[0] == k + 1 and counts[-1] == k, counts
 
 
 def test_a_single_spurious_overcount_returns_the_same_levels(monkeypatch):
@@ -378,7 +402,7 @@ def test_a_next_ritz_value_above_shift_is_treated_as_unknown(capfd):
     # which rejected it on stderr and counted 0 levels)
     params = ModelParams(1.0, 1.0, 0.2, 1.0)
     prob = discretize(params, Sector.natural(0), 64)
-    lam = eigh_tridiagonal(*reference_t(params, prob.sector, 64),
+    lam = eigh_tridiagonal(*reference_t(params, Sector.natural(0), 64),
                            eigvals_only=True)[-2]
     theta, radius = [-1.0 / lam], [-1e-13 / lam]
     sums = oracle._RunningSums(prob, 2)
@@ -415,13 +439,13 @@ def test_overlapping_ritz_intervals_raise_non_convergence():
 ])
 def test_cells_whose_whole_ball_entries_overflow_match_the_formulas(
         kind, alpha, lambda0, tol):
-    # T over the whole ball overflows on these cells; G on the window does
+    # T over the whole ball overflows on these cells; G on the kept cells does
     # not, and its 5 lowest levels at grid 8192 meet the closed forms
     params = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0, lambda_r=1.0)
     sector = Sector(kind, 0)
     assert reference_t(params, sector, 8192) is None
     prob = discretize(params, sector, 8192)
-    assert_finite(prob)
+    assert_well_formed(prob)
     numeric = lowest_energies(params, sector, 5, 8192)
     closed = [level(params, kind, n).value for n in range(5)]
     assert numeric == pytest.approx(closed, rel=tol)
@@ -442,8 +466,10 @@ def test_a_window_of_fewer_cells_than_levels_names_the_grid():
         with pytest.raises(UnsupportedRegime, match="grid 64 is too coarse"):
             solve_lowest(tiny, 3)
     for p in (prob, tiny):
-        assert p.window == slice(0, 1) and p.flux.size == 0
-        assert_finite(p)
+        # the innermost cell alone, with no inner face
+        assert p.s_nodes.tolist() == [0.5 / 64]
+        assert p.half_weight.size == 1 and p.flux.size == 0
+        assert_well_formed(p)
 
 
 def test_overflowing_q_is_named_without_a_warning():
@@ -455,6 +481,26 @@ def test_overflowing_q_is_named_without_a_warning():
         with pytest.raises(UnsupportedRegime, match=r"^Q = .* overflows") as info:
             discretize(huge, Sector.natural(0), 64)
     assert "auto_cut" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["natural", "phi", "h0"])
+@pytest.mark.parametrize("field", ["m", "alpha", "lambda0", "lambda_r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_parameter_is_named_before_any_arithmetic(kind, field,
+                                                               value):
+    # NaN used to be reported as an overflow of Q, sigma or the E^2 offset
+    params = ModelParams(1.0, 0.1, 0.0, 1.0)._replace(**{field: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteParameter,
+                           match=f"^parameter {field} = {value} ") as info:
+            discretize(params, Sector(kind), 64)
+    assert info.value.name == field
+
+
+def test_the_first_non_finite_parameter_is_named():
+    with pytest.raises(NonFiniteParameter, match="^parameter alpha = inf "):
+        discretize(ModelParams(1.0, math.inf, math.nan, 1.0), Sector.phi(), 64)
 
 
 @pytest.mark.parametrize("kind", ["phi", "h0"])
@@ -498,9 +544,9 @@ def test_a_start_without_the_ground_mode_costs_steps_not_correctness(
     k, grid = 3, 256
     prob = discretize(REF, Sector.natural(0), grid)
     rho = prob.s_nodes ** 2
-    assert oracle._start_poly(grid, k) == pytest.approx(rho + rho ** 2,
-                                                        rel=1e-15)
-    diag, off = reference_t(REF, prob.sector, grid)
+    assert oracle._start_poly(prob.s_nodes, k) == pytest.approx(
+        rho + rho ** 2, rel=1e-15)
+    diag, off = reference_t(REF, Sector.natural(0), grid)
     ref = eigvalsh_tridiagonal(diag, off, select="i",
                                select_range=(grid - k, grid - 1),
                                tol=1e-11)[::-1]
@@ -509,10 +555,10 @@ def test_a_start_without_the_ground_mode_costs_steps_not_correctness(
     assert np.all(np.abs((e2 - prob.e2_offset) / prob.e2_scale - ref) <= 1e-7)
     first = eigh_tridiagonal(diag, off, select="i",
                              select_range=(grid - 2, grid - 2))[1][:, 0]
-    start = prob.half_weight * oracle._start_poly(grid, k)
+    start = prob.half_weight * oracle._start_poly(prob.s_nodes, k)
     start -= (first @ start) * first
     monkeypatch.setattr(oracle, "_start_poly",
-                        lambda n, levels: start / prob.half_weight)
+                        lambda s_nodes, levels: start / prob.half_weight)
     try:
         e2 = solve_lowest(prob, k)
     except NonConvergence:
@@ -531,26 +577,22 @@ def _reference_outputs(grid):
     return out
 
 
-def _clear_grid_caches():
-    oracle._grid.cache_clear()
-    oracle._start_poly.cache_clear()
-
-
 def test_shared_grid_arrays_do_not_change_the_outputs():
     grid = 8192
     assert len(verify.NATURAL_CELLS + verify.UNNATURAL_CELLS) == 22
-    _clear_grid_caches()
+    oracle._grid.cache_clear()
     cold = _reference_outputs(grid)
-    warm = _reference_outputs(grid)     # every array from the caches
-    _clear_grid_caches()
+    warm = _reference_outputs(grid)     # every array from the cache
+    oracle._grid.cache_clear()
     rebuilt = _reference_outputs(grid)
     for other in (warm, rebuilt):
         assert all(np.array_equal(x, y) for x, y in zip(cold, other, strict=True))
     # the comparison sees a cached array that is made writable and changed
     # (in the middle: a doubled first log-center would make a first row so
-    # stiff that the certificate rejects the solve)
+    # stiff that the certificate rejects the solve); the centres reach the
+    # solve through the Lanczos start, formed from s_nodes at every solve
     try:
-        for cached in (oracle._grid(grid)[3], oracle._start_poly(grid, 5)):
+        for cached in (oracle._grid(grid)[3], oracle._grid(grid)[0]):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
             cached.flags.writeable = True
@@ -559,15 +601,14 @@ def test_shared_grid_arrays_do_not_change_the_outputs():
                            zip(cold, _reference_outputs(grid), strict=True))
             cached[grid // 2] /= 2.0
     finally:
-        _clear_grid_caches()
+        oracle._grid.cache_clear()
 
 
 def test_the_grid_caches_stay_bounded():
     for n in range(16, 36):
         solve_lowest(discretize(REF, Sector.natural(0), n), 2)
-    for cache in (oracle._grid, oracle._start_poly):
-        info = cache.cache_info()
-        assert info.currsize <= info.maxsize == oracle.GRID_CACHE_SIZE
+    info = oracle._grid.cache_info()
+    assert info.currsize <= info.maxsize == oracle.GRID_CACHE_SIZE
 
 
 def test_ground_level_on_the_finest_grid_is_below_1e_10():
@@ -670,7 +711,7 @@ def test_coarse_grids_solve_or_name_the_grid_as_too_coarse():
     outcomes = collections.Counter()
     for params, sector, grid, k in itertools.islice(_coarse_cells(1500), 0,
                                                     None, 5):
-        assert_finite(discretize(params, sector, grid))
+        assert_well_formed(discretize(params, sector, grid))
         try:
             assert_matches_tight_bisection(params, sector, grid, k)
             outcomes["solved"] += 1

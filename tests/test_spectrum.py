@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dkp_eup import cli
-from dkp_eup.errors import (ComplexEnergy, ComplexExponent, DkpError,
-                            NonFiniteParameter, UnsupportedRegime)
+from dkp_eup.errors import (ComplexEnergy, ComplexExponent, ComplexShift,
+                            DkpError, NonFiniteParameter, UnsupportedRegime)
 from dkp_eup.model import Branch, ModelParams
 from dkp_eup.spectrum import (abc, energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
@@ -345,6 +345,47 @@ def test_underflowed_alpha_still_raises_complex_exponent(entry):
     with pytest.raises(ComplexExponent) as info:
         ENTRY_POINTS[entry](params)
     assert info.value.discriminant == -math.inf
+
+
+LIMIT = REF._replace(alpha=0.0)
+QUANTUM_NUMBER_ENTRIES = {
+    "energy_natural-n": lambda v: energy_natural(REF, v, 0),
+    "energy_natural-J": lambda v: energy_natural(REF, 0, v),
+    "energy_natural_limit-n": lambda v: energy_natural_limit(LIMIT, v, 0),
+    "energy_natural_limit-J": lambda v: energy_natural_limit(LIMIT, 0, v),
+    "energy_unnatural_phi-n": lambda v: energy_unnatural_phi(UNNAT, v),
+    "energy_unnatural_h0-n": lambda v: energy_unnatural_h0(UNNAT, v),
+    "level-n": lambda v: level(REF, "natural", v, 0),
+    "level-J": lambda v: level(REF, "natural", 0, v),
+    "level_limit-n": lambda v: level(LIMIT, "natural", v, 0),
+    "level_phi-n": lambda v: level(UNNAT, "phi", v),
+    "level_h0-n": lambda v: level(UNNAT, "h0", v),
+    "level_spacing-n": lambda v: level_spacing(REF, v, 0),
+    "level_spacing-J": lambda v: level_spacing(REF, 0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(QUANTUM_NUMBER_ENTRIES))
+def test_a_non_finite_quantum_number_is_a_type_error(entry, value):
+    # the quantum numbers are checked before any arithmetic, as for n = 2.5;
+    # NaN and inf n or J used to reach E^2 and be named an overflow
+    with pytest.raises(TypeError):
+        QUANTUM_NUMBER_ENTRIES[entry](value)
+
+
+def test_a_negative_shift_radicand_raises_complex_shift():
+    # E = 0 lies below every level: (E^2 - m^2)/(4 alpha) = -2.5
+    with pytest.raises(ComplexShift) as info:
+        abc(ModelParams(1.0, 0.1, 1.0, 1.0), 0, 0.0)
+    assert info.value.radicand == pytest.approx(-2.5, rel=1e-12)
+
+
+def test_a_negative_closed_form_e2_raises_complex_energy():
+    # h0 at lambdaR = -5: E^2 = 1 + 4 (0.1) (1/4) + 4 (1/2) (-5) = -8.9
+    with pytest.raises(ComplexEnergy) as info:
+        energy_unnatural_h0(ModelParams(1.0, 0.1, 0.0, -5.0), 0)
+    assert info.value.radicand == pytest.approx(-8.9, rel=1e-12)
 
 
 def test_huge_parameters_with_a_representable_level_still_evaluate():

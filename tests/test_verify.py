@@ -1,6 +1,8 @@
 import math
 
-from dkp_eup import spectrum, verify
+import numpy as np
+
+from dkp_eup import algebra, spectrum, verify
 
 
 def test_reference_checks_pass():
@@ -30,3 +32,35 @@ def test_nan_fails_the_closure_check(monkeypatch):
     result = verify.check_closure()
     assert math.isnan(result.worst)
     assert not result.passed
+
+
+def test_a_corrupted_beta_entry_fails_the_algebra_check(monkeypatch):
+    # one more unit in beta^0[0, 7] breaks 20 triples; P still projects
+    mats = algebra.build_matrices()
+    b0 = mats.beta[0].copy()
+    b0[0, 7] += 1
+    corrupt = mats._replace(beta=(b0, *mats.beta[1:]))
+    monkeypatch.setattr(algebra, "build_matrices", lambda: corrupt)
+    result = verify.check_algebra()
+    assert result.failures == ("algebra: 20 violated triples",)
+    assert result.worst == 20.0
+
+
+def test_permuted_components_fail_only_the_projector_diagonal(monkeypatch):
+    # a similarity keeps every identity, but moves P's unit diagonal
+    # entries off the (scalar, F) components
+    mats = algebra.build_matrices()
+    perm = np.roll(np.eye(10), 1, axis=0)
+    corrupt = mats._replace(beta=tuple(perm @ b @ perm.T for b in mats.beta))
+    monkeypatch.setattr(algebra, "build_matrices", lambda: corrupt)
+    result = verify.check_algebra()
+    assert result.failures == ("algebra: projector diagonal mismatch",)
+    assert result.worst == 1.0
+
+
+def test_the_closure_failure_states_closure_tol(monkeypatch):
+    monkeypatch.setattr(verify, "CLOSURE_TOL", 2.5e-3)
+    closure = verify.check_closure("jj-term")
+    assert closure.tol == 2.5e-3
+    assert closure.failures == (
+        f"closure: |B + n| = {closure.worst:.3e} > 2.5e-3",)
