@@ -19,7 +19,7 @@ import time
 
 from . import spectrum
 from .errors import ComplexEnergy, ComplexExponent, ComplexShift, DkpError
-from .model import Branch, ModelParams, require_valid
+from .model import Branch, ModelParams, require_index, require_valid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -47,8 +47,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                     flags.append(f"--{key.replace('_', '-')}={val}")
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + flags + argv[at:])
-    if getattr(args, "n_max", 0) < 0:
-        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
+    require_index("n_max", getattr(args, "n_max", 0))
     return args
 
 

@@ -1,4 +1,4 @@
-"""Physical parameters and quantum numbers shared by every other module.
+"""Parameters, quantum numbers and input guards shared by every other module.
 
 Natural units (hbar = c = 1) throughout.  The deformation parameter alpha
 carries dimension energy^2; alpha = 0 selects the undeformed theory and is
@@ -11,6 +11,8 @@ import math
 import operator
 from enum import Enum
 from typing import NamedTuple
+
+from .errors import NonFiniteParameter, UnsupportedRegime
 
 
 class Parity(Enum):
@@ -45,6 +47,36 @@ class ModelParams(NamedTuple):
         return 1.0 + 4.0 * (ra * (ra + 1.0) - r0 * r0)
 
 
+def _non_finite(params: ModelParams) -> list[tuple[str, float]]:
+    """(field, value) of each NaN or infinite field of ``params``, in order."""
+    return [(k, v) for k, v in zip(params._fields, params) if not math.isfinite(v)]
+
+
+def require_finite(params: ModelParams):
+    """Raise NonFiniteParameter naming the first NaN or infinite field."""
+    for name, value in _non_finite(params):
+        raise NonFiniteParameter(name, value)
+
+
+def require_index(name: str, value, least: int = 0) -> int:
+    """operator.index(value), or a ValueError naming ``name`` below ``least``."""
+    index = operator.index(value)
+    if index < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return index
+
+
+def finite(name: str, compute) -> float:
+    """``compute()``; UnsupportedRegime naming ``name`` if it overflows."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):  # x ** 2 over- or underflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise UnsupportedRegime(f"{name} overflows the float range")
+    return value
+
+
 class _QuantumNumbers(NamedTuple):
     n: int
     J: int
@@ -59,10 +91,12 @@ class QuantumNumbers(_QuantumNumbers):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if operator.index(self.n) < 0:  # 1.5 is a TypeError
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if operator.index(self.J) < 0:
-            raise ValueError(f"J must be >= 0, got {self.J}")
+        require_index("n", self.n)
+        require_index("J", self.J)
+        if not isinstance(self.parity, Parity):
+            raise TypeError(f"parity must be a Parity, got {self.parity!r}")
+        if not isinstance(self.branch, Branch):
+            raise TypeError(f"branch must be a Branch, got {self.branch!r}")
         if self.parity is Parity.UNNATURAL and self.J != 0:
             raise ValueError("unnatural parity is only solved for J = 0")
         return self
@@ -88,10 +122,8 @@ def validate(params: ModelParams) -> ValidationReport:
     domain.  Spectra depend on lambda0 only through its square; that symmetry
     is exercised by tests rather than silently accepted here.
     """
-    bad = [f"{name} finite" for name, value in (
-        ("m", params.m), ("alpha", params.alpha),
-        ("lambda0", params.lambda0), ("lambdaR", params.lambda_r))
-        if not math.isfinite(value)]
+    bad = [f"{'lambdaR' if name == 'lambda_r' else name} finite"
+           for name, _ in _non_finite(params)]
     if not params.m > 0:
         bad.append("m > 0")
     if params.alpha < 0:
@@ -122,11 +154,8 @@ def xi_zeta(J: int) -> tuple[float, float]:
 
     xi_J = sqrt((J+1)/(2J+1)), zeta_J = sqrt(J/(2J+1)); xi^2 + zeta^2 = 1.
     """
-    if operator.index(J) < 0:  # 1.5 or NaN is a TypeError
-        raise ValueError(f"J must be >= 0, got {J}")
-    xi = math.sqrt((J + 1) / (2 * J + 1))
-    zeta = math.sqrt(J / (2 * J + 1))
-    return xi, zeta
+    require_index("J", J)
+    return math.sqrt((J + 1) / (2 * J + 1)), math.sqrt(J / (2 * J + 1))
 
 
 def minimum_momentum_uncertainty(alpha: float) -> float:

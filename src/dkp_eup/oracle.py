@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
-                     NonFiniteParameter, UnsupportedRegime)
-from .model import ModelParams
+                     UnsupportedRegime)
+from .model import ModelParams, finite, require_finite, require_index
 
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -87,45 +86,34 @@ def _sector_constants(params: ModelParams, sector: Sector):
     natural sector Q = lr^2 - l0^2 + alpha lr + alpha^2/4 so that
     sqrt(D) = 2 sqrt(Q)/alpha.  A NaN or inf field is named before any use.
     """
-    for name, value in params._asdict().items():
-        if not math.isfinite(value):
-            raise NonFiniteParameter(name, value)
+    require_finite(params)
     m, al, l0, lr = params.m, params.alpha, params.lambda0, params.lambda_r
     if al <= 0:
         raise UnsupportedRegime("the eigensolver needs alpha > 0")
+    if sector.kind in ("phi", "h0") and l0 != 0:
+        raise UnsupportedRegime(f"{sector.kind} sector requires lambda0 = 0")
     if sector.kind == "natural":
-        q = lr * lr - l0 * l0 + al * lr + al * al / 4.0
-        if not math.isfinite(q):
-            raise UnsupportedRegime("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 "
-                                    "overflows the float range")
+        q = finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4",
+                   lambda: lr * lr - l0 * l0 + al * lr + al * al / 4.0)
         if q < 0:
             # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
             raise ComplexExponent(4.0 * q / al / al)
-        J = sector.J
-        if operator.index(J) < 0:  # 1.5 is a TypeError
-            raise ValueError(f"J must be >= 0, got {J}")
+        J = require_index("J", sector.J)
         c = J + 1.5
-        sigma = (2 * J + 3) / 2.0 + math.sqrt(q) / al
-        offset = m * m + lr + al * (4 * J + 5) / 2.0 + (2 * J + 3) * math.sqrt(q)
+        sigma = lambda: (2 * J + 3) / 2.0 + math.sqrt(q) / al
+        offset = lambda: (m * m + lr + al * (4 * J + 5) / 2.0
+                          + (2 * J + 3) * math.sqrt(q))
     elif sector.kind == "phi":
-        if l0 != 0:
-            raise UnsupportedRegime("phi sector requires lambda0 = 0")
         c = 1.5
-        sigma = 2.0 + lr / al
-        offset = m * m + 6.0 * lr + 3.0 * al
+        sigma = lambda: 2.0 + lr / al
+        offset = lambda: m * m + 6.0 * lr + 3.0 * al
     elif sector.kind == "h0":
-        if l0 != 0:
-            raise UnsupportedRegime("h0 sector requires lambda0 = 0")
         c = 1.5
-        sigma = 1.0 + lr / al
-        offset = m * m + 2.0 * lr + al
+        sigma = lambda: 1.0 + lr / al
+        offset = lambda: m * m + 2.0 * lr + al
     else:
         raise ValueError(f"unknown sector kind {sector.kind!r}")
-    if not math.isfinite(sigma):
-        raise UnsupportedRegime("sigma = 2(a+b) overflows the float range")
-    if not math.isfinite(offset):
-        raise UnsupportedRegime("the E^2 offset overflows the float range")
-    return c, sigma, offset
+    return c, finite("sigma = 2(a+b)", sigma), finite("the E^2 offset", offset)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -180,9 +168,7 @@ def discretize(params: ModelParams, sector: Sector,
     from the logs, times the two W^(1/2).  No kept W is below HW_FLOOR^2 of
     the peak, so nothing overflows, and every array is finite.
     """
-    n = operator.index(grid_size)  # 100.5 would put a cell centre at s = 1
-    if n < 2:
-        raise ValueError("grid_size must be >= 2")
+    n = require_index("grid_size", grid_size, 2)  # 100.5: a centre at s = 1
     c, sigma, offset = _sector_constants(params, sector)
     centers, log_f, log1m_f2, log_c, log1m_c2 = _grid(n)
     pw, qw = 2.0 * c - 1.0, sigma - c
@@ -332,8 +318,7 @@ def solve_lowest(problem: DiscretizedProblem, k: int) -> np.ndarray:
     an exact tridiagonal eigensolver: the running sums resolve a level only
     to about eps |lambda/lambda_1|.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_index("k", k, 1)
     if k > problem.grid_size:
         raise ValueError(f"{k} levels need a grid of at least {k} cells, "
                          f"got grid_size {problem.grid_size}")

@@ -17,13 +17,13 @@ no large cancelling terms as alpha -> 0.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import (ComplexEnergy, ComplexExponent, ComplexShift,
                      NonFiniteParameter, UnsupportedRegime)
-from .model import Branch, ModelParams, Parity, QuantumNumbers
+from .model import (Branch, ModelParams, Parity, QuantumNumbers, finite,
+                    require_finite, require_index)
 
 
 class Formula(Enum):
@@ -52,35 +52,17 @@ class EnergyLevel(NamedTuple):
     formula: Formula
 
 
-def _require_finite(params: ModelParams):
-    """Raise NonFiniteParameter naming the first NaN or infinite parameter."""
-    for name, value in params._asdict().items():
-        if not math.isfinite(value):
-            raise NonFiniteParameter(name, value)
-
-
-def _finite(name: str, compute) -> float:
-    """``compute()``; UnsupportedRegime naming ``name`` if it overflows."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):  # x ** 2 over- or underflowed
-        value = math.inf
-    if not math.isfinite(value):
-        raise UnsupportedRegime(f"{name} overflows the float range")
-    return value
-
-
 def _sqrt_q(params: ModelParams) -> float:
     """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4).
 
     Guards every deformed formula: requires finite parameters, alpha > 0,
     a finite Q and D >= 0.
     """
-    _require_finite(params)
+    require_finite(params)
     if params.alpha <= 0:
         raise UnsupportedRegime(
             "deformed formulas need alpha > 0; alpha = 0 has the limit formula")
-    q = _finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4", lambda: (
+    q = finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4", lambda: (
         params.lambda_r ** 2 - params.lambda0 ** 2
         + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0))
     if not q >= 0:
@@ -98,18 +80,17 @@ def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, floa
     equation also has the root (1-x)/2, normalizable too for x < 1/2; its
     closed-form level E^2 = m^2 + 4 alpha (n+1/2)(n+1/2+x) fixes b = x/2.
     """
-    if operator.index(J) < 0:  # 1.5 is a TypeError
-        raise ValueError(f"J must be >= 0, got {J}")
+    require_index("J", J)
     if sector == "natural":
         sqrt_q = _sqrt_q(params)
-        return (J + 1) / 2.0, _finite("wall exponent b",
-                                      lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
+        return (J + 1) / 2.0, finite("wall exponent b",
+                                     lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
     if sector not in ("phi", "h0"):
         raise UnsupportedRegime(f"unknown sector {sector!r}")
     _require_unnatural(params)
     shift = 1.0 if sector == "phi" else 0.0
-    return 0.5, _finite("wall exponent b",
-                        lambda: (params.lambda_r / params.alpha + shift) / 2.0)
+    return 0.5, finite("wall exponent b",
+                       lambda: (params.lambda_r / params.alpha + shift) / 2.0)
 
 
 def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
@@ -123,15 +104,15 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     if not math.isfinite(energy):
         raise NonFiniteParameter("energy", energy)
     al = params.alpha
-    radicand = _finite("shift radicand", lambda: (
+    radicand = finite("shift radicand", lambda: (
         (energy ** 2 - params.m ** 2) / (4.0 * al) + J * (J + 1) / 4.0
         + (params.lambda_r ** 2 - params.lambda0 ** 2) / (4.0 * al ** 2)))
     if not radicand >= 0:
         raise ComplexShift(radicand)
     s = math.sqrt(radicand)
     v1 = a * (a - 0.5) - J * (J + 1) / 4.0
-    v2 = _finite("v2", lambda: b * (b - 0.5) - ((params.lambda_r / al) ** 2
-                 + params.lambda_r / al - (params.lambda0 / al) ** 2) / 4.0)
+    v2 = finite("v2", lambda: b * (b - 0.5) - ((params.lambda_r / al) ** 2
+                + params.lambda_r / al - (params.lambda0 / al) ** 2) / 4.0)
     return HypergeomData(a=a, b=b, A=a + b + s, B=a + b - s, C=0.5 + 2.0 * a,
                          u=(a + b) ** 2 - radicand, v1=v1, v2=v2)
 
@@ -139,8 +120,7 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
 def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> EnergyLevel:
     if not e2 >= 0:
         raise ComplexEnergy(e2)
-    e = math.sqrt(e2)
-    return EnergyLevel(qn, e if qn.branch is Branch.PLUS else -e, formula)
+    return EnergyLevel(qn, qn.branch.value * math.sqrt(e2), formula)  # value +-1
 
 
 def energy_natural(params: ModelParams, n: int, J: int,
@@ -149,9 +129,9 @@ def energy_natural(params: ModelParams, n: int, J: int,
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
     sqrt_q = _sqrt_q(params)
     beta = n + (2 * J + 3) / 4.0
-    e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r + params.alpha / 4.0
-                 + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
-                 - params.alpha * J * (J + 1))
+    e2 = finite("E^2", lambda: params.m ** 2 + params.lambda_r + params.alpha / 4.0
+                + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
+                - params.alpha * J * (J + 1))
     return _energy_from_square(e2, qn, Formula.NATURAL_DEFORMED)
 
 
@@ -164,24 +144,31 @@ def energy_natural_limit(params: ModelParams, n: int, J: int,
     J).  At lambda0 = lambda_r every level collapses to sqrt(m^2 + lr).
     """
     qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
-    _require_finite(params)
-    gap2 = _finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
+    require_finite(params)
+    gap2 = finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
     if not gap2 >= 0:
         raise ComplexEnergy(gap2)
-    e2 = _finite("E^2", lambda: params.m ** 2 + params.lambda_r
-                 + (4 * n + 2 * J + 3) * math.sqrt(gap2))
+    e2 = finite("E^2", lambda: params.m ** 2 + params.lambda_r
+                + (4 * n + 2 * J + 3) * math.sqrt(gap2))
     return _energy_from_square(e2, qn, Formula.NATURAL_LIMIT)
 
 
 def level_spacing(params: ModelParams, n: int, J: int) -> float:
-    """E_{n+1;J} - E_{n;J} on the plus branch; tends to 2 sqrt(alpha)."""
-    lo = level(params, "natural", n, J)
-    hi = level(params, "natural", n + 1, J)
-    return hi.value - lo.value
+    """E_{n+1;J} - E_{n;J} on the plus branch; tends to 2 sqrt(alpha).
+    UnsupportedRegime once ulp(E_n) + ulp(E_{n+1}) exceeds sqrt(eps) of it
+    (past n = 1e7); exactly 0 on the flat alpha = 0, l0^2 = lr^2 spectrum."""
+    lo = level(params, "natural", n, J).value
+    hi = level(params, "natural", n + 1, J).value
+    rounding = math.ulp(lo) + math.ulp(hi)
+    flat = params.alpha == 0 and params.lambda_r ** 2 == params.lambda0 ** 2
+    if not flat and rounding > math.sqrt(math.ulp(1.0)) * (hi - lo):
+        raise UnsupportedRegime(f"E_{n + 1} - E_{n} = {hi - lo:.6g} has lost "
+                                f"its digits: the levels round by {rounding:.3g}")
+    return hi - lo
 
 
 def _require_unnatural(params: ModelParams):
-    _require_finite(params)
+    require_finite(params)
     if params.lambda0 != 0:
         raise UnsupportedRegime("unnatural-parity spectra require lambda0 = 0")
     if params.alpha <= 0:
@@ -197,9 +184,9 @@ def energy_unnatural_phi(params: ModelParams, n: int,
     """
     qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     _require_unnatural(params)
-    e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
-                 + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
-                 + 4.0 * (n + 0.5) * params.lambda_r)
+    e2 = finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
+                + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
+                + 4.0 * (n + 0.5) * params.lambda_r)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_PHI)
 
 
@@ -211,8 +198,8 @@ def energy_unnatural_h0(params: ModelParams, n: int,
     """
     qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
     _require_unnatural(params)
-    e2 = _finite("E^2", lambda: params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
-                 + 4.0 * (n + 0.5) * params.lambda_r)
+    e2 = finite("E^2", lambda: params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
+                + 4.0 * (n + 0.5) * params.lambda_r)
     return _energy_from_square(e2, qn, Formula.UNNATURAL_H0)
 
 

@@ -77,8 +77,8 @@ import numpy as np
 
 from .errors import (DivergentNorm, GridTooCoarse, OutOfDomain, ResidualFloor,
                      UnsupportedRegime)
-from .model import ModelParams, xi_zeta
-from .spectrum import _finite, exponents, level
+from .model import ModelParams, finite, require_index, xi_zeta
+from .spectrum import exponents, level
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -362,11 +362,10 @@ def _residual_failure(residual: float, tol: float, n: int, grid_size: int,
 def _build(params: ModelParams, sector: str, n: int, J: int,
            grid_size: int, tol: float) -> RadialSolution:
     """The normalized solution of ``sector``, gated on its residual audit."""
-    if operator.index(grid_size) < 2:  # 100.5 would put a point at rho = 1
-        raise ValueError("grid_size must be >= 2")
+    require_index("grid_size", grid_size, 2)  # 100.5: a point at rho = 1
     energy = level(params, sector, n, J).value
     a, b = exponents(params, sector, J)
-    _finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # F'', the wall check
+    finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)  # F'', the wall check
     if sector != "natural":  # b solves the indicial equation 2b^2 - b = 2 c_wall
         c_wall, c_diff = _unnatural_sector_data(params, sector, energy ** 2)
         if not (abs(2.0 * b * b - b - 2.0 * c_wall)

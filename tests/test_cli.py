@@ -315,7 +315,7 @@ def test_grid_size_below_2_exits_2_naming_it(tmp_path, capsys, argv):
         argv += ("--out", str(tmp_path / "wf.csv"))
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err == "error: grid_size must be >= 2\n"
+    assert err == f"error: grid_size must be >= 2, got {argv[2]}\n"
     assert not (tmp_path / "wf.csv").exists()
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -182,3 +183,17 @@ def test_closed_form_layer_imports_only_the_standard_library(module):
     assert package <= STDLIB_ONLY
     assert absolute <= (set(sys.stdlib_module_names) | {"__future__"}
                         | THIRD_PARTY[module])
+
+
+# what model.require_finite, model.require_index and model.finite say
+GUARDS = {"walks the ModelParams fields": r"\._asdict\(|\._fields\b",
+          "writes a bound check": r"must be >= .*got",
+          "writes an overflow check": r"overflows the float range"}
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "model.py"}),
+                         ids=lambda p: p.stem)
+def test_every_input_guard_is_written_once_in_model(path):
+    text = path.read_text()
+    assert [what for what, pattern in GUARDS.items()
+            if re.search(pattern, text)] == []

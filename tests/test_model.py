@@ -92,6 +92,16 @@ def test_quantum_number_invariants():
             QuantumNumbers(n, J)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("parity", "natural"), ("parity", "unnatural"), ("parity", None),
+    ("branch", "plus"), ("branch", 1), ("branch", None)])
+def test_quantum_numbers_take_only_enum_members(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be a {field.title()}"):
+        QuantumNumbers(0, 0, **{field: value})
+    with pytest.raises(TypeError, match=f"{field} must be a {field.title()}"):
+        QuantumNumbers(0, 0)._replace(**{field: value})
+
+
 def test_branch_enum_signs():
     assert Branch.PLUS.value == 1
     assert Branch.MINUS.value == -1

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from dkp_eup import algebra, figures, oracle, spectrum, verify, wavefunction
-from dkp_eup.model import ModelParams, QuantumNumbers, validate
+from dkp_eup.model import Branch, ModelParams, QuantumNumbers, validate
 
 REF = ModelParams(1.0, 0.1, 0.5, 1.0)
 MODULES = ("algebra", "figures", "model", "oracle", "spectrum", "verify",
@@ -67,7 +67,8 @@ def test_replace_returns_a_new_equal_record(name):
     copy = record._replace()
     assert copy is not record and type(copy) is type(record)
     assert all(new is old for new, old in zip(copy, record))
-    marker = object()
+    # the branch of QuantumNumbers must be a Branch (it picks the sign)
+    marker = Branch.MINUS if name == "QuantumNumbers" else object()
     changed = record._replace(**{record._fields[-1]: marker})
     assert changed[-1] is marker and record[-1] is not marker
     assert all(new is old for new, old in zip(changed[:-1], record[:-1]))

@@ -224,6 +224,37 @@ def test_level_spacing_vanishes_without_deformation():
     assert level_spacing(p, 100_000, 0) < 1e-2
 
 
+@pytest.mark.parametrize("n", [10 ** 8, 10 ** 16])
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.1, 10.0])
+def test_level_spacing_raises_once_its_digits_are_lost(alpha, n):
+    # E_{n+1} - E_n near 2 sqrt(alpha) n: at alpha 0.1 it read 0.6323 at
+    # n = 1e12 (for 0.63246) and 0.0 at n = 1e16
+    with pytest.raises(UnsupportedRegime, match="lost its digits"):
+        level_spacing(REF._replace(alpha=alpha), n, 0)
+
+
+def test_level_spacing_is_exactly_0_only_on_the_flat_spectrum(capsys):
+    flat = ModelParams(m=1.0, alpha=0.0, lambda0=1.0, lambda_r=1.0)
+    for n in (0, 200, 10 ** 16):
+        assert level_spacing(flat, n, 0) == 0.0
+    # a gap lr^2 - l0^2 of 2e-6 spaces the levels by ~3.8e-10 at n = 1e16
+    with pytest.raises(UnsupportedRegime, match="lost its digits"):
+        level_spacing(flat._replace(lambda0=0.999999), 10 ** 16, 0)
+    assert cli.main(["spacing", "--alpha", "0", "--lambda0", "1",
+                     "--lambdaR", "1", "--n-max", "2"]) == 0
+    assert capsys.readouterr().out == "n,J,spacing\n0,0,0\n1,0,0\n2,0,0\n"
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.1, 10.0])
+def test_level_spacing_returns_the_difference_of_its_levels(alpha):
+    p = REF._replace(alpha=alpha)
+    for J in (0, 4):
+        for n in (0, 1, 10, 200, 10 ** 4, 10 ** 6, 10 ** 7):
+            want = (level(p, "natural", n + 1, J).value
+                    - level(p, "natural", n, J).value)
+            assert level_spacing(p, n, J) == want
+
+
 def test_unnatural_phi_reference_value():
     p = ModelParams(m=1.0, alpha=0.1, lambda0=0.0, lambda_r=1.0)
     # E^2 = 1 + 4 + 4*0.1*0.5*11.5 = 7.3 by direct substitution
@@ -372,6 +403,24 @@ def test_a_non_finite_quantum_number_is_a_type_error(entry, value):
     # NaN and inf n or J used to reach E^2 and be named an overflow
     with pytest.raises(TypeError):
         QUANTUM_NUMBER_ENTRIES[entry](value)
+
+
+BRANCH_ENTRIES = {
+    "energy_natural": lambda b: energy_natural(REF, 0, 0, b),
+    "energy_natural_limit": lambda b: energy_natural_limit(LIMIT, 0, 0, b),
+    "energy_unnatural_phi": lambda b: energy_unnatural_phi(UNNAT, 0, b),
+    "energy_unnatural_h0": lambda b: energy_unnatural_h0(UNNAT, 0, b),
+    "level": lambda b: level(REF, "natural", 1, 0, b),
+}
+
+
+@pytest.mark.parametrize("branch", ["plus", 1, None])
+@pytest.mark.parametrize("entry", sorted(BRANCH_ENTRIES))
+def test_a_branch_that_is_not_a_branch_is_a_type_error(entry, branch):
+    # any value but Branch.PLUS used to select the minus branch: "plus", 1
+    # and None gave -2.2405 for E_{0;0} and -3.1166 for level n = 1
+    with pytest.raises(TypeError, match="branch must be a Branch"):
+        BRANCH_ENTRIES[entry](branch)
 
 
 def test_a_negative_shift_radicand_raises_complex_shift():

@@ -13,7 +13,7 @@ from scipy.special import eval_jacobi, hyp2f1, roots_jacobi
 from dkp_eup import wavefunction
 from dkp_eup.errors import (DivergentNorm, DkpError, GridTooCoarse,
                             OutOfDomain, ResidualFloor, UnsupportedRegime)
-from dkp_eup.model import ModelParams, xi_zeta
+from dkp_eup.model import ModelParams, finite, xi_zeta
 from dkp_eup.spectrum import exponents, level
 from dkp_eup.wavefunction import (chebyshev_grid, count_nodes, deformed_norm,
                                   evaluate_primary, natural_solution,
@@ -419,7 +419,7 @@ def _reference_build(params, sector, n, J):
     ``_build`` raises."""
     energy = level(params, sector, n, J).value
     a, b = exponents(params, sector, J)
-    wavefunction._finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)
+    finite("wall exponent term (2b)^2", lambda: 4.0 * b * b)
     n1 = 1.0 / math.sqrt(wavefunction._raw_norm_integral(a, b, n, params.alpha))
     rho = chebyshev_grid(wavefunction.DEFAULT_GRID_SIZE)
     try:
