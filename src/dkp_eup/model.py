@@ -37,15 +37,6 @@ class ModelParams(NamedTuple):
     lambda0: float
     lambda_r: float
 
-    def discriminant(self) -> float:
-        """D = 1 + 4[(lr/a)(lr/a + 1) - l0^2/a^2]; needs alpha > 0.
-
-        D >= 0 is required for a real wall exponent b.
-        """
-        ra = self.lambda_r / self.alpha
-        r0 = self.lambda0 / self.alpha
-        return 1.0 + 4.0 * (ra * (ra + 1.0) - r0 * r0)
-
 
 def _non_finite(params: ModelParams) -> list[tuple[str, float]]:
     """(field, value) of each NaN or infinite field of ``params``, in order."""
@@ -119,7 +110,9 @@ def validate(params: ModelParams) -> ValidationReport:
 
     Every parameter must be finite, so no NaN or infinity reaches a formula.
     The sign constraint 0 <= lambda0 <= lambda_r keeps the stated coupling
-    domain.  Spectra depend on lambda0 only through its square; that symmetry
+    domain, on which the wall exponent's discriminant D is at least 1 for
+    alpha > 0; ``spectrum`` and ``oracle`` each decide D >= 0 themselves.
+    Spectra depend on lambda0 only through its square; that symmetry
     is exercised by tests rather than silently accepted here.
     """
     bad = [f"{'lambdaR' if name == 'lambda_r' else name} finite"
@@ -132,10 +125,6 @@ def validate(params: ModelParams) -> ValidationReport:
         bad.append("lambda0 >= 0")
     if params.lambda_r < params.lambda0:
         bad.append("lambdaR >= lambda0")
-    if params.alpha > 0 and params.discriminant() < 0:
-        # only reachable when the coupling order is already violated:
-        # for lambda_r >= lambda0 >= 0, D >= 1 holds identically
-        bad.append("discriminant >= 0")
     return ValidationReport(tuple(bad))
 
 

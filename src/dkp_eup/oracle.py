@@ -54,7 +54,6 @@ from .model import ModelParams, finite, require_finite, require_index
 
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
-LIMIT_GRID = 8192       # grid of the solves of ``extrapolated_limit_energy``
 GRID_CACHE_SIZE = 8     # grid sizes whose ``_grid`` arrays are held at once
 SEQUENTIAL_ROWS = 128   # rows the cyclic Sturm count leaves to the pivots
 HW_FLOOR = EPS          # least W^(1/2), relative to its peak, of a kept cell
@@ -575,19 +574,3 @@ def compare(params: ModelParams, sector: Sector,
                                   abs(en - ea) / abs(ea)))
     return ComparisonReport(sector, grid_size, tol, tuple(rows))
 
-
-def extrapolated_limit_energy(m: float, lambda0: float, lambda_r: float,
-                              n: int, J: int) -> float:
-    """Richardson-extrapolate deformed eigenvalues to alpha = 0.
-
-    The deformed energy approaches its limit linearly in alpha, so the
-    weights (8, -6, 1)/3 on alpha = (4a, 2a, a) eliminate the first two
-    orders.  Used to validate the undeformed closed form without a separate
-    half-line solver; a = 1e-3.  If lambda_r^2 < lambda0^2, the solves raise
-    ComplexExponent.
-    """
-    a = 1e-3
-    es = [lowest_energies(ModelParams(m, k * a, lambda0, lambda_r),
-                          Sector.natural(J), n + 1, LIMIT_GRID)[n]
-          for k in (4, 2, 1)]
-    return (8.0 * es[2] - 6.0 * es[1] + es[0]) / 3.0

@@ -17,8 +17,7 @@ TICKS = 6
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks on [lo, hi], a range ``write_svg`` widens where hi == lo."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -135,8 +134,8 @@ def chebyshev_grid(size: int) -> np.ndarray:
     Built once per size and shared read-only between callers; copy it to
     modify it."""
     # checked before the cache, which takes 64.0 for 64; 100.5 would put a
-    # point at rho = 1
-    return _chebyshev_grid(operator.index(size))
+    # point at rho = 1, and 0 would cache an empty grid
+    return _chebyshev_grid(require_index("size", size, 1))
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -472,7 +471,7 @@ def count_nodes(sol: RadialSolution) -> int:
     if nodes == sol.n:
         return nodes
     return _sign_changes(_poly(sol.exponent_a, sol.exponent_b, sol.n,
-                               _node_grid(sol, NODE_SAMPLES)))
+                               _node_grid(sol)))
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -480,17 +479,17 @@ def _sign_changes(values: np.ndarray) -> int:
     return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 
-def _node_grid(sol: RadialSolution, samples: int) -> np.ndarray:
-    """The points ``count_nodes`` samples: a Chebyshev grid, or, when every
-    zero lies below c = (4n + 2ja + 10)/jb < 1/2, samples // 10 on c times one
-    and the rest above c.  As jb grows, P_n^(ja,jb)(1 - 2x/jb) tends to the
-    Laguerre L_n^(ja)(x), whose zeros lie below 4n + 2ja + 2."""
+def _node_grid(sol: RadialSolution) -> np.ndarray:
+    """The NODE_SAMPLES points ``count_nodes`` samples: a Chebyshev grid, or,
+    when every zero lies below c = (4n + 2ja + 10)/jb < 1/2, a tenth of them
+    on c times one and the rest above c.  As jb grows, P_n^(ja,jb)(1 - 2x/jb)
+    tends to the Laguerre L_n^(ja)(x), whose zeros lie below 4n + 2ja + 2."""
     ja, jb = 2.0 * sol.exponent_a - 0.5, 2.0 * sol.exponent_b - 0.5
     bound = 4 * sol.n + 2 * ja + 10
     if not 2 * bound < jb:
-        return chebyshev_grid(samples)
-    c, rho = bound / jb, chebyshev_grid(samples - samples // 10)
-    return np.concatenate([c * chebyshev_grid(samples // 10),
+        return chebyshev_grid(NODE_SAMPLES)
+    c, rho = bound / jb, chebyshev_grid(NODE_SAMPLES - NODE_SAMPLES // 10)
+    return np.concatenate([c * chebyshev_grid(NODE_SAMPLES // 10),
                            rho[np.searchsorted(rho, c):]])
 
 

@@ -177,6 +177,18 @@ def test_figures_single_fig_byte_stable(tmp_path, capsys):
     assert (d1 / "fig2.svg").read_bytes() == (d2 / "fig2.svg").read_bytes()
 
 
+def test_a_constant_figure_is_finite_and_byte_stable(tmp_path, capsys):
+    # lambda0 = lambdaR: every level is sqrt(2), so the y range is widened
+    svgs = []
+    for d in (tmp_path / "a", tmp_path / "b"):
+        code, _, _ = run(capsys, "figures", "--out-dir", str(d),
+                         "--fig", "fig1", "--lambda0-set", "1")
+        assert code == 0
+        svgs.append((d / "fig1.svg").read_bytes())
+    assert svgs[0] == svgs[1]
+    assert b"nan" not in svgs[0] and b"inf" not in svgs[0]
+
+
 def test_unknown_figure_id_is_invalid_input_and_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, _, err = run(capsys, "figures", "--out-dir", str(out_dir),

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from dkp_eup import figures
+from dkp_eup import figures, svgplot
 from dkp_eup.model import ModelParams
 from dkp_eup.spectrum import energy_natural_limit
 
@@ -61,6 +61,17 @@ def test_an_empty_sweep_set_raises_and_none_is_the_default(fig_id, sweep):
         figures.build_figure(fig_id, **{sweep: ()})
     assert figures.build_figure(fig_id, **{sweep: None}) \
         == figures.build_figure(fig_id)
+
+
+def test_a_single_abscissa_series_draws_finite_and_byte_stable(tmp_path):
+    # one x value: the x range is widened as the y range is
+    svgs = []
+    for name in ("a.svg", "b.svg"):
+        svgplot.write_svg(tmp_path / name, [("one", [2.0], [3.0])],
+                          "n", "E", "one point")
+        svgs.append((tmp_path / name).read_bytes())
+    assert svgs[0] == svgs[1]
+    assert b"nan" not in svgs[0] and b"inf" not in svgs[0]
 
 
 def test_csv_floats_carry_12_significant_digits(tmp_path):

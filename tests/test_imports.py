@@ -119,6 +119,7 @@ def test_package_import_loads_no_numpy():
 def test_public_names_survive_the_lazy_import():
     from dkp_eup import wavefunction
     assert set(dkp_eup.__all__) == PUBLIC_API
+    assert set(dkp_eup.__all__) <= set(dir(dkp_eup))
     assert set(_fresh("import dkp_eup\n"
                       "print(*[n for n in dir(dkp_eup) if n[0] != '_'])")) == PUBLIC_API
     assert dkp_eup.natural_solution is wavefunction.natural_solution

@@ -1,17 +1,32 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dkp_eup import oracle, spectrum
 from dkp_eup.model import (Branch, ModelParams, Parity, QuantumNumbers,
                            minimum_momentum_uncertainty, validate, xi_zeta)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
 
+def assert_real_wall_exponent(p, J):
+    """The two owners of "D >= 0" both find a real wall exponent at ``p``:
+    the formulas' b = 1/4 + sqrt(D)/4 is at least 1/2 (D >= 1) up to
+    rounding, and the oracle's constants raise no ComplexExponent."""
+    _, b = spectrum.exponents(p, "natural", J)
+    assert b >= 0.5 * (1.0 - 4e-16)
+    oracle._sector_constants(p, oracle.Sector.natural(J))
+
+
 def test_reference_params_pass_with_positive_discriminant():
-    # D = 1 + 4[(10)(11) - 25] = 341, computed directly
-    assert REF.discriminant() == pytest.approx(341.0, abs=1e-12)
+    # D = 1 + 4[(10)(11) - 25] = 341, computed directly; sigma = 2(a + b)
     assert validate(REF).passed
+    _, b = spectrum.exponents(REF, "natural", 0)
+    _, sigma, _ = oracle._sector_constants(REF, oracle.Sector.natural(0))
+    assert b == pytest.approx(0.25 + math.sqrt(341.0) / 4.0, rel=1e-15)
+    assert sigma == pytest.approx(1.5 + math.sqrt(341.0) / 2.0, rel=1e-15)
 
 
 def test_undeformed_boundary_case_lambda0_equals_lambda_r():
@@ -41,11 +56,9 @@ def test_basic_domain_violations(field, value, expected):
 
 
 def test_negative_discriminant_reported():
-    # D < 0 needs lambda0 > lambda_r, so both violations appear together
+    # D < 0 needs lambda0 > lambda_r, which the coupling order names alone
     p = ModelParams(m=1.0, alpha=0.1, lambda0=1.5, lambda_r=1.0)
-    report = validate(p)
-    assert "discriminant >= 0" in report.violations
-    assert "lambdaR >= lambda0" in report.violations
+    assert validate(p).violations == ("lambdaR >= lambda0",)
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 2.0, 50.0])
@@ -53,7 +66,19 @@ def test_negative_discriminant_reported():
 def test_discriminant_at_least_one_on_valid_domain(alpha, lambda0):
     # identity: for lambda_r >= lambda0 >= 0, x(x+1) - y^2 >= x so D >= 1
     p = ModelParams(m=1.0, alpha=alpha, lambda0=lambda0, lambda_r=1.0)
-    assert p.discriminant() >= 1.0 - 1e-12
+    assert_real_wall_exponent(p, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(1e-3, 10.0), log_alpha=st.floats(-8.0, 1.0),
+       lambda_r=st.floats(0.0, 10.0), ratio=st.floats(0.0, 1.0),
+       J=st.integers(0, 20))
+def test_every_parameter_validate_passes_has_a_real_wall_exponent(
+        m, log_alpha, lambda_r, ratio, J):
+    # validate keeps no discriminant clause: its coupling order implies D >= 1
+    p = ModelParams(m, 10.0 ** log_alpha, ratio * lambda_r, lambda_r)
+    assert validate(p).passed
+    assert_real_wall_exponent(p, J)
 
 
 def test_validate_is_pure():

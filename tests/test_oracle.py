@@ -17,12 +17,10 @@ from dkp_eup import oracle, verify
 from dkp_eup.errors import (ComplexEnergy, ComplexExponent, NonConvergence,
                             NonFiniteParameter, UnsupportedRegime)
 from dkp_eup.model import ModelParams
-from dkp_eup.oracle import (LIMIT_GRID, Sector, compare, discretize,
-                            extrapolated_limit_energy, lowest_energies,
+from dkp_eup.oracle import (Sector, compare, discretize, lowest_energies,
                             solve_lowest)
-from dkp_eup.spectrum import (energy_natural, energy_natural_limit,
-                              energy_unnatural_h0, energy_unnatural_phi,
-                              exponents, level)
+from dkp_eup.spectrum import (energy_natural, energy_unnatural_h0,
+                              energy_unnatural_phi, exponents, level)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
@@ -193,42 +191,45 @@ def test_unnatural_sector_guards():
         solve_lowest(discretize(REF, Sector.natural(0), 8), 0)
 
 
-@pytest.mark.parametrize("alpha", [4e-3, 2e-3, 1e-3])
-@pytest.mark.parametrize("J", [0, 1, 2])
-def test_whole_ball_solves_at_the_extrapolation_alphas(alpha, J):
-    # the solves behind extrapolated_limit_energy, n <= 4, against the
-    # closed form; the measured worst is 9.2e-11
-    params = ModelParams(m=1.0, alpha=alpha, lambda0=0.5, lambda_r=1.0)
-    numeric = lowest_energies(params, Sector.natural(J), 5, LIMIT_GRID)
-    closed = [energy_natural(params, n, J).value for n in range(5)]
+RICHARDSON_ALPHAS = (4e-3, 2e-3, 1e-3)
+
+
+def assert_solves_meet_the_closed_form(params, J, k):
+    # the lowest k levels at grid 8192 within 1e-9.  At the alphas of the
+    # closed-form Richardson check in test_spectrum this bounds the oracle's
+    # own Richardson value: |R_oracle - E_limit| <= 5 max|oracle - closed|
+    # + |R_closed - E_limit| < 5e-9 + 9e-8, inside the former 1e-7 gate
+    numeric = lowest_energies(params, Sector.natural(J), k, 8192)
+    closed = [energy_natural(params, n, J).value for n in range(k)]
     assert numeric == pytest.approx(closed, rel=1e-9)
 
 
-@pytest.mark.parametrize("J", [0, 1])
-@pytest.mark.parametrize("n", [0, 1])
-def test_richardson_extrapolation_reaches_the_limit_formula(J, n):
-    # fully independent check of the undeformed closed form, including its
-    # 2J dependence, from deformed eigensolves alone; measured worst 7.3e-9
-    extrap = extrapolated_limit_energy(1.0, 0.5, 1.0, n, J)
-    closed = energy_natural_limit(ModelParams(1.0, 0.0, 0.5, 1.0), n, J).value
-    assert extrap == pytest.approx(closed, rel=1e-7)
+@pytest.mark.parametrize("alpha", RICHARDSON_ALPHAS)
+@pytest.mark.parametrize("J", [0, 1, 2])
+def test_whole_ball_solves_at_the_extrapolation_alphas(alpha, J):
+    # n <= 4; the measured worst is 9.2e-11
+    params = ModelParams(m=1.0, alpha=alpha, lambda0=0.5, lambda_r=1.0)
+    assert_solves_meet_the_closed_form(params, J, 5)
 
 
-@pytest.mark.parametrize("n,J", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("alpha", RICHARDSON_ALPHAS)
 @pytest.mark.parametrize("lambda0,lambda_r", [(0.0, 2.0), (3.0, 10.0)])
-def test_richardson_extrapolation_at_strong_couplings(lambda0, lambda_r, n, J):
-    # sigma - C = sqrt(Q)/alpha reaches 9,541 at alpha 1e-3 for (3, 10);
-    # the cut keeps every entry finite (measured worst 1.1e-9)
-    extrap = extrapolated_limit_energy(1.0, lambda0, lambda_r, n, J)
-    params = ModelParams(1.0, 0.0, lambda0, lambda_r)
-    closed = energy_natural_limit(params, n, J).value
-    assert extrap == pytest.approx(closed, rel=1e-7)
+def test_strong_coupling_solves_at_the_extrapolation_alphas(lambda0, lambda_r,
+                                                            alpha):
+    # sigma - C = sqrt(Q)/alpha reaches 9,541 at alpha 1e-3 for (3, 10); n
+    # and J <= 1, measured worst 5.0e-10 there (n 1, J 0).  At n <= 4 the
+    # (3, 10) cells reach 1.1e-8: the cut is sized for level 0 (ROADMAP
+    # item 1)
+    params = ModelParams(1.0, alpha, lambda0, lambda_r)
+    for J in (0, 1):
+        assert_solves_meet_the_closed_form(params, J, 2)
 
 
 def test_richardson_extrapolation_without_a_real_exponent_raises():
-    # lambda_r^2 < lambda0^2: the oracle's own constants reject it
+    # lambda_r^2 < lambda0^2 at the smallest Richardson alpha: the oracle's
+    # own constants reject it
     with pytest.raises(ComplexExponent):
-        extrapolated_limit_energy(1.0, 1.5, 1.0, 0, 0)
+        discretize(ModelParams(1.0, 1e-3, 1.5, 1.0), Sector.natural(0), 8192)
 
 
 def test_oracle_does_not_import_the_spectrum_module():
@@ -665,6 +666,14 @@ def test_the_cyclic_sturm_count_matches_the_sequential_pivots(monkeypatch):
                 assert grid <= oracle.SEQUENTIAL_ROWS or fallbacks[0] < grid
                 shifts += 1
     assert shifts == 210
+
+
+def test_a_zero_pivot_counts_as_negative():
+    # q_0 = 0 becomes -pivmin, so q_1 = 1 - 1/(-pivmin) is positive: one
+    # positive eigenvalue, (1 + sqrt 5)/2, and one negative
+    diag, off = np.array([0.0, 1.0]), np.array([1.0])
+    lam = eigvalsh_tridiagonal(diag, off)
+    assert oracle._pivot_count(diag, off) == np.count_nonzero(lam > 0) == 1
 
 
 def test_a_zero_cyclic_pivot_falls_back_to_the_sequential_pivots(monkeypatch):

@@ -59,6 +59,11 @@ def test_exponents_raise_below_real_threshold():
         exponents(ModelParams(1.0, 0.0, 0.5, 1.0), "natural", 0)
 
 
+def test_an_unknown_sector_has_no_exponents():
+    with pytest.raises(UnsupportedRegime, match="unknown sector 'bogus'"):
+        exponents(REF, "bogus")
+
+
 @pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
 def test_a_negative_J_is_rejected_by_name(sector):
     # natural J = -3 gave a = -1.0, and abc served J = -1; exponents is the
@@ -201,6 +206,24 @@ def test_deformed_energy_converges_to_limit_first_order(J, n):
         errors.append(abs(energy_natural(p, n, J).value - limit))
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.4)
     assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.4)
+
+
+@pytest.mark.parametrize("lambda0,lambda_r,n,J", [
+    (0.5, 1.0, 0, 0), (0.5, 1.0, 1, 0), (0.5, 1.0, 0, 1), (0.5, 1.0, 1, 1),
+    (0.0, 2.0, 0, 0), (0.0, 2.0, 1, 1), (3.0, 10.0, 0, 0), (3.0, 10.0, 1, 1)])
+def test_closed_form_richardson_reaches_the_limit_formula(lambda0, lambda_r,
+                                                          n, J):
+    # the weights (8, -6, 1)/3 on alpha = (a, 2a, 4a), a = 1e-3, cancel the
+    # first two orders of the approach to the limit; what is left is the
+    # O(a^3) truncation, measured worst 7.3e-9 (0.5, 1.0, n 1, J 1).  With
+    # the oracle meeting these levels in test_oracle, the limit formula is
+    # checked from deformed eigensolves alone
+    es = [energy_natural(ModelParams(1.0, k * 1e-3, lambda0, lambda_r),
+                         n, J).value for k in (1, 2, 4)]
+    extrap = (8.0 * es[0] - 6.0 * es[1] + es[2]) / 3.0
+    limit = energy_natural_limit(ModelParams(1.0, 0.0, lambda0, lambda_r),
+                                 n, J).value
+    assert extrap == pytest.approx(limit, rel=9e-8)
 
 
 def test_level_spacing_reference_plateau():

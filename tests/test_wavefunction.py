@@ -145,7 +145,7 @@ def test_oscillation_across_parameter_grid(alpha, lambda0):
 def _product_rule_nodes(sol):
     """The former count: neighbours of the sampled primary whose product is
     negative, on the points count_nodes samples."""
-    vals = evaluate_primary(sol, wavefunction._node_grid(sol, 10000))
+    vals = evaluate_primary(sol, wavefunction._node_grid(sol))
     return int(np.sum(vals[:-1] * vals[1:] < 0))
 
 
@@ -172,7 +172,7 @@ def _fine_count(sol):
     ``_node_grid``: the count of the fallback path."""
     sign = np.signbit(wavefunction._poly(
         sol.exponent_a, sol.exponent_b, sol.n,
-        wavefunction._node_grid(sol, wavefunction.NODE_SAMPLES)))
+        wavefunction._node_grid(sol)))
     return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 
@@ -228,8 +228,7 @@ def test_a_build_grid_that_misses_zeros_falls_back_to_the_fine_grid(
     monkeypatch.setattr(wavefunction, "_poly", spy)
     assert count_nodes(sol) == sol.n
     assert len(sampled) == 1
-    assert np.array_equal(sampled[0], wavefunction._node_grid(
-        sol, wavefunction.NODE_SAMPLES))
+    assert np.array_equal(sampled[0], wavefunction._node_grid(sol))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.1, 0.03, 1e-2, 5e-3, 2e-3])
@@ -613,6 +612,14 @@ def test_divergent_norm_guard():
         deformed_norm(pathological, REF)
 
 
+def test_an_underflowing_norm_integral_is_a_divergent_norm():
+    # natural J = 80 at alpha 1e-6 (lambda0 0.5, lambdaR 1): 2b - 1/2 =
+    # 866026, and the raw norm underflows to 0 (ROADMAP item 3 will
+    # normalize it in log space)
+    with pytest.raises(DivergentNorm, match="norm integral is 0.0"):
+        wavefunction._raw_norm_integral(40.5, 433013.0, 0, 1e-6)
+
+
 def test_rho_and_r_parameterizations_agree():
     sol = natural_solution(REF, 2, 1)
     r = np.linspace(0.2, 3.0, 57)  # independent r grid inside the ball
@@ -814,6 +821,15 @@ def test_a_fractional_grid_size_is_a_type_error(sector, grid_size):
             chebyshev_grid(grid_size)
         else:
             unnatural_solution(UNNAT, 1, sector, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_a_grid_of_no_points_is_refused_before_the_cache(size):
+    # an empty grid must not take one of the slots that real sizes use
+    before = wavefunction._chebyshev_grid.cache_info().currsize
+    with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
+        chebyshev_grid(size)
+    assert wavefunction._chebyshev_grid.cache_info().currsize == before
 
 
 def test_chebyshev_grid_properties():
