@@ -34,16 +34,13 @@ class Formula(Enum):
 
 
 class HypergeomData(NamedTuple):
-    """Exponents and parameters of the reduced hypergeometric problem."""
+    """Exponents (a, b) and parameters (A, B, C) of ``abc``'s 2F1."""
 
     a: float
     b: float
     A: float
     B: float
     C: float
-    u: float
-    v1: float
-    v2: float
 
 
 class EnergyLevel(NamedTuple):
@@ -94,11 +91,13 @@ def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, floa
 
 
 def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
-    """Hypergeometric parameters (A, B, C) at a given energy, with audit data.
+    """Hypergeometric parameters (A, B, C) at a given energy.
 
     S = sqrt((E^2-m^2)/(4 alpha) + J(J+1)/4 + (lr^2-l0^2)/(4 alpha^2)),
-    A = a + b + S, B = a + b - S, C = 1/2 + 2a.  u, v1, v2 are returned so
-    callers can confirm the root selection annihilated the singular terms.
+    A = a + b + S, B = a + b - S, C = 1/2 + 2a; at a closed-form level
+    B = -n.  The root selection needs no audit here: a(a - 1/2) = J(J+1)/4
+    holds exactly for a = (J+1)/2, and the wall exponent's indicial equation
+    is audited by the natural build's closure.
     """
     a, b = exponents(params, "natural", J)
     if not math.isfinite(energy):
@@ -110,11 +109,7 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     if not radicand >= 0:
         raise ComplexShift(radicand)
     s = math.sqrt(radicand)
-    v1 = a * (a - 0.5) - J * (J + 1) / 4.0
-    v2 = finite("v2", lambda: b * (b - 0.5) - ((params.lambda_r / al) ** 2
-                + params.lambda_r / al - (params.lambda0 / al) ** 2) / 4.0)
-    return HypergeomData(a=a, b=b, A=a + b + s, B=a + b - s, C=0.5 + 2.0 * a,
-                         u=(a + b) ** 2 - radicand, v1=v1, v2=v2)
+    return HypergeomData(a=a, b=b, A=a + b + s, B=a + b - s, C=0.5 + 2.0 * a)
 
 
 def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> EnergyLevel:

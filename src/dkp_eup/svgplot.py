@@ -47,10 +47,11 @@ def write_svg(path, series: Sequence[tuple],
     ys_all = [y for item in series for y in item[2]]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # a constant range widens by 1, or by 2^-40 of |lo| from 2^40 on
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo) * 2.0 ** -40)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo) * 2.0 ** -40)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

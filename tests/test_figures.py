@@ -74,6 +74,18 @@ def test_a_single_abscissa_series_draws_finite_and_byte_stable(tmp_path):
     assert b"nan" not in svgs[0] and b"inf" not in svgs[0]
 
 
+@pytest.mark.parametrize("xs,ys", [
+    ([0.0, 1.0], [1e17, 1e17]), ([0.0, 1.0], [-1e17, -1e17]),
+    ([0.0, 1.0], [1e300, 1e300]), ([0.0, 1.0], [-1e308, -1e308]),
+    ([1e17], [3.0])], ids=["1e17", "-1e17", "1e300", "-1e308", "x-1e17"])
+def test_a_constant_series_beyond_2_53_draws_finite(tmp_path, xs, ys):
+    # lo + 1.0 == lo there: widening by 1 left an empty range, and the
+    # ticks took log10(0)
+    svgplot.write_svg(tmp_path / "c.svg", [("c", xs, ys)], "x", "y", "")
+    svg = (tmp_path / "c.svg").read_bytes()
+    assert b"nan" not in svg and b"inf" not in svg
+
+
 def test_csv_floats_carry_12_significant_digits(tmp_path):
     path = tmp_path / "fig2.csv"
     figures.write_csv(figures.fig2_data(), path)

@@ -422,6 +422,22 @@ def test_an_unconverged_lanczos_raises_non_convergence(monkeypatch):
         solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
 
 
+def test_ritz_intervals_that_reach_theta_0_raise_non_convergence(
+        monkeypatch):
+    # with an infinite rounding bound every Ritz interval reaches theta = 0,
+    # so no gap bound is ever formed and Lanczos runs out of steps
+    init = oracle._RunningSums.__init__
+
+    def unbounded(self, problem, k):
+        init(self, problem, k)
+        self.rounding = math.inf
+    monkeypatch.setattr(oracle._RunningSums, "__init__", unbounded)
+    with pytest.raises(NonConvergence,
+                       match=r"did not converge on 3 levels in 52 steps: a "
+                             r"Ritz interval reaches theta = 0$"):
+        solve_lowest(discretize(REF, Sector.natural(0), 256), 3)
+
+
 def test_overlapping_ritz_intervals_raise_non_convergence():
     # mapped to lambda, 0.5 +- 0.02 and 0.49 +- 0.02 share [-2.08, -1.96]:
     # neither interval can be proven to hold its own eigenvalue

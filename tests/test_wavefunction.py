@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import warnings
 
 import mpmath
@@ -231,6 +232,63 @@ def test_a_build_grid_that_misses_zeros_falls_back_to_the_fine_grid(
     assert np.array_equal(sampled[0], wavefunction._node_grid(sol))
 
 
+_FALLBACK_CELLS = [(1e-4, 8), (1e-4, 64), (1e-6, 64), (1e-6, 2048),
+                   (1e-8, 2048)]
+
+
+@pytest.mark.parametrize("alpha,grid_size", _FALLBACK_CELLS)
+@pytest.mark.parametrize("sector,J", [("natural", 0), ("natural", 4),
+                                      ("phi", 0), ("h0", 0)])
+def test_the_fallback_counts_n_on_one_scaled_grid(sector, J, alpha,
+                                                  grid_size, monkeypatch):
+    # n = 10, 20 and 40 at alpha <= 1e-4 or on coarse grids, where the
+    # build's samples show fewer than n sign changes: count_nodes samples
+    # the NODE_SAMPLES Chebyshev points of _node_grid, scaled to c < 1/2,
+    # and finds n.  No other grid size is asked for, so the fallback adds
+    # one array to the grid cache.  60 builds, ~0.1 s in all.
+    if sector == "natural":
+        sols = [natural_solution(REF._replace(alpha=alpha), n, J, grid_size,
+                                 tol=math.inf) for n in (10, 20, 40)]
+    else:
+        sols = [unnatural_solution(UNNAT._replace(alpha=alpha), n, sector,
+                                   grid_size, tol=math.inf)
+                for n in (10, 20, 40)]
+    sizes = []
+    cached = wavefunction._chebyshev_grid
+
+    def spy(size):
+        sizes.append(size)
+        return cached(size)
+    monkeypatch.setattr(wavefunction, "_chebyshev_grid", spy)
+    for sol in sols:
+        assert _grid_count(sol) < sol.n
+        assert wavefunction._node_grid(sol)[-1] < 0.5
+        assert count_nodes(sol) == sol.n
+    assert set(sizes) == {wavefunction.NODE_SAMPLES}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_every_zero_lies_inside_the_scaled_node_grid():
+    # scipy's zeros of P_n^(ja,jb) wherever _node_grid scales its grid to
+    # c = (4n + 2ja + 10)/jb < 1/2: n = 1, 4, ..., 40, ja = J + 1/2 for
+    # J up to 80, and 12 jb log-spaced above 2 (4n + 2ja + 10) up to 1e9.
+    # The largest zero lies at most at 0.851 c (also over 12,800 cases with
+    # every n <= 40 and 40 jb).  roots_jacobi warns of an overflow in its
+    # quadrature weights at large jb; the zeros stay finite.  ~0.2 s.
+    sol = natural_solution(REF, 0, 0)
+    worst = 0.0
+    for n, ja in itertools.product(range(1, 41, 3), (0.5, 1.5, 2.5, 4.5, 10.5,
+                                                     20.5, 40.5, 80.5)):
+        bound = 4 * n + 2 * ja + 10
+        for jb in np.geomspace(2 * bound, 1e9, 13)[1:]:
+            grid = wavefunction._node_grid(sol._replace(
+                n=n, exponent_a=(ja + 0.5) / 2, exponent_b=(jb + 0.5) / 2))
+            assert grid[-1] < 0.5
+            zeros = (1.0 - roots_jacobi(n, ja, jb)[0]) / 2.0
+            worst = max(worst, zeros.max() / grid[-1])
+    assert worst <= 0.86
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.1, 0.03, 1e-2, 5e-3, 2e-3])
 @pytest.mark.parametrize("sector", ["natural", "phi", "h0"])
 def test_the_timed_domain_counts_nodes_from_the_build_grid(sector, alpha,
@@ -246,6 +304,27 @@ def test_the_timed_domain_counts_nodes_from_the_build_grid(sector, alpha,
     _forbid_poly(monkeypatch)
     for sol in sols:
         assert count_nodes(sol) == sol.n
+
+
+def test_a_stratified_sample_of_the_timed_domain_never_falls_back():
+    # the README's claim: for alpha >= 2e-3 and n <= 6 the build's own
+    # samples show all n sign changes.  Seeded, one draw per stratum: alpha
+    # log-uniform in each of 8 slices of [2e-3, 1]; natural also in each of
+    # 3 slices of lambda0 in [0, 1), for every J <= 4; phi and h0 at J = 0.
+    # 952 builds, ~0.3 s.
+    rng = random.Random(2048)
+    width = -math.log10(2e-3) / 8
+
+    def alpha(k):  # log-uniform in the k-th slice
+        return 2e-3 * 10.0 ** (width * (k + rng.random()))
+    for n, k in itertools.product(range(7), range(8)):
+        sols = [unnatural_solution(UNNAT._replace(alpha=alpha(k)), n, sector)
+                for sector in ("phi", "h0")]
+        sols += [natural_solution(ModelParams(1.0, alpha(k),
+                                              (i + rng.random()) / 3, 1.0), n, J)
+                 for i in range(3) for J in range(5)]
+        for sol in sols:
+            assert wavefunction._sign_changes(sol.primary) == n
 
 
 def test_underflowed_samples_keep_their_sign(monkeypatch):
@@ -759,6 +838,24 @@ def test_a_wall_off_by_1e_12_fails_the_indicial_check(name, i, sector, alpha,
     for n in (0, 3):
         with pytest.raises(GridTooCoarse, match="wall exponent b"):
             unnatural_solution(UNNAT._replace(alpha=alpha), n, sector)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 1e-3])
+def test_a_natural_wall_off_by_1e_6_fails_the_closure(alpha, monkeypatch):
+    # the natural build checks no indicial equation of its own: a wall
+    # exponent off by 1e-6 leaves a closure residual of 2.2e-6 to 3.6e-4,
+    # over 200 times the 1e-8 gate, and is not mistaken for rounding
+    exact = wavefunction.exponents
+
+    def wrong(params, sector, J=0):
+        a, b = exact(params, sector, J)
+        return a, b * (1 + 1e-6)
+    monkeypatch.setattr(wavefunction, "exponents", wrong)
+    p = REF._replace(alpha=alpha)
+    for n in (0, 3):
+        assert natural_solution(p, n, 1, tol=math.inf).residual_sup > 2e-6
+        with pytest.raises(GridTooCoarse, match="closure"):
+            natural_solution(p, n, 1)
 
 
 @pytest.mark.parametrize("alpha", [10.0, 1.0, 0.1, 2e-3, 1e-4, 1e-6, 1e-8])
