@@ -47,6 +47,7 @@ def write_svg(path, series: Sequence[tuple],
     ys_all = [y for item in series for y in item[2]]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    data = (x_lo, x_hi, y_lo, y_hi)
     # a constant range widens by 1, or by 2^-40 of |lo| from 2^40 on
     if x_hi == x_lo:
         x_hi = x_lo + max(1.0, abs(x_lo) * 2.0 ** -40)
@@ -54,6 +55,9 @@ def write_svg(path, series: Sequence[tuple],
         y_hi = y_lo + max(1.0, abs(y_lo) * 2.0 ** -40)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("x in [{!r}, {!r}], y in [{!r}, {!r}]: the drawn range "
+                         "exceeds the float range".format(*data))
 
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T

@@ -56,15 +56,15 @@ following the expression quoted next to it, operation for operation and in
 the same order, so their results equal those expressions bit for bit.  At
 2,048 points allocating each result was about 40% of a pass.  No workspace
 outlives a build, and no build writes into the shared grid.  Returning from
-``_prefactor_derivs`` frees w, q and rho q before ``_natural_system``
-allocates its own arrays; kept alive through it, they make glibc trim the
-heap after each build and fault it back in on the next, about 84 minor page
-faults per build when natural builds run back to back, against none.
+``_prefactor_derivs`` frees w before ``_natural_system`` allocates its own
+arrays; arrays kept alive through it make glibc trim the heap after each
+build and fault it back in on the next, about 84 minor page faults per build
+when natural builds run back to back, against none.
 
-Grids are built once per size: ``chebyshev_grid`` keeps the last
-GRID_CACHE_SIZE sizes, and every build and node count of that size shares
-the one read-only array, ``RadialSolution.rho_grid`` included.  Copy it to
-modify it (``sol.rho_grid.copy()``).
+Grids are built once per size, with their wall factors q = 1 - rho, rho q,
+p = sqrt(q), p^3 and 4q: the cache keeps the last GRID_CACHE_SIZE sizes, and
+every build and node count of that size shares the one read-only array of
+each, ``RadialSolution.rho_grid`` included.  Copy it to modify it.
 """
 from __future__ import annotations
 
@@ -135,14 +135,27 @@ def chebyshev_grid(size: int) -> np.ndarray:
     modify it."""
     # checked before the cache, which takes 64.0 for 64; 100.5 would put a
     # point at rho = 1, and 0 would cache an empty grid
-    return _chebyshev_grid(require_index("size", size, 1))
+    return _chebyshev_grid(require_index("size", size, 1)).rho
+
+
+class _Grid(NamedTuple):  # a Chebyshev grid and its read-only wall factors
+    rho: np.ndarray
+    q: np.ndarray                     # 1.0 - rho
+    rq: np.ndarray                    # rho * q
+    p: np.ndarray                     # np.sqrt(q)
+    p3: np.ndarray                    # np.power(p, 3)
+    q4: np.ndarray                    # np.multiply(q, 4.0)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _chebyshev_grid(size: int) -> np.ndarray:
+def _chebyshev_grid(size: int) -> _Grid:
     i = np.arange(size)
-    grid = 0.5 * (1.0 - np.cos(np.pi * (i + 0.5) / size))
-    grid.flags.writeable = False
+    rho = 0.5 * (1.0 - np.cos(np.pi * (i + 0.5) / size))
+    q = 1.0 - rho
+    p = np.sqrt(q)
+    grid = _Grid(rho, q, rho * q, p, np.power(p, 3), np.multiply(q, 4.0))
+    for x in grid:
+        x.flags.writeable = False
     return grid
 
 
@@ -172,16 +185,16 @@ class RadialSolution(NamedTuple):
 # --- analytic derivative kernels ------------------------------------------
 
 
-def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
+def _prefactor_derivs(a: float, b: float, n: int, grid: _Grid):
     """F, dF/drho, d2F/drho2 for F = rho^a (1-rho)^b Poly(rho) (unnormalized).
 
     The powers are taken once: the derivatives' prefactors rho^(a-1)
     (1-rho)^(b-1) and rho^(a-2) (1-rho)^(b-2) are w = rho^a (1-rho)^b
     divided by rho (1-rho) once and twice."""
+    rho, q, rq = grid.rho, grid.q, grid.rq
     p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
-    q = 1.0 - rho
     w = rho ** a * q ** b
-    rq, s, t = rho * q, q * a, rho * b
+    s, t = q * a, rho * b
     # g1 = (a * q - b * rho) * p0 + rho * q * p1
     s -= t
     g1 = s * p0
@@ -206,17 +219,18 @@ def _prefactor_derivs(a: float, b: float, n: int, rho: np.ndarray):
     t /= rq
     s *= t
     p0 *= w
-    # returning frees w, q and rq before _natural_system allocates: kept
-    # alive, they cost ~84 minor page faults per back-to-back build
+    # returning frees w before _natural_system allocates: arrays kept alive
+    # through it cost ~84 minor page faults per back-to-back build
     return p0, g1, s
 
 
 def _natural_system(params: ModelParams, J: int, energy: float,
-                    a: float, b: float, n: int, rho: np.ndarray, scale: float):
+                    a: float, b: float, n: int, grid: _Grid, scale: float):
     """F0, {H_plus1, H_minus1, G0} and the terms of the closure, the one
     equation that can fail; xi^2 + zeta^2 = 1 puts p^2 F0''/m in it once."""
     al, m, lr, l0 = params.alpha, params.m, params.lambda_r, params.lambda0
-    f, df, frhorho = derivs = _prefactor_derivs(a, b, n, rho)
+    rho, q, p = grid.rho, grid.q, grid.p
+    f, df, frhorho = derivs = _prefactor_derivs(a, b, n, grid)
     for d in derivs:  # scale * d
         d *= scale
     # df = 2.0 * np.sqrt(al * rho) * frho  (chain rule in rho)
@@ -224,10 +238,9 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     np.sqrt(t, out=t)
     t *= 2.0
     df *= t
-    # r, q = np.sqrt(rho / al), 1.0 - rho; p = np.sqrt(q)
-    r, q = rho / al, 1.0 - rho
+    # r = np.sqrt(rho / al)
+    r = rho / al
     np.sqrt(r, out=r)
-    p = np.sqrt(q)
     # ar, dp, pr = lr * r / p, -al * r / p, p / r
     ar, dp, pr = r * lr, r * -al, p / r
     ar /= p
@@ -241,8 +254,7 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     #            e2 * f / m, -m * f]
     c0, c2 = q * df, e2 * f
     c0 /= np.multiply(r, m, out=t)
-    np.multiply(q, 4.0, out=t)
-    t *= al
+    np.multiply(grid.q4, al, out=t)
     t *= rho
     frhorho *= t
     frhorho /= m
@@ -254,8 +266,7 @@ def _natural_system(params: ModelParams, J: int, energy: float,
     # dh0 = dp * df - lr / p ** 3 * f - ar * df
     # dh1 = (dp / r - p / r ** 2) * f + pr * df
     pdf, arf, dh0, dh1 = p * df, ar * f, dp * df, dp / r
-    np.power(p, 3, out=t)
-    np.divide(lr, t, out=t)
+    np.divide(lr, grid.p3, out=t)
     t *= f
     dh0 -= t
     dh0 -= np.multiply(ar, df, out=t)
@@ -371,22 +382,22 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
                 <= FLOOR_ULPS * EPS * (2.0 * b * b + b + 2.0 * abs(c_wall))):
             raise GridTooCoarse(f"wall exponent b = {b!r} misses 2b^2 - b = 2 c_wall")
     n1 = 1.0 / math.sqrt(_raw_norm_integral(a, b, n, params.alpha))
-    rho = chebyshev_grid(grid_size)
+    grid = _chebyshev_grid(grid_size)
+    rho = grid.rho
     try:
         with np.errstate(over="raise", invalid="raise"):
             if sector == "natural":
                 f, secondary, terms = _natural_system(params, J, energy, a, b,
-                                                      n, rho, n1)
+                                                      n, grid, n1)
                 name, equation = "F0", "closure of the first-order system"
             else:  # N w [rho q P'' + (2a + 1/2 - (2a+2b+1) rho) P'
                 #            + c_diff P - (1/4 + 3b/2) P]
                 p0, p1, p2 = (_poly(a, b, n, rho, k) for k in range(3))
-                q = 1.0 - rho
-                w = rho ** a * q ** b
+                w = rho ** a * grid.q ** b
                 f, nw = (p0 * w) * n1, n1 * w
                 # the last two stay apart: at n = 0 they are all there is, and
                 # their difference is rounding that their own size must scale
-                terms = (nw * (rho * q * p2),
+                terms = (nw * (grid.rq * p2),
                          nw * ((2.0 * a + 0.5 - (2.0 * (a + b) + 1.0) * rho) * p1),
                          nw * (c_diff * p0), nw * (-(0.25 + 1.5 * b) * p0))
                 secondary, equation = {}, "hypergeometric equation"
@@ -397,7 +408,7 @@ def _build(params: ModelParams, sector: str, n: int, J: int,
             f"the Jacobi polynomial P_{n} or its derivatives overflow the "
             f"float range at alpha = {params.alpha:g}, wall exponent "
             f"b = {b:.6g}") from None
-    if not np.any(f):
+    if not f.any():
         raise UnsupportedRegime(
             f"the weight rho^a (1-rho)^b, b = {b:.6g}, underflows to 0 at every "
             f"grid point at alpha = {params.alpha:g}: the sample would audit "

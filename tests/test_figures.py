@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -84,6 +85,32 @@ def test_a_constant_series_beyond_2_53_draws_finite(tmp_path, xs, ys):
     svgplot.write_svg(tmp_path / "c.svg", [("c", xs, ys)], "x", "y", "")
     svg = (tmp_path / "c.svg").read_bytes()
     assert b"nan" not in svg and b"inf" not in svg
+
+
+MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("axis,values,draws", [
+    ("x", [MAX, MAX], False), ("x", [-MAX, -MAX], True),
+    ("x", [-1e308, 1e308], False), ("y", [MAX, MAX], False),
+    ("y", [-MAX, -MAX], False), ("y", [-1e308, 1e308], False)],
+    ids=["x-max", "x-minus-max", "x-span", "y-max", "y-minus-max", "y-span"])
+def test_a_range_at_the_float_maximum_draws_finite_or_is_named(tmp_path, axis,
+                                                                values, draws):
+    # widening a constant range at the float maximum, padding it, or the
+    # span of -1e308 and 1e308 rounds to inf: that range is refused by name;
+    # -MAX widens upward and draws
+    xs, ys = (values, [0.0, 1.0]) if axis == "x" else ([0.0, 1.0], values)
+    path = tmp_path / "c.svg"
+    if draws:
+        svgplot.write_svg(path, [("c", xs, ys)], "x", "y", "")
+        svg = path.read_bytes()
+        assert b"nan" not in svg and b"inf" not in svg
+        return
+    named = f"{axis} in [{min(values)!r}, {max(values)!r}]"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        svgplot.write_svg(path, [("c", xs, ys)], "x", "y", "")
+    assert not path.exists()
 
 
 def test_csv_floats_carry_12_significant_digits(tmp_path):

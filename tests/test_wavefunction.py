@@ -568,6 +568,11 @@ def test_build_arrays_are_fresh_and_unshared():
     assert all(x.base is None and x.flags.owndata for x in arrays)
     assert not any(np.shares_memory(x, y)
                    for x, y in itertools.combinations(arrays, 2))
+    # nor is any sector's array, or a view of, a cached wall factor
+    built = arrays + [unnatural_solution(UNNAT, n, which).primary
+                      for n, which in ((2, "phi"), (4, "h0"))]
+    assert not any(np.shares_memory(x, factor) for x in built
+                   for factor in wavefunction._chebyshev_grid(2048))
     natural_solution(REF._replace(alpha=0.3), 5, 1)
     unnatural_solution(UNNAT, 2, "phi")
     assert all(np.array_equal(x, y) for x, y in zip(arrays, copies))
@@ -737,7 +742,7 @@ def test_zero_solution_has_zero_residual():
     a, b = exponents(REF, "natural", 0)
     energy = level(REF, "natural", 1).value
     *_, closure = wavefunction._natural_system(
-        REF, 0, energy, a, b, 1, chebyshev_grid(2048), 0.0)
+        REF, 0, energy, a, b, 1, wavefunction._chebyshev_grid(2048), 0.0)
     assert wavefunction._residual_sup(closure) == 0.0
 
 
@@ -955,6 +960,65 @@ def test_shared_grids_are_read_only():
     copy = sol.rho_grid.copy()
     copy[0] = 0.5                       # a copy is the caller's own
     assert chebyshev_grid(64)[0] != 0.5
+
+
+def _wall_factors(size):
+    """The grid's cached factors and the expressions the builds once formed."""
+    grid = wavefunction._chebyshev_grid(size)
+    q = 1.0 - grid.rho
+    p = np.sqrt(q)
+    return grid[1:], (q, grid.rho * q, p, np.power(p, 3), np.multiply(q, 4.0))
+
+
+def test_every_wall_factor_is_read_only():
+    natural_solution(REF, 1, 0, grid_size=64)
+    factors, _ = _wall_factors(64)
+    for factor in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            factor *= 2.0
+
+
+def test_builds_of_one_size_share_the_factor_objects(monkeypatch):
+    grids = []
+    system = wavefunction._natural_system
+
+    def spy(*args):
+        grids.append(args[6])
+        return system(*args)
+    monkeypatch.setattr(wavefunction, "_natural_system", spy)
+    natural_solution(REF, 3, 2, grid_size=64)
+    natural_solution(REF._replace(alpha=0.3), 1, 0, grid_size=64)
+    assert len(grids) == 2 and grids[0] is grids[1]
+    assert all(x is y for x, y in
+               zip(grids[0], wavefunction._chebyshev_grid(64), strict=True))
+
+
+def test_builds_at_many_sizes_keep_the_factor_cache_bounded():
+    for size in range(200, 200 + 2 * wavefunction.GRID_CACHE_SIZE):
+        natural_solution(REF, 1, 0, grid_size=size, tol=math.inf)
+    info = wavefunction._chebyshev_grid.cache_info()
+    assert info.currsize <= info.maxsize == wavefunction.GRID_CACHE_SIZE
+
+
+@pytest.mark.parametrize("size", [8, 64, 2048])
+def test_builds_in_every_sector_leave_the_factors_bit_equal(size):
+    # each factor is the expression the builds formed, and stays so after
+    # passing, failing and raising builds of every sector
+    factors, fresh = _wall_factors(size)
+    before = [x.tobytes() for x in factors]
+    assert before == [x.tobytes() for x in fresh]
+    for alpha in (0.1, 2e-3, 1e-8):
+        for n in (0, 3, 20):
+            for build in (lambda p: natural_solution(p, n, 2, size),
+                          lambda p: unnatural_solution(p, n, "phi", size),
+                          lambda p: unnatural_solution(p, n, "h0", size)):
+                try:
+                    build(UNNAT._replace(alpha=alpha))
+                except DkpError:
+                    pass
+    assert [x.tobytes() for x in factors] == before
 
 
 def _arrays(sol):
