@@ -77,23 +77,18 @@ def _write_lines(path, lines):
 
 
 def cmd_spectrum(args) -> int:
-    params = _params(args)
     branch = Branch.PLUS if args.branch == "plus" else Branch.MINUS
-    lines = ["n,J,parity,branch,E"]
-    for n in range(args.n_max + 1):
-        level = spectrum.level(params, args.sector, n, args.J, branch)
-        lines.append(f"{n},{level.qn.J},{level.qn.parity.value},{args.branch},"
-                     f"{level.value:.12g}")
-    _write_lines(args.out, lines)
+    values = spectrum.levels(_params(args), args.sector, args.n_max, args.J, branch)
+    J, parity = (args.J, "natural") if args.sector == "natural" else (0, "unnatural")
+    _write_lines(args.out, ["n,J,parity,branch,E"] + [
+        f"{n},{J},{parity},{args.branch},{e:.12g}" for n, e in enumerate(values)])
     return EXIT_OK
 
 
 def cmd_spacing(args) -> int:
-    params = _params(args)
-    lines = ["n,J,spacing"]
-    for n in range(args.n_max + 1):
-        lines.append(f"{n},{args.J},{spectrum.level_spacing(params, n, args.J):.12g}")
-    _write_lines(args.out, lines)
+    spacings = spectrum.level_spacings(_params(args), args.n_max, args.J)
+    _write_lines(args.out, ["n,J,spacing"] + [
+        f"{n},{args.J},{d:.12g}" for n, d in enumerate(spacings)])
     return EXIT_OK
 
 

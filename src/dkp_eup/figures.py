@@ -18,7 +18,7 @@ import os
 from typing import NamedTuple
 
 from .model import ModelParams, require_valid
-from .spectrum import level, level_spacing
+from .spectrum import level_spacings, levels
 from .svgplot import write_svg
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
@@ -41,9 +41,10 @@ class FigureData(NamedTuple):
     title: str
 
 
-def _table(fig_id: str, ns: list, columns: list, y_label: str,
+def _table(fig_id: str, n_max: int, columns: list, y_label: str,
            title: str, extra_series=()) -> FigureData:
-    """FigureData from columns of (CSV header, SVG series name, values)."""
+    """FigureData from columns of (CSV header, SVG series name, values), n = 0..n_max."""
+    ns = list(range(n_max + 1))
     header = ["n"] + [head for head, _, _ in columns]
     rows = [(n, *(vals[i] for _, _, vals in columns)) for i, n in enumerate(ns)]
     series = [(name, ns, vals) for _, name, vals in columns]
@@ -52,40 +53,35 @@ def _table(fig_id: str, ns: list, columns: list, y_label: str,
 
 
 def fig1_data(lambda0_values=FIG1_LAMBDA0) -> FigureData:
-    ns = list(range(FIG12_NMAX + 1))
     sweep = [require_valid(ModelParams(1.0, 0.0, l0, 1.0)) for l0 in lambda0_values]
     cols = [(f"E[lambda0={p.lambda0:g}]", f"lambda0={p.lambda0:g}",
-             [level(p, "natural", n).value for n in ns]) for p in sweep]
-    return _table("fig1", ns, cols, "E", "undeformed levels vs n")
+             levels(p, "natural", FIG12_NMAX)) for p in sweep]
+    return _table("fig1", FIG12_NMAX, cols, "E", "undeformed levels vs n")
 
 
 def fig2_data(alpha_values=FIG2_ALPHA) -> FigureData:
-    ns = list(range(FIG12_NMAX + 1))
     sweep = [require_valid(ModelParams(1.0, al, 0.5, 1.0)) for al in alpha_values]
     cols = [(f"E[alpha={p.alpha:g}]", f"alpha={p.alpha:g}",
-             [level(p, "natural", n).value for n in ns]) for p in sweep]
-    return _table("fig2", ns, cols, "E", "levels vs n for several deformations")
+             levels(p, "natural", FIG12_NMAX)) for p in sweep]
+    return _table("fig2", FIG12_NMAX, cols, "E", "levels vs n for several deformations")
 
 
 def fig3_data(alpha_values=FIG2_ALPHA) -> FigureData:
-    ns = list(range(FIG3_NMAX + 1))
     sweep = [require_valid(ModelParams(1.0, al, 0.5, 1.0)) for al in alpha_values]
     cols = [(f"dE[alpha={p.alpha:g}]", f"alpha={p.alpha:g}",
-             [level_spacing(p, n, 0) for n in ns]) for p in sweep]
+             level_spacings(p, FIG3_NMAX, 0)) for p in sweep]
     # horizontal asymptotes 2 sqrt(alpha) for the deformed curves (SVG only)
-    asymptotes = [(f"2 sqrt({al:g})", [0, ns[-1]], [2.0 * al ** 0.5] * 2, "dashed")
+    asymptotes = [(f"2 sqrt({al:g})", [0, FIG3_NMAX], [2.0 * al ** 0.5] * 2, "dashed")
                   for al in alpha_values if al > 0]
-    return _table("fig3", ns, cols, "dE",
+    return _table("fig3", FIG3_NMAX, cols, "dE",
                   "level spacing vs n (plateaus at 2 sqrt(alpha))", asymptotes)
 
 
 def fig4_data(alpha_values=FIG4_ALPHA) -> FigureData:
-    ns = list(range(FIG4_NMAX + 1))
     sweep = [require_valid(ModelParams(1.0, al, 0.0, 1.0)) for al in alpha_values]
     cols = [(f"E_{sector}[alpha={p.alpha:g}]", f"E_{sector}[alpha={p.alpha:g}]",
-             [level(p, sector, n).value for n in ns])
-            for p in sweep for sector in ("phi", "h0")]
-    return _table("fig4", ns, cols, "E", "unnatural-parity levels vs n")
+             levels(p, sector, FIG4_NMAX)) for p in sweep for sector in ("phi", "h0")]
+    return _table("fig4", FIG4_NMAX, cols, "E", "unnatural-parity levels vs n")
 
 
 _BUILDERS = dict(zip(FIGURE_IDS, (fig1_data, fig2_data, fig3_data, fig4_data)))

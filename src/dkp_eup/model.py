@@ -45,8 +45,9 @@ def _non_finite(params: ModelParams) -> list[tuple[str, float]]:
 
 def require_finite(params: ModelParams):
     """Raise NonFiniteParameter naming the first NaN or infinite field."""
-    for name, value in _non_finite(params):
-        raise NonFiniteParameter(name, value)
+    if not all(map(math.isfinite, params)):
+        for name, value in _non_finite(params):
+            raise NonFiniteParameter(name, value)
 
 
 def require_index(name: str, value, least: int = 0) -> int:
@@ -88,7 +89,7 @@ class QuantumNumbers(_QuantumNumbers):
             raise TypeError(f"parity must be a Parity, got {self.parity!r}")
         if not isinstance(self.branch, Branch):
             raise TypeError(f"branch must be a Branch, got {self.branch!r}")
-        if self.parity is Parity.UNNATURAL and self.J != 0:
+        if self.J != 0 and self.parity is Parity.UNNATURAL:
             raise ValueError("unnatural parity is only solved for J = 0")
         return self
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import pairwise
 from typing import NamedTuple
 
 from .errors import (ComplexEnergy, ComplexExponent, ComplexShift,
@@ -31,6 +32,9 @@ class Formula(Enum):
     NATURAL_LIMIT = "natural-limit"
     UNNATURAL_PHI = "unnatural-phi"
     UNNATURAL_H0 = "unnatural-h0"
+
+
+_DEFORMED, _LIMIT, _PHI, _H0 = Formula  # globals: Enum attributes read slowly
 
 
 class HypergeomData(NamedTuple):
@@ -112,22 +116,48 @@ def abc(params: ModelParams, J: int, energy: float) -> HypergeomData:
     return HypergeomData(a=a, b=b, A=a + b + s, B=a + b - s, C=0.5 + 2.0 * a)
 
 
-def _energy_from_square(e2: float, qn: QuantumNumbers, formula: Formula) -> EnergyLevel:
+def _root(e2: float) -> float:
     if not e2 >= 0:
         raise ComplexEnergy(e2)
-    return EnergyLevel(qn, qn.branch.value * math.sqrt(e2), formula)  # value +-1
+    return math.sqrt(e2)
+
+
+def _single(params: ModelParams, formula: Formula, n: int, J: int, branch: Branch,
+            parity: Parity = Parity.NATURAL) -> EnergyLevel:
+    qn = QuantumNumbers(n, J, parity, branch)
+    return EnergyLevel(qn, branch.value * _root(_e2(params, formula, J)(n)), formula)
+
+
+def _e2(params: ModelParams, formula: Formula, J: int):
+    """n -> E^2 of ``formula`` at J; guards and n-independent terms run once."""
+    if formula is _DEFORMED:
+        sqrt_q = _sqrt_q(params)
+        return lambda n: finite("E^2", lambda beta=n + (2 * J + 3) / 4.0: (
+            params.m ** 2 + params.lambda_r + params.alpha / 4.0
+            + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
+            - params.alpha * J * (J + 1)))
+    if formula is _LIMIT:
+        require_finite(params)
+        gap2 = finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
+        if not gap2 >= 0:
+            raise ComplexEnergy(gap2)
+        root = math.sqrt(gap2)
+        return lambda n: finite("E^2", lambda: params.m ** 2 + params.lambda_r
+                                + (4 * n + 2 * J + 3) * root)
+    _require_unnatural(params)
+    if formula is _PHI:
+        return lambda n: finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
+                                + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
+                                + 4.0 * (n + 0.5) * params.lambda_r)
+    return lambda n: finite("E^2", lambda: params.m ** 2
+                            + 4.0 * params.alpha * (n + 0.5) ** 2
+                            + 4.0 * (n + 0.5) * params.lambda_r)
 
 
 def energy_natural(params: ModelParams, n: int, J: int,
                    branch: Branch = Branch.PLUS) -> EnergyLevel:
     """Deformed natural-parity level E_{n;J}; requires alpha > 0."""
-    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
-    sqrt_q = _sqrt_q(params)
-    beta = n + (2 * J + 3) / 4.0
-    e2 = finite("E^2", lambda: params.m ** 2 + params.lambda_r + params.alpha / 4.0
-                + 4.0 * params.alpha * beta * beta + 4.0 * beta * sqrt_q
-                - params.alpha * J * (J + 1))
-    return _energy_from_square(e2, qn, Formula.NATURAL_DEFORMED)
+    return _single(params, _DEFORMED, n, J, branch)
 
 
 def energy_natural_limit(params: ModelParams, n: int, J: int,
@@ -138,28 +168,24 @@ def energy_natural_limit(params: ModelParams, n: int, J: int,
     limit of the deformed level (a radial oscillator with angular momentum
     J).  At lambda0 = lambda_r every level collapses to sqrt(m^2 + lr).
     """
-    qn = QuantumNumbers(n, J, Parity.NATURAL, branch)
-    require_finite(params)
-    gap2 = finite("lr^2 - l0^2", lambda: params.lambda_r ** 2 - params.lambda0 ** 2)
-    if not gap2 >= 0:
-        raise ComplexEnergy(gap2)
-    e2 = finite("E^2", lambda: params.m ** 2 + params.lambda_r
-                + (4 * n + 2 * J + 3) * math.sqrt(gap2))
-    return _energy_from_square(e2, qn, Formula.NATURAL_LIMIT)
+    return _single(params, _LIMIT, n, J, branch)
 
 
-def level_spacing(params: ModelParams, n: int, J: int) -> float:
-    """E_{n+1;J} - E_{n;J} on the plus branch; tends to 2 sqrt(alpha).
-    UnsupportedRegime once ulp(E_n) + ulp(E_{n+1}) exceeds sqrt(eps) of it
-    (past n = 1e7); exactly 0 on the flat alpha = 0, l0^2 = lr^2 spectrum."""
-    lo = level(params, "natural", n, J).value
-    hi = level(params, "natural", n + 1, J).value
+def _spacing(params: ModelParams, n: int, lo: float, hi: float) -> float:
     rounding = math.ulp(lo) + math.ulp(hi)
     flat = params.alpha == 0 and params.lambda_r ** 2 == params.lambda0 ** 2
     if not flat and rounding > math.sqrt(math.ulp(1.0)) * (hi - lo):
         raise UnsupportedRegime(f"E_{n + 1} - E_{n} = {hi - lo:.6g} has lost "
                                 f"its digits: the levels round by {rounding:.3g}")
     return hi - lo
+
+
+def level_spacing(params: ModelParams, n: int, J: int) -> float:
+    """E_{n+1;J} - E_{n;J} on the plus branch; tends to 2 sqrt(alpha).
+    UnsupportedRegime once ulp(E_n) + ulp(E_{n+1}) exceeds sqrt(eps) of it
+    (past n = 1e7); exactly 0 on the flat alpha = 0, l0^2 = lr^2 spectrum."""
+    return _spacing(params, n, level(params, "natural", n, J).value,
+                    level(params, "natural", n + 1, J).value)
 
 
 def _require_unnatural(params: ModelParams):
@@ -177,12 +203,7 @@ def energy_unnatural_phi(params: ModelParams, n: int,
     E^2 = m^2 + 4 lr + 4 alpha (n + 1/2)(n + 3/2 + lr/alpha); the lr/alpha
     product is expanded so no 1/alpha survives.
     """
-    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
-    _require_unnatural(params)
-    e2 = finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
-                + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
-                + 4.0 * (n + 0.5) * params.lambda_r)
-    return _energy_from_square(e2, qn, Formula.UNNATURAL_PHI)
+    return _single(params, _PHI, n, 0, branch, Parity.UNNATURAL)
 
 
 def energy_unnatural_h0(params: ModelParams, n: int,
@@ -191,28 +212,52 @@ def energy_unnatural_h0(params: ModelParams, n: int,
 
     E^2 = m^2 + 4 alpha (n + 1/2)(n + 1/2 + lr/alpha).
     """
-    qn = QuantumNumbers(n, 0, Parity.UNNATURAL, branch)
-    _require_unnatural(params)
-    e2 = finite("E^2", lambda: params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
-                + 4.0 * (n + 0.5) * params.lambda_r)
-    return _energy_from_square(e2, qn, Formula.UNNATURAL_H0)
+    return _single(params, _H0, n, 0, branch, Parity.UNNATURAL)
+
+
+def _route(params: ModelParams, sector: str):
+    """(level function, formula, natural parity?) of ``sector``."""
+    if sector == "natural":
+        if params.alpha == 0:
+            return energy_natural_limit, _LIMIT, True
+        return energy_natural, _DEFORMED, True
+    if sector == "phi":
+        return energy_unnatural_phi, _PHI, False
+    if sector == "h0":
+        return energy_unnatural_h0, _H0, False
+    raise UnsupportedRegime(f"unknown sector {sector!r}")
 
 
 def level(params: ModelParams, sector: str, n: int, J: int = 0,
           branch: Branch = Branch.PLUS) -> EnergyLevel:
     """The closed-form level of ``sector``: "natural", "phi" or "h0".
 
-    The one place that maps a sector to its formula and sends natural
-    alpha = 0 to the limit formula; ``formula`` records the route.  The
-    unnatural sectors ignore J.  Formulas are looked up as module globals
-    per call, so patching or tracing one of them reaches every caller.
+    ``_route``, shared with ``levels``, maps a sector to its formula and
+    sends natural alpha = 0 to the limit formula; ``formula`` records the
+    route.  The unnatural sectors ignore J.  Patching an ``energy_*`` function
+    reaches single-level callers only, not the CLI's or the figures' series.
     """
-    if sector == "natural":
-        if params.alpha == 0:
-            return energy_natural_limit(params, n, J, branch)
-        return energy_natural(params, n, J, branch)
-    if sector == "phi":
-        return energy_unnatural_phi(params, n, branch)
-    if sector == "h0":
-        return energy_unnatural_h0(params, n, branch)
-    raise UnsupportedRegime(f"unknown sector {sector!r}")
+    single, _, natural = _route(params, sector)
+    return single(params, n, J, branch) if natural else single(params, n, branch)
+
+
+def _series(params: ModelParams, sector: str, J: int, branch: Branch):
+    """n -> ``level(params, sector, n, J, branch).value``, checked once."""
+    _, formula, natural = _route(params, sector)
+    QuantumNumbers(0, J if natural else 0, branch=branch)  # rejects J, branch as level
+    e2 = _e2(params, formula, J)
+    return lambda n: branch.value * _root(e2(n))
+
+
+def levels(params: ModelParams, sector: str, n_max: int, J: int = 0,
+           branch: Branch = Branch.PLUS) -> list[float]:
+    """[level(params, sector, n, J, branch).value for n in 0..n_max]."""
+    return list(map(_series(params, sector, J, branch), range(n_max + 1)))
+
+
+def level_spacings(params: ModelParams, n_max: int, J: int) -> list[float]:
+    """[level_spacing(params, n, J) for n in 0..n_max], each level computed
+    once; the first failing n raises before any later level is computed."""
+    pairs = pairwise(map(_series(params, "natural", J, Branch.PLUS),
+                         range(n_max + 2)))
+    return [_spacing(params, n, lo, hi) for n, (lo, hi) in enumerate(pairs)]

@@ -45,8 +45,7 @@ def analytic_levels(params: ModelParams, sector: str, J: int,
                     mutate: str | None = None) -> list[float]:
     """Closed-form E_n, n = 0..REFERENCE_NMAX.  ``mutate="jj-term"`` is a
     test hook that misweights the rotational J(J+1) term by 10 percent."""
-    levels = [spectrum.level(params, sector, n, J).value
-              for n in range(REFERENCE_NMAX + 1)]
+    levels = spectrum.levels(params, sector, REFERENCE_NMAX, J)
     if mutate == "jj-term":
         levels = [(e * e + 0.1 * params.alpha * J * (J + 1)) ** 0.5
                   for e in levels]

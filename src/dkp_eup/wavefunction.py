@@ -512,7 +512,9 @@ def write_csv(sol: RadialSolution, path) -> None:
                     * np.sqrt(sol.rho_grid) * np.sqrt(1.0 - sol.rho_grid))
     cols = [sol.rho_grid, r, sol.primary,
             *(sol.secondary[k] for k in names), weight]
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        for at in range(0, len(r), 64):  # few rows: few Python floats live at once
+            rows = zip(*(col[at:at + 64].tolist() for col in cols))
+            fh.writelines(line % row for row in rows)

@@ -54,11 +54,21 @@ def test_invalid_parameters_exit_2_and_echo(capsys):
     assert "lambda0=2" in err
 
 
+def _complex_e2(*a, **k):
+    raise ComplexEnergy(-1.0)
+
+
+# the series commands reach the E^2 kernel, not the energy_* functions
 def test_no_real_spectrum_exit_3(capsys, monkeypatch):
-    def boom(*a, **k):
-        raise ComplexEnergy(-1.0)
-    monkeypatch.setattr(cli.spectrum, "energy_natural", boom)
+    monkeypatch.setattr(cli.spectrum, "_e2", _complex_e2)
     code, _, err = run(capsys, "spectrum", "--alpha", "0.1")
+    assert code == 3
+    assert "no real spectrum" in err
+
+
+def test_no_real_spacing_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.spectrum, "_e2", _complex_e2)
+    code, _, err = run(capsys, "spacing", "--alpha", "0.1")
     assert code == 3
     assert "no real spectrum" in err
 
@@ -417,6 +427,10 @@ PINNED_ARGV = [
     ("spacing",),
     ("spacing", "--alpha", "0.04", "--n-max", "20", "--J", "1"),
     ("spacing", "--alpha", "0"),
+    ("spacing", "--alpha", "0.2", "--J", "4", "--n-max", "200"),
+    ("spectrum", "--sector", "phi", "--lambda0", "0", "--J", "3", "--n-max", "20"),
+    ("spectrum", "--alpha", "0", "--lambda0", "1", "--n-max", "3"),
+    ("spacing", "--m", "1e8"),   # exit 2: E_1 - E_0 has lost its digits
     ("verify",),
     ("verify", "--mutate", "jj-term"),
 ]

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dkp_eup import cli
+from dkp_eup import cli, spectrum
 from dkp_eup.errors import (ComplexEnergy, ComplexExponent, ComplexShift,
                             DkpError, NonFiniteParameter, UnsupportedRegime)
 from dkp_eup.model import Branch, ModelParams
 from dkp_eup.spectrum import (abc, energy_natural, energy_natural_limit,
                               energy_unnatural_h0, energy_unnatural_phi,
-                              exponents, level, level_spacing)
+                              exponents, level, level_spacing, level_spacings,
+                              levels)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 EPS = Fraction(math.ulp(1.0))
@@ -562,3 +563,57 @@ def test_cli_stdout_never_prints_nan_or_inf(capsys, command, sector, m, alpha,
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_NO_SPECTRUM)
     assert "nan" not in out and "inf" not in out
     assert len(out.splitlines()) == (n_max + 2 if code == cli.EXIT_OK else 0)
+
+
+def _outcome(compute):
+    """The bits of each value ``compute`` returns, or the type and message of
+    what it raises."""
+    try:
+        return [value.hex() for value in compute()]
+    except Exception as exc:  # compared, not handled: any difference fails
+        return type(exc), str(exc)
+
+
+# m = 1e8 loses the spacing's digits at n = 0; m = 1e200 overflows E^2
+SERIES_MASSES = st.one_of(MASSES, st.sampled_from([1e8, 1e200, math.nan, math.inf]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=SERIES_MASSES, alpha=st.one_of(st.just(0.0), DEFORMED),
+       lambda0=st.one_of(st.just(0.0), COUPLINGS), lambda_r=COUPLINGS,
+       sector=SECTORS, n_max=st.integers(0, 200), J=st.integers(0, 20),
+       branch=st.sampled_from(Branch))
+def test_the_series_are_the_per_level_loops_bit_for_bit(m, alpha, lambda0, lambda_r,
+                                                         sector, n_max, J, branch):
+    p = ModelParams(m=m, alpha=alpha, lambda0=lambda0, lambda_r=lambda_r)
+    ns = range(n_max + 1)
+    assert _outcome(lambda: levels(p, sector, n_max, J, branch)) == _outcome(
+        lambda: [level(p, sector, n, J, branch).value for n in ns])
+    assert _outcome(lambda: level_spacings(p, n_max, J)) == _outcome(
+        lambda: [level_spacing(p, n, J) for n in ns])
+
+
+@pytest.mark.parametrize("sector", ["natural", "phi", "h0", "nope"])
+@pytest.mark.parametrize("J, branch", [(-1, Branch.PLUS), (2.0, Branch.MINUS),
+                                       (0, 1), (-1, "plus"), (3, Branch.MINUS)])
+def test_the_series_reject_what_the_per_level_loops_reject(sector, J, branch):
+    for p in (REF, REF._replace(alpha=0.0), UNNAT, UNNAT._replace(alpha=0.0)):
+        assert _outcome(lambda: levels(p, sector, 3, J, branch)) == _outcome(
+            lambda: [level(p, sector, n, J, branch).value for n in range(4)])
+        assert _outcome(lambda: level_spacings(p, 3, J)) == _outcome(
+            lambda: [level_spacing(p, n, J) for n in range(4)])
+
+
+def test_level_spacings_compute_each_level_once_up_to_the_first_failure(monkeypatch):
+    kernel, evaluated = spectrum._e2, []
+
+    def counted(params, formula, J):
+        e2 = kernel(params, formula, J)
+        return lambda n: evaluated.append(n) or e2(n)
+    monkeypatch.setattr(spectrum, "_e2", counted)
+    assert len(level_spacings(REF, 200, 0)) == 201
+    assert evaluated == list(range(202))
+    evaluated.clear()
+    with pytest.raises(UnsupportedRegime, match="E_1 - E_0 .* lost its digits"):
+        level_spacings(REF._replace(m=1e8), 200, 0)
+    assert evaluated == [0, 1]
