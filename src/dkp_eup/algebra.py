@@ -3,8 +3,8 @@
 Two independent verification layers live here:
 
 * the 10x10 matrix representation (four beta matrices, spin matrices,
-  projector) over Gaussian integers, checked in complex128 arithmetic that
-  is asserted exact;
+  projector), held as sparse matrices of Gaussian integers whose parts are
+  Python ints, so that every product and sum is exact at any size;
 * the deformed position/momentum operators X_i = x_i/sqrt(1 - alpha r^2),
   P_i = -i sqrt(1 - alpha r^2) d_i, whose commutation relations are checked
   as identities between first-order differential operators, formed
@@ -15,44 +15,44 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import AlgebraInconsistent
+from .model import max_or_nan, require_alpha
 
 METRIC = (1, -1, -1, -1)
 
-
-def _exact(*arrays: np.ndarray) -> None:
-    """Raise AlgebraInconsistent unless every entry is a Gaussian integer
-    below 2^53 in each part, where complex128 arithmetic is exact."""
-    for a in arrays:
-        parts = np.stack([a.real, a.imag])
-        if not np.all((np.abs(parts) < 2.0 ** 53) & (parts == np.round(parts))):
-            raise AlgebraInconsistent("matrix entries leave the exactly "
-                                      "representable Gaussian integers")
+Matrix = dict  # {(row, col): (re, im)}: the nonzero entries re + i im, ints
+_UNIT: Matrix = {(i, i): (1, 0) for i in range(10)}
 
 
-def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The usual 3x3 spin-one generators (S^j)_{kl} = -i eps_{jkl}."""
-    return tuple(-1j * np.array([[_levi_civita(j, k, lo) for lo in range(3)]
-                                 for k in range(3)])
+def _sum(terms) -> Matrix:
+    """sum c a b over the (int c, Matrix a, Matrix b) of ``terms``."""
+    out: Matrix = {}
+    for c, a, b in terms:
+        rows: dict = {}
+        for (k, j), v in b.items():
+            rows.setdefault(k, []).append((j, v))
+        for (i, k), (ar, ai) in a.items():
+            for j, (br, bi) in rows.get(k, ()):
+                r, m = out.get((i, j), (0, 0))
+                out[i, j] = (r + c * (ar * br - ai * bi),
+                             m + c * (ar * bi + ai * br))
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+def spin_matrices() -> tuple[Matrix, Matrix, Matrix]:
+    """The usual 3x3 spin-one generators (S^j)_{kl} = -i eps_{jkl}, where
+    eps_{jkl} = (j - k)(k - l)(l - j)/2 on the indices 0, 1, 2."""
+    return tuple({(k, lo): (0, -(j - k) * (k - lo) * (lo - j) // 2)
+                  for k in range(3) for lo in range(3) if len({j, k, lo}) == 3}
                  for j in range(3))
-
-
-def _levi_civita(i: int, j: int, k: int) -> int:
-    if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1
-    if (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1
-    return 0
 
 
 class DkpMatrixSet(NamedTuple):
     """The four 10x10 beta matrices plus the spin matrices and the metric,
-    as complex128 arrays whose entries are Gaussian integers."""
+    each matrix a sparse ``Matrix`` of Gaussian integers."""
 
-    beta: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    spin: tuple[np.ndarray, np.ndarray, np.ndarray]
+    beta: tuple[Matrix, Matrix, Matrix, Matrix]
+    spin: tuple[Matrix, Matrix, Matrix]
     metric: tuple[int, int, int, int] = METRIC
 
 
@@ -64,14 +64,12 @@ def build_matrices() -> DkpMatrixSet:
     the G row via the unit row vector u^k and F to H via -i S^k.
     """
     spins = spin_matrices()
-    b0 = np.zeros((10, 10), dtype=np.complex128)
-    b0[1:4, 4:7] = b0[4:7, 1:4] = np.eye(3)
-    beta = [b0]
+    beta = [{(a + i, b + i): (1, 0)
+             for i in range(3) for a, b in ((1, 4), (4, 1))}]
     for k in range(3):
-        bk = np.zeros((10, 10), dtype=np.complex128)
-        bk[0, 4 + k] = 1
-        bk[4 + k, 0] = -1
-        bk[1:4, 7:10] = bk[7:10, 1:4] = -1j * spins[k]
+        bk = {(0, 4 + k): (1, 0), (4 + k, 0): (-1, 0)}
+        for (r, c), (re, im) in spins[k].items():    # -i (re + i im)
+            bk[1 + r, 7 + c] = bk[7 + r, 1 + c] = (im, -re)
         beta.append(bk)
     return DkpMatrixSet(tuple(beta), spins)
 
@@ -90,26 +88,24 @@ class AlgebraReport(NamedTuple):
 def verify_algebra(mats: DkpMatrixSet) -> AlgebraReport:
     """Check b^s b^k b^l + b^l b^k b^s = g^{sk} b^l + g^{kl} b^s exactly.
 
-    All 64 (sigma, kappa, lambda) triples at once, indexed [s, k, l] on the
-    leading axes.  The entries of the matrices and of each left-hand side are
-    asserted to be Gaussian integers below 2^53.
+    All 64 (sigma, kappa, lambda) triples, each as q^{sk} b^l + q^{lk} b^s
+    = 0 with q^{sk} = b^s b^k - g^{sk}, which is the identity's left side
+    minus its right; the violated triples are reported in lexicographic order.
     """
-    b = np.stack(mats.beta)
-    g = np.diag(mats.metric)[..., None, None]     # g^{sk}, diagonal
-    _exact(b)
-    bbb = (b[:, None] @ b[None, :])[:, :, None] @ b   # b^s b^k b^l
-    lhs = bbb + bbb.transpose(2, 1, 0, 3, 4)
-    rhs = g[:, :, None] * b + g[None] * b[:, None, None]
-    _exact(lhs)
-    bad = np.argwhere(np.any(lhs != rhs, axis=(3, 4)))
-    return AlgebraReport(tuple(tuple(int(i) for i in t) for t in bad), 64)
+    b, g = mats.beta, mats.metric
+    q = [[_sum([(1, bs, bk), (-g[s] * (s == k), _UNIT, _UNIT)])
+          for k, bk in enumerate(b)] for s, bs in enumerate(b)]
+    bad = tuple(
+        (s, k, lo) for s in range(4) for k in range(4) for lo in range(4)
+        if _sum([(1, q[s][k], b[lo]), (1, q[lo][k], b[s])]))
+    return AlgebraReport(bad, 64)
 
 
 class ProjectorMatrix(NamedTuple):
-    matrix: np.ndarray
+    matrix: Matrix
 
     def diagonal(self) -> list[complex]:
-        return [complex(v) for v in np.diag(self.matrix)]
+        return [complex(*self.matrix.get((i, i), (0, 0))) for i in range(10)]
 
 
 def build_projector(mats: DkpMatrixSet) -> ProjectorMatrix:
@@ -118,12 +114,10 @@ def build_projector(mats: DkpMatrixSet) -> ProjectorMatrix:
     Raises :class:`AlgebraInconsistent` unless the result is exactly
     idempotent and Hermitian.
     """
-    b = mats.beta
-    _exact(*b)
-    p = sum(g * (bm @ bm) for g, bm in zip(mats.metric, b)) - 2 * np.eye(10)
-    pp = p @ p
-    _exact(p, pp)
-    if not np.array_equal(pp, p) or not np.array_equal(p, p.conj().T):
+    p = _sum([*((g, bm, bm) for g, bm in zip(mats.metric, mats.beta)),
+              (-2, _UNIT, _UNIT)])
+    adjoint = {(c, r): (re, -im) for (r, c), (re, im) in p.items()}
+    if _sum([(1, p, p)]) != p or adjoint != p:
         raise AlgebraInconsistent("beta^mu beta_mu - 2 is not a projector")
     return ProjectorMatrix(p)
 
@@ -257,13 +251,11 @@ def check_deformed_commutators(alpha: float) -> CommutatorReport:
     coefficient at all (without w^2 = 1 - alpha r^2, which none needs), so
     on every smooth function.  ``alpha`` may be any positive finite float.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    require_alpha(alpha, positive=True)
     residuals = _residuals(alpha)
     worst = dict.fromkeys(("xx", "xp", "pp"), 0.0)
     for relation, residual in residuals:
         left = [c for coeff in residual for c in coeff.values()]
         if left:
-            # np.max, unlike the builtin max, keeps a NaN once it appears
-            worst[relation] = float(np.max(np.abs([worst[relation], *left])))
+            worst[relation] = max_or_nan([worst[relation], *map(abs, left)])
     return CommutatorReport(alpha, len(residuals), *worst.values())

@@ -7,9 +7,10 @@ Each flag's type and default are stated once, in ``build_parser``.  Flag
 values override a ``--config`` file (plain ``key = value`` lines, each parsed
 exactly like its flag), which overrides the defaults.
 
-Only ``wavefunction`` and ``verify`` import numpy, and only ``figures`` the
-figure and SVG modules, each inside its command, so the closed-form commands
-start without them; no command imports scipy.
+Only ``wavefunction`` and the oracle check of ``verify`` import numpy, and
+only ``figures`` the figure and SVG modules, each inside its command or
+check, so the closed-form commands and the other checks start without them;
+no command imports scipy.
 """
 from __future__ import annotations
 

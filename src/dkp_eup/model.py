@@ -1,4 +1,5 @@
-"""Parameters, quantum numbers and input guards shared by every other module.
+"""Parameters, quantum numbers and input guards shared by every other module,
+and the maximum that the checks take, which keeps a NaN.
 
 Natural units (hbar = c = 1) throughout.  The deformation parameter alpha
 carries dimension energy^2; alpha = 0 selects the undeformed theory and is
@@ -67,6 +68,21 @@ def finite(name: str, compute) -> float:
     if not math.isfinite(value):
         raise UnsupportedRegime(f"{name} overflows the float range")
     return value
+
+
+def require_alpha(alpha: float, positive: bool = False) -> float:
+    """``alpha``, or a ValueError unless it is finite and >= 0 (> 0 if
+    ``positive``); NaN fails either bound."""
+    if not (alpha > 0 if positive else alpha >= 0) or not alpha < math.inf:
+        bound = ">" if positive else ">="
+        raise ValueError(f"alpha must be finite and {bound} 0, got {alpha}")
+    return alpha
+
+
+def max_or_nan(values) -> float:
+    """The largest of ``values``, or NaN if any is NaN, so that a gate on it
+    fails: the builtin max keeps a NaN only where it comes first."""
+    return float(max(values, key=lambda v: (math.isnan(v), v)))
 
 
 class _QuantumNumbers(NamedTuple):
@@ -150,6 +166,4 @@ def xi_zeta(J: int) -> tuple[float, float]:
 
 def minimum_momentum_uncertainty(alpha: float) -> float:
     """Smallest achievable momentum spread sqrt(alpha)/2 implied by alpha > 0."""
-    if not 0 <= alpha < math.inf:   # NaN too
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    return math.sqrt(alpha) / 2.0
+    return math.sqrt(require_alpha(alpha)) / 2.0

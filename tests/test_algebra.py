@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import dense
 from hypothesis import strategies as st
 
 from dkp_eup import algebra
@@ -16,33 +17,33 @@ MATS = build_matrices()
 
 
 def test_printed_block_entries():
-    b0, b1 = MATS.beta[0], MATS.beta[1]
+    b0, b1 = dense(MATS.beta[0]), dense(MATS.beta[1])
     assert b0[1, 4] == 1  # F-row couples to G-column with a unit block
     assert b1[0, 4] == 1  # scalar row couples to the first G slot
-    s3 = MATS.spin[2]
+    s3 = dense(MATS.spin[2], 3)
     assert s3[0, 1] == -1j
 
 
 def test_all_entries_are_gaussian_units():
     allowed = {0 + 0j, 1 + 0j, -1 + 0j, 1j, -1j}
     for b in MATS.beta:
-        vals = {complex(v) for v in b.ravel()}
+        vals = {complex(v) for v in dense(b).ravel()}
         assert vals <= allowed
 
 
 def test_hermiticity_pattern():
-    b0 = MATS.beta[0]
+    b0 = dense(MATS.beta[0])
     assert np.array_equal(b0, b0.conj().T)
     for k in (1, 2, 3):
-        bk = MATS.beta[k]
+        bk = dense(MATS.beta[k])
         assert not (bk + bk.conj().T).any()
 
 
 def test_cube_identities_exact():
-    b0 = MATS.beta[0]
+    b0 = dense(MATS.beta[0])
     assert np.array_equal(b0 @ b0 @ b0, b0)
     for k in (1, 2, 3):
-        bk = MATS.beta[k]
+        bk = dense(MATS.beta[k])
         assert np.array_equal(bk @ bk @ bk, -bk)
 
 
@@ -53,18 +54,20 @@ def test_trilinear_algebra_all_64_triples():
 
 
 def test_verifier_detects_corruption():
-    bad = MATS.beta[1].copy()
-    assert bad.dtype == np.complex128
-    bad[0, 5] = 1  # wrong u-vector slot
+    bad = dict(MATS.beta[1])
+    # exact by type: every entry is a pair of Python ints
+    assert {type(part) for entry in bad.values() for part in entry} == {int}
+    bad[0, 5] = (1, 0)  # wrong u-vector slot
     corrupt = MATS._replace(
         beta=(MATS.beta[0], bad, MATS.beta[2], MATS.beta[3]))
     report = verify_algebra(corrupt)
     assert not report.passed
 
 
-def _violations_one_by_one(mats):
-    """The violated (s, k, l) triples, checked one triple at a time."""
-    b, g = mats.beta, mats.metric
+def _violations_one_by_one(mats, exact=False):
+    """The violated (s, k, l) triples, checked one triple at a time on the
+    dense matrices."""
+    b, g = [dense(m, exact=exact) for m in mats.beta], mats.metric
     return tuple((s, k, lo) for s in range(4) for k in range(4) for lo in range(4)
                  if not np.array_equal(
                      b[s] @ b[k] @ b[lo] + b[lo] @ b[k] @ b[s],
@@ -73,9 +76,9 @@ def _violations_one_by_one(mats):
 
 
 @pytest.mark.parametrize("which, row, col, value", [
-    (1, 0, 5, 1), (0, 2, 2, 1j), (3, 9, 0, -1), (2, 4, 8, 2)])
+    (1, 0, 5, (1, 0)), (0, 2, 2, (0, 1)), (3, 9, 0, (-1, 0)), (2, 4, 8, (2, 0))])
 def test_batched_check_reports_the_triples_a_loop_finds(which, row, col, value):
-    beta = [b.copy() for b in MATS.beta]
+    beta = [dict(b) for b in MATS.beta]
     beta[which][row, col] = value
     corrupt = MATS._replace(beta=tuple(beta))
     report = verify_algebra(corrupt)
@@ -84,14 +87,14 @@ def test_batched_check_reports_the_triples_a_loop_finds(which, row, col, value):
 
 
 def test_spin_matrices_su2_commutators():
-    s1, s2, s3 = spin_matrices()
+    s1, s2, s3 = (dense(s, 3) for s in spin_matrices())
     assert np.array_equal(s1 @ s2 - s2 @ s1, 1j * s3)  # [S1,S2] = iS3
 
 
 def test_projector_is_the_printed_diagonal():
     proj = build_projector(MATS)
     assert proj.diagonal() == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
-    p = proj.matrix
+    p = dense(proj.matrix)
     assert np.array_equal(p @ p, p)
     assert np.array_equal(p, p.conj().T)
     assert sum(v.real for v in proj.diagonal()) == 4
@@ -104,16 +107,16 @@ def test_projector_guard_raises_on_bad_set():
         build_projector(bad)
 
 
-@pytest.mark.parametrize("value", [0.5, 0.5j, 2.0 ** 53, -2.0 ** 53 * 1j])
-def test_exactness_guard_rejects_inexact_entries(value):
-    m = MATS.beta[2].copy()
+@pytest.mark.parametrize("value", [(2 ** 53, 0), (2 ** 60, 0), (0, 2 ** 53)])
+def test_entries_past_2_53_are_checked_exactly(value):
+    # complex128 rounds the sums of products of such entries; the Gaussian
+    # integers do not, so each violated triple is found as in exact algebra
+    m = dict(MATS.beta[2])
     m[3, 3] = value
-    with pytest.raises(AlgebraInconsistent):
-        algebra._exact(MATS.beta[0], m)
-    algebra._exact(MATS.beta[0], MATS.beta[2])
-    with pytest.raises(AlgebraInconsistent):
-        verify_algebra(MATS._replace(
-            beta=(MATS.beta[0], MATS.beta[1], m, MATS.beta[3])))
+    corrupt = MATS._replace(beta=(MATS.beta[0], MATS.beta[1], m, MATS.beta[3]))
+    report = verify_algebra(corrupt)
+    assert report.violations == _violations_one_by_one(corrupt, exact=True)
+    assert report.violations and report.triples_checked == 64
 
 
 # --- deformed commutators ---------------------------------------------------

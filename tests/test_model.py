@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkp_eup import oracle, spectrum
+from dkp_eup import algebra, oracle, spectrum
 from dkp_eup.model import (Branch, ModelParams, Parity, QuantumNumbers,
-                           minimum_momentum_uncertainty, validate, xi_zeta)
+                           max_or_nan, minimum_momentum_uncertainty, validate,
+                           xi_zeta)
 
 REF = ModelParams(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
 
@@ -144,6 +145,27 @@ def test_minimum_momentum_uncertainty_rejects_a_non_finite_alpha(alpha):
     # NaN and inf used to come back as NaN and inf
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
         minimum_momentum_uncertainty(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_both_alpha_bounds_keep_their_messages(alpha):
+    # the commutator check needs alpha > 0, the momentum spread alpha >= 0
+    with pytest.raises(ValueError) as positive:
+        algebra.check_deformed_commutators(alpha)
+    assert str(positive.value) == f"alpha must be finite and > 0, got {alpha}"
+    if alpha != 0.0:
+        with pytest.raises(ValueError) as non_negative:
+            minimum_momentum_uncertainty(alpha)
+        assert str(non_negative.value) == (
+            f"alpha must be finite and >= 0, got {alpha}")
+
+
+@pytest.mark.parametrize("values, largest", [
+    ([1.0, 3.0, 2.0], 3.0), ([math.nan, 1.0], math.nan),
+    ([1.0, math.nan, 2.0], math.nan), ([2.0, math.inf, math.nan], math.nan)])
+def test_max_or_nan_keeps_a_nan_wherever_it_stands(values, largest):
+    result = max_or_nan(values)
+    assert result == largest or math.isnan(result) and math.isnan(largest)
 
 
 @pytest.mark.parametrize("J", [1.5, 2.0, math.nan, math.inf])

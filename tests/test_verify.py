@@ -1,8 +1,7 @@
+import json
 import math
 
-import numpy as np
-
-from dkp_eup import algebra, spectrum, verify
+from dkp_eup import algebra, cli, spectrum, verify
 
 
 def test_reference_checks_pass():
@@ -37,8 +36,8 @@ def test_nan_fails_the_closure_check(monkeypatch):
 def test_a_corrupted_beta_entry_fails_the_algebra_check(monkeypatch):
     # one more unit in beta^0[0, 7] breaks 20 triples; P still projects
     mats = algebra.build_matrices()
-    b0 = mats.beta[0].copy()
-    b0[0, 7] += 1
+    b0 = dict(mats.beta[0])
+    b0[0, 7] = (1, 0)     # was 0
     corrupt = mats._replace(beta=(b0, *mats.beta[1:]))
     monkeypatch.setattr(algebra, "build_matrices", lambda: corrupt)
     result = verify.check_algebra()
@@ -48,14 +47,34 @@ def test_a_corrupted_beta_entry_fails_the_algebra_check(monkeypatch):
 
 def test_permuted_components_fail_only_the_projector_diagonal(monkeypatch):
     # a similarity keeps every identity, but moves P's unit diagonal
-    # entries off the (scalar, F) components
+    # entries off the (scalar, F) components: here the cyclic shift of
+    # every index by one
     mats = algebra.build_matrices()
-    perm = np.roll(np.eye(10), 1, axis=0)
-    corrupt = mats._replace(beta=tuple(perm @ b @ perm.T for b in mats.beta))
+    corrupt = mats._replace(beta=tuple(
+        {((r + 1) % 10, (c + 1) % 10): v for (r, c), v in b.items()}
+        for b in mats.beta))
     monkeypatch.setattr(algebra, "build_matrices", lambda: corrupt)
     result = verify.check_algebra()
     assert result.failures == ("algebra: projector diagonal mismatch",)
     assert result.worst == 1.0
+
+
+def test_a_beta_set_without_a_projector_fails_the_algebra_check(
+        monkeypatch, capsys):
+    # beta^1 replaced by beta^0: P is not idempotent, which is a failed
+    # check (exit 1), not invalid input (exit 2)
+    mats = algebra.build_matrices()
+    corrupt = mats._replace(beta=(mats.beta[0], mats.beta[0], *mats.beta[2:]))
+    monkeypatch.setattr(algebra, "build_matrices", lambda: corrupt)
+    result = verify.check_algebra()
+    assert result.failures == (
+        "algebra: 19 violated triples",
+        "algebra: beta^mu beta_mu - 2 is not a projector")
+    assert result.worst == 20.0
+    assert cli.main(["verify", "--only", "algebra"]) == cli.EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL algebra (")
+    assert json.loads(out[1]) == {"failures": list(result.failures)}
 
 
 def test_the_closure_failure_states_closure_tol(monkeypatch):
