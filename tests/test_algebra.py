@@ -76,10 +76,10 @@ def _violations_one_by_one(mats, exact=False):
 
 
 @pytest.mark.parametrize("which, row, col, value", [
-    (1, 0, 5, (1, 0)), (0, 2, 2, (0, 1)), (3, 9, 0, (-1, 0)), (2, 4, 8, (2, 0))])
+    (1, 0, 5, 1), (0, 2, 2, 1j), (3, 9, 0, -1), (2, 4, 8, 2)])
 def test_batched_check_reports_the_triples_a_loop_finds(which, row, col, value):
     beta = [dict(b) for b in MATS.beta]
-    beta[which][row, col] = value
+    beta[which][row, col] = (int(value.real), int(value.imag))
     corrupt = MATS._replace(beta=tuple(beta))
     report = verify_algebra(corrupt)
     assert report.violations == _violations_one_by_one(corrupt)
