@@ -20,13 +20,12 @@ import time
 
 from . import spectrum
 from .errors import ComplexEnergy, ComplexExponent, ComplexShift, DkpError
-from .model import Branch, ModelParams, require_index, require_valid
+from .model import SECTORS, Branch, ModelParams, require_index, require_valid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NO_SPECTRUM = 3
-SECTORS = ("natural", "phi", "h0")
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

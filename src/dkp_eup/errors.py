@@ -42,7 +42,7 @@ class NonFiniteParameter(DkpError):
 
 
 class UnsupportedRegime(DkpError):
-    """Parameter/quantum-number combination outside the solved regimes."""
+    """An unsolved sector or regime (refused in ``model``), or past the float range."""
 
 
 class GridTooCoarse(DkpError):

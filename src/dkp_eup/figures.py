@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .model import ModelParams, require_valid
+from .model import UNNATURAL_SECTORS, ModelParams, require_valid
 from .spectrum import level_spacings, levels
 from .svgplot import write_svg
 
@@ -79,8 +79,8 @@ def fig3_data(alpha_values=FIG2_ALPHA) -> FigureData:
 
 def fig4_data(alpha_values=FIG4_ALPHA) -> FigureData:
     sweep = [require_valid(ModelParams(1.0, al, 0.0, 1.0)) for al in alpha_values]
-    cols = [(f"E_{sector}[alpha={p.alpha:g}]", f"E_{sector}[alpha={p.alpha:g}]",
-             levels(p, sector, FIG4_NMAX)) for p in sweep for sector in ("phi", "h0")]
+    cols = [(f"E_{s}[alpha={p.alpha:g}]", f"E_{s}[alpha={p.alpha:g}]",
+             levels(p, s, FIG4_NMAX)) for p in sweep for s in UNNATURAL_SECTORS]
     return _table("fig4", FIG4_NMAX, cols, "E", "unnatural-parity levels vs n")
 
 

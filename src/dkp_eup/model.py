@@ -13,7 +13,11 @@ import operator
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NonFiniteParameter, UnsupportedRegime
+from .errors import ComplexExponent, NonFiniteParameter, UnsupportedRegime
+
+# deformed (alpha > 0) solutions: natural parity at any J; phi, h0 at J = 0, lambda0 = 0
+SECTORS = ("natural", "phi", "h0")
+UNNATURAL_SECTORS = SECTORS[1:]
 
 
 class Parity(Enum):
@@ -79,6 +83,33 @@ def require_alpha(alpha: float, positive: bool = False) -> float:
     return alpha
 
 
+def require_sector(sector: str, solved: tuple[str, ...] = SECTORS) -> str:
+    """``sector``, or UnsupportedRegime unless it is one of ``solved``."""
+    if sector not in solved:
+        raise UnsupportedRegime(f"sector {sector!r} is not one of {', '.join(solved)}")
+    return sector
+
+
+def require_deformed(params: ModelParams, sector: str):
+    """UnsupportedRegime unless the deformed ``sector`` is solved at ``params``."""
+    require_sector(sector)
+    require_finite(params)
+    if not params.alpha > 0:
+        raise UnsupportedRegime(f"the deformed {sector} sector requires "
+                                f"alpha > 0, got alpha = {params.alpha}")
+    if sector in UNNATURAL_SECTORS and params.lambda0 != 0:
+        raise UnsupportedRegime(f"the {sector} sector requires lambda0 = 0, "
+                                f"got lambda0 = {params.lambda0}")
+
+
+def require_real_exponent(q: float, alpha: float) -> float:
+    """``q`` = alpha^2 D / 4 if it is >= 0, else ComplexExponent(D)."""
+    if not q >= 0:
+        # divided twice: alpha ** 2 underflows to 0 below alpha ~ 1e-162
+        raise ComplexExponent(4.0 * q / alpha / alpha)
+    return q
+
+
 def max_or_nan(values) -> float:
     """The largest of ``values``, or NaN if any is NaN, so that a gate on it
     fails: the builtin max keeps a NaN only where it comes first."""
@@ -126,11 +157,10 @@ def validate(params: ModelParams) -> ValidationReport:
     """Check every domain constraint; report-style, never raises.
 
     Every parameter must be finite, so no NaN or infinity reaches a formula.
-    The sign constraint 0 <= lambda0 <= lambda_r keeps the stated coupling
-    domain, on which the wall exponent's discriminant D is at least 1 for
-    alpha > 0; ``spectrum`` and ``oracle`` each decide D >= 0 themselves.
-    Spectra depend on lambda0 only through its square; that symmetry
-    is exercised by tests rather than silently accepted here.
+    On the coupling domain 0 <= lambda0 <= lambda_r the wall exponent's
+    discriminant D is at least 1 for alpha > 0 (``require_real_exponent``
+    refuses D < 0).  Spectra depend on lambda0 only through its square;
+    that symmetry is exercised by tests rather than silently accepted here.
     """
     bad = [f"{'lambdaR' if name == 'lambda_r' else name} finite"
            for name, _ in _non_finite(params)]

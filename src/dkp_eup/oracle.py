@@ -48,9 +48,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ComplexEnergy, ComplexExponent, NonConvergence,
-                     UnsupportedRegime)
-from .model import ModelParams, finite, require_finite, require_index
+from .errors import ComplexEnergy, NonConvergence, UnsupportedRegime
+from .model import (ModelParams, finite, max_or_nan, require_deformed,
+                    require_index, require_real_exponent)
 
 RITZ_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -62,7 +62,7 @@ HW_FLOOR = EPS          # least W^(1/2), relative to its peak, of a kept cell
 class Sector(NamedTuple):
     """Which reduced equation to solve; J only matters for the natural one."""
 
-    kind: str  # "natural" | "phi" | "h0"
+    kind: str  # one of model.SECTORS
     J: int = 0
 
     @staticmethod
@@ -85,33 +85,25 @@ def _sector_constants(params: ModelParams, sector: Sector):
     natural sector Q = lr^2 - l0^2 + alpha lr + alpha^2/4 so that
     sqrt(D) = 2 sqrt(Q)/alpha.  A NaN or inf field is named before any use.
     """
-    require_finite(params)
+    require_deformed(params, sector.kind)
     m, al, l0, lr = params.m, params.alpha, params.lambda0, params.lambda_r
-    if al <= 0:
-        raise UnsupportedRegime("the eigensolver needs alpha > 0")
-    if sector.kind in ("phi", "h0") and l0 != 0:
-        raise UnsupportedRegime(f"{sector.kind} sector requires lambda0 = 0")
     if sector.kind == "natural":
         q = finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4",
                    lambda: lr * lr - l0 * l0 + al * lr + al * al / 4.0)
-        if q < 0:
-            # divided twice: al ** 2 underflows to 0 below al ~ 1e-162
-            raise ComplexExponent(4.0 * q / al / al)
+        root = math.sqrt(require_real_exponent(q, al))
         J = require_index("J", sector.J)
         c = J + 1.5
-        sigma = lambda: (2 * J + 3) / 2.0 + math.sqrt(q) / al
+        sigma = lambda: (2 * J + 3) / 2.0 + root / al
         offset = lambda: (m * m + lr + al * (4 * J + 5) / 2.0
-                          + (2 * J + 3) * math.sqrt(q))
+                          + (2 * J + 3) * root)
     elif sector.kind == "phi":
         c = 1.5
         sigma = lambda: 2.0 + lr / al
         offset = lambda: m * m + 6.0 * lr + 3.0 * al
-    elif sector.kind == "h0":
+    else:
         c = 1.5
         sigma = lambda: 1.0 + lr / al
         offset = lambda: m * m + 2.0 * lr + al
-    else:
-        raise ValueError(f"unknown sector kind {sector.kind!r}")
     return c, finite("sigma = 2(a+b)", sigma), finite("the E^2 offset", offset)
 
 
@@ -546,7 +538,7 @@ class ComparisonReport(NamedTuple):
     @property
     def worst(self) -> float:
         """Largest relative error; NaN if any row is NaN, so that it fails."""
-        return float(np.max([r.rel_error for r in self.rows]))
+        return max_or_nan(r.rel_error for r in self.rows)
 
     @property
     def passed(self) -> bool:
@@ -568,9 +560,7 @@ def compare(params: ModelParams, sector: Sector,
     the formula code it is auditing.
     """
     numeric = lowest_energies(params, sector, len(analytic_energies), grid_size)
-    rows = []
-    for n, (ea, en) in enumerate(zip(analytic_energies, numeric)):
-        rows.append(ComparisonRow(n, float(ea), float(en),
-                                  abs(en - ea) / abs(ea)))
-    return ComparisonReport(sector, grid_size, tol, tuple(rows))
+    rows = tuple(ComparisonRow(n, float(ea), float(en), abs(en - ea) / abs(ea))
+                 for n, (ea, en) in enumerate(zip(analytic_energies, numeric)))
+    return ComparisonReport(sector, grid_size, tol, rows)
 

@@ -21,10 +21,10 @@ from enum import Enum
 from itertools import pairwise
 from typing import NamedTuple
 
-from .errors import (ComplexEnergy, ComplexExponent, ComplexShift,
-                     NonFiniteParameter, UnsupportedRegime)
+from .errors import ComplexEnergy, ComplexShift, NonFiniteParameter, UnsupportedRegime
 from .model import (Branch, ModelParams, Parity, QuantumNumbers, finite,
-                    require_finite, require_index)
+                    require_deformed, require_finite, require_index,
+                    require_real_exponent, require_sector)
 
 
 class Formula(Enum):
@@ -54,22 +54,12 @@ class EnergyLevel(NamedTuple):
 
 
 def _sqrt_q(params: ModelParams) -> float:
-    """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 (equals alpha^2 D / 4).
-
-    Guards every deformed formula: requires finite parameters, alpha > 0,
-    a finite Q and D >= 0.
-    """
-    require_finite(params)
-    if params.alpha <= 0:
-        raise UnsupportedRegime(
-            "deformed formulas need alpha > 0; alpha = 0 has the limit formula")
+    """sqrt(Q), Q = lr^2 - l0^2 + alpha*lr + alpha^2/4 = alpha^2 D / 4, guarded."""
+    require_deformed(params, "natural")
     q = finite("Q = lr^2 - l0^2 + alpha*lr + alpha^2/4", lambda: (
         params.lambda_r ** 2 - params.lambda0 ** 2
         + params.alpha * params.lambda_r + params.alpha ** 2 / 4.0))
-    if not q >= 0:
-        # divided twice: alpha ** 2 underflows to 0 below alpha ~ 1e-162
-        raise ComplexExponent(4.0 * q / params.alpha / params.alpha)
-    return math.sqrt(q)
+    return math.sqrt(require_real_exponent(q, params.alpha))
 
 
 def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, float]:
@@ -86,9 +76,7 @@ def exponents(params: ModelParams, sector: str, J: int = 0) -> tuple[float, floa
         sqrt_q = _sqrt_q(params)
         return (J + 1) / 2.0, finite("wall exponent b",
                                      lambda: 0.25 + 0.5 * sqrt_q / params.alpha)
-    if sector not in ("phi", "h0"):
-        raise UnsupportedRegime(f"unknown sector {sector!r}")
-    _require_unnatural(params)
+    require_deformed(params, sector)
     shift = 1.0 if sector == "phi" else 0.0
     return 0.5, finite("wall exponent b",
                        lambda: (params.lambda_r / params.alpha + shift) / 2.0)
@@ -144,7 +132,7 @@ def _e2(params: ModelParams, formula: Formula, J: int):
         root = math.sqrt(gap2)
         return lambda n: finite("E^2", lambda: params.m ** 2 + params.lambda_r
                                 + (4 * n + 2 * J + 3) * root)
-    _require_unnatural(params)
+    require_deformed(params, "phi" if formula is _PHI else "h0")
     if formula is _PHI:
         return lambda n: finite("E^2", lambda: params.m ** 2 + 4.0 * params.lambda_r
                                 + 4.0 * params.alpha * (n + 0.5) * (n + 1.5)
@@ -188,14 +176,6 @@ def level_spacing(params: ModelParams, n: int, J: int) -> float:
                     level(params, "natural", n + 1, J).value)
 
 
-def _require_unnatural(params: ModelParams):
-    require_finite(params)
-    if params.lambda0 != 0:
-        raise UnsupportedRegime("unnatural-parity spectra require lambda0 = 0")
-    if params.alpha <= 0:
-        raise UnsupportedRegime("unnatural-parity spectra require alpha > 0")
-
-
 def energy_unnatural_phi(params: ModelParams, n: int,
                          branch: Branch = Branch.PLUS) -> EnergyLevel:
     """Scalar-component sector, J = 0, lambda0 = 0.
@@ -217,15 +197,13 @@ def energy_unnatural_h0(params: ModelParams, n: int,
 
 def _route(params: ModelParams, sector: str):
     """(level function, formula, natural parity?) of ``sector``."""
-    if sector == "natural":
+    if require_sector(sector) == "natural":
         if params.alpha == 0:
             return energy_natural_limit, _LIMIT, True
         return energy_natural, _DEFORMED, True
     if sector == "phi":
         return energy_unnatural_phi, _PHI, False
-    if sector == "h0":
-        return energy_unnatural_h0, _H0, False
-    raise UnsupportedRegime(f"unknown sector {sector!r}")
+    return energy_unnatural_h0, _H0, False
 
 
 def level(params: ModelParams, sector: str, n: int, J: int = 0,

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import spectrum
 from .errors import AlgebraInconsistent
-from .model import ModelParams, max_or_nan
+from .model import UNNATURAL_SECTORS, ModelParams, max_or_nan
 
 REFERENCE_LAMBDA0 = (0.0, 0.5)
 REFERENCE_ALPHAS = (0.05, 0.1, 0.2)
@@ -19,13 +19,16 @@ REFERENCE_NMAX = 4
 UNNATURAL_ALPHAS = (0.05, 0.1)
 CLOSURE_TOL = 1e-9
 
-# (params, sector, J) of every cell of the reference sweep
+# (params, sector, J) of every reference cell; those at OFF_UNIT see m and lambdaR
+OFF_UNIT = ModelParams(m=0.7, alpha=0.1, lambda0=0.0, lambda_r=2.3)
 NATURAL_CELLS = tuple(
     (ModelParams(m=1.0, alpha=al, lambda0=l0, lambda_r=1.0), "natural", J)
-    for l0 in REFERENCE_LAMBDA0 for al in REFERENCE_ALPHAS for J in REFERENCE_J)
+    for l0 in REFERENCE_LAMBDA0 for al in REFERENCE_ALPHAS for J in REFERENCE_J
+) + ((OFF_UNIT, "natural", 1), (OFF_UNIT._replace(lambda0=1.1), "natural", 2))
 UNNATURAL_CELLS = tuple(
     (ModelParams(m=1.0, alpha=al, lambda0=0.0, lambda_r=1.0), sector, 0)
-    for al in UNNATURAL_ALPHAS for sector in ("phi", "h0"))
+    for al in UNNATURAL_ALPHAS for sector in UNNATURAL_SECTORS
+) + tuple((OFF_UNIT, sector, 0) for sector in UNNATURAL_SECTORS)
 
 
 class CheckResult(NamedTuple):
@@ -104,8 +107,8 @@ def check_oracle(cells, grid_size: int, tol: float,
                              grid_size, tol)
         reports.append(rep)
         if not rep.passed:
-            where = (f"lambda0={params.lambda0}, alpha={params.alpha}"
-                     if sector == "natural" else f"alpha={params.alpha}")
-            failures.append(f"oracle: {rep.summary()} ({where})")
+            failures.append(
+                f"oracle: {rep.summary()} (m={params.m}, alpha={params.alpha}, "
+                f"lambda0={params.lambda0}, lambdaR={params.lambda_r})")
     return CheckResult("oracle", max_or_nan(r.worst for r in reports), tol,
                        tuple(failures))

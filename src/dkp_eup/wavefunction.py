@@ -76,7 +76,8 @@ import numpy as np
 
 from .errors import (DivergentNorm, GridTooCoarse, OutOfDomain, ResidualFloor,
                      UnsupportedRegime)
-from .model import ModelParams, finite, require_index, xi_zeta
+from .model import (UNNATURAL_SECTORS, ModelParams, finite, require_index,
+                    require_sector, xi_zeta)
 from .spectrum import exponents, level
 
 DEFAULT_GRID_SIZE = 2048
@@ -167,7 +168,7 @@ class RadialSolution(NamedTuple):
     ``primary`` bit for bit, and evaluates the same function anywhere else.
     """
 
-    sector: str                       # "natural" | "phi" | "h0"
+    sector: str                       # one of model.SECTORS
     n: int
     J: int
     energy: float
@@ -435,9 +436,8 @@ def unnatural_solution(params: ModelParams, n: int, which: str,
     """Normalized solution of a decoupled unnatural sector ("phi" or "h0"),
     audited on its polynomial's hypergeometric equation: the printed first-order
     unnatural system is not mutually consistent and is not used here."""
-    if which not in ("phi", "h0"):
-        raise ValueError(f"unknown unnatural sector {which!r}")
-    return _build(params, which, n, 0, grid_size, tol)
+    return _build(params, require_sector(which, UNNATURAL_SECTORS), n, 0,
+                  grid_size, tol)
 
 
 def evaluate_primary(sol: RadialSolution, rho) -> np.ndarray:

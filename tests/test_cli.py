@@ -116,6 +116,18 @@ def test_h0_wavefunction_below_x_one_half(tmp_path, capsys):
     assert "E = 5.83095189485" in err
 
 
+def test_an_undeformed_wavefunction_exits_2_naming_the_sector(tmp_path, capsys):
+    # no eigenfunction has an alpha = 0 form, so no limit formula is named
+    out_file = tmp_path / "wf.csv"
+    code, out, err = run(capsys, "wavefunction", "--alpha", "0",
+                         "--out", str(out_file))
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err == ("error: the deformed natural sector requires alpha > 0, "
+                   "got alpha = 0.0\n")
+    assert not out_file.exists()
+
+
 def test_verify_only_algebra(capsys):
     code, out, _ = run(capsys, "verify", "--only", "algebra")
     assert code == 0

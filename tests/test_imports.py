@@ -206,7 +206,12 @@ def test_closed_form_layer_imports_only_the_standard_library(module):
 GUARDS = {"walks the ModelParams fields": r"\._asdict\(|\._fields\b",
           "writes a bound check": r"must be >= .*got",
           "writes an alpha bound": r"must be finite and",
-          "writes an overflow check": r"overflows the float range"}
+          "writes an overflow check": r"overflows the float range",
+          "spells a sector tuple": r"""["']phi["'],\s*["']h0["']""",
+          "writes a sector check": r"is not one of",
+          "writes an alpha regime check": r"requires alpha > 0, got",
+          "writes a lambda0 regime check": r"requires lambda0 = 0, got",
+          "writes a discriminant check": r"raise ComplexExponent"}
 
 
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "model.py"}),

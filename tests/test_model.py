@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkp_eup import algebra, oracle, spectrum
+from dkp_eup import algebra, oracle, spectrum, wavefunction
+from dkp_eup.errors import ComplexExponent, DkpError, UnsupportedRegime
 from dkp_eup.model import (Branch, ModelParams, Parity, QuantumNumbers,
                            max_or_nan, minimum_momentum_uncertainty, validate,
                            xi_zeta)
@@ -183,3 +184,51 @@ def test_non_finite_parameters_rejected(field, label, value):
     kwargs = dict(m=1.0, alpha=0.1, lambda0=0.5, lambda_r=1.0)
     kwargs[field] = value
     assert f"{label} finite" in validate(ModelParams(**kwargs)).violations
+
+
+# (params, sector) outside the solved regimes, and the one error each raises
+UNSOLVED = [
+    (REF, "bogus", UnsupportedRegime,
+     "sector 'bogus' is not one of natural, phi, h0"),
+    (ModelParams(1.0, 0.0, 0.5, 1.0), "natural", UnsupportedRegime,
+     "the deformed natural sector requires alpha > 0, got alpha = 0.0"),
+    (ModelParams(1.0, -0.1, 0.0, 1.0), "phi", UnsupportedRegime,
+     "the deformed phi sector requires alpha > 0, got alpha = -0.1"),
+    (ModelParams(1.0, 0.0, 0.0, 1.0), "h0", UnsupportedRegime,
+     "the deformed h0 sector requires alpha > 0, got alpha = 0.0"),
+    (REF, "phi", UnsupportedRegime,
+     "the phi sector requires lambda0 = 0, got lambda0 = 0.5"),
+    (REF, "h0", UnsupportedRegime,
+     "the h0 sector requires lambda0 = 0, got lambda0 = 0.5"),
+    (ModelParams(1.0, 0.1, 1.5, 1.0), "natural", ComplexExponent,
+     "exponent discriminant D = -458.99999999999994 < 0"),
+]
+
+
+@pytest.mark.parametrize("params, sector, error, message", UNSOLVED, ids=[
+    "unknown-sector", "natural-alpha-0", "phi-alpha-negative", "h0-alpha-0",
+    "phi-lambda0", "h0-lambda0", "natural-negative-discriminant"])
+def test_every_layer_refuses_an_unsolved_problem_alike(params, sector, error,
+                                                       message):
+    natural, J = sector == "natural", 1 if sector == "natural" else 0
+    calls = {
+        "exponents": lambda: spectrum.exponents(params, sector, J),
+        "discretize": lambda: oracle.discretize(params, oracle.Sector(sector, J),
+                                                16)}
+    if not natural or params.alpha > 0:   # natural alpha = 0 is the limit's
+        calls["level"] = lambda: spectrum.level(params, sector, 0, J)
+        calls["levels"] = lambda: spectrum.levels(params, sector, 3, J)
+    if natural:
+        calls["energy_natural"] = lambda: spectrum.energy_natural(params, 0, J)
+        calls["abc"] = lambda: spectrum.abc(params, J, 2.0)
+        calls["natural_solution"] = lambda: wavefunction.natural_solution(
+            params, 0, J, grid_size=16)
+    elif sector != "bogus":     # unnatural_solution names only phi and h0
+        calls["unnatural_solution"] = lambda: wavefunction.unnatural_solution(
+            params, 0, sector, grid_size=16)
+    raised = {}
+    for name, call in calls.items():
+        with pytest.raises(DkpError) as info:
+            call()
+        raised[name] = (type(info.value), str(info.value))
+    assert raised == dict.fromkeys(calls, (error, message))

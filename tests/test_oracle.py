@@ -182,7 +182,8 @@ def test_unnatural_sector_guards():
         discretize(ModelParams(1.0, 0.0, 0.5, 1.0), Sector.natural(0), 64)
     with pytest.raises(ComplexExponent):
         discretize(ModelParams(1.0, 0.1, 1.5, 1.0), Sector.natural(0), 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedRegime,
+                       match="sector 'bogus' is not one of natural, phi, h0"):
         discretize(REF, Sector("bogus"), 64)
     with pytest.raises(ValueError, match="9 levels need a grid of at least "
                                          "9 cells, got grid_size 8"):
@@ -584,7 +585,7 @@ def test_a_start_without_the_ground_mode_costs_steps_not_correctness(
 
 
 def _reference_outputs(grid):
-    """discretize's arrays and solve_lowest's 5 levels on the 22 reference
+    """discretize's arrays and solve_lowest's 5 levels on the 26 reference
     cells."""
     out = []
     for params, sector, J in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS:
@@ -596,7 +597,7 @@ def _reference_outputs(grid):
 
 def test_shared_grid_arrays_do_not_change_the_outputs():
     grid = 8192
-    assert len(verify.NATURAL_CELLS + verify.UNNATURAL_CELLS) == 22
+    assert len(verify.NATURAL_CELLS + verify.UNNATURAL_CELLS) == 26
     oracle._grid.cache_clear()
     cold = _reference_outputs(grid)
     warm = _reference_outputs(grid)     # every array from the cache

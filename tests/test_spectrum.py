@@ -63,7 +63,8 @@ def test_exponents_raise_below_real_threshold():
 
 
 def test_an_unknown_sector_has_no_exponents():
-    with pytest.raises(UnsupportedRegime, match="unknown sector 'bogus'"):
+    with pytest.raises(UnsupportedRegime,
+                       match="^sector 'bogus' is not one of natural, phi, h0$"):
         exponents(REF, "bogus")
 
 

@@ -20,6 +20,27 @@ def test_jj_term_mutation_fails_closure_and_oracle():
     assert len(oracle.failures) == 2
 
 
+def test_an_off_unit_cell_catches_a_lambda_r_fault_in_h0(monkeypatch):
+    # h0's 4 (n + 1/2) lambdaR term divided by lambdaR: the same levels at
+    # lambdaR = 1, so only a reference cell with lambdaR != 1 sees the fault
+    real_e2 = spectrum._e2
+
+    def divided(params, formula, J):
+        if formula is not spectrum.Formula.UNNATURAL_H0:
+            return real_e2(params, formula, J)
+        return lambda n: (params.m ** 2 + 4.0 * params.alpha * (n + 0.5) ** 2
+                          + 4.0 * (n + 0.5) / params.lambda_r)
+
+    monkeypatch.setattr(spectrum, "_e2", divided)
+    off_unit = verify.UNNATURAL_CELLS[-1]
+    assert off_unit[1] == "h0" and off_unit[0].lambda_r != 1.0
+    assert not verify.check_oracle([off_unit], 4096, 1e-5).passed
+    unit = [cell for cell in verify.NATURAL_CELLS + verify.UNNATURAL_CELLS
+            if cell[0].lambda_r == 1.0]
+    assert len(unit) == 22
+    assert verify.check_oracle(unit, 4096, 1e-5).passed
+
+
 def test_nan_fails_the_closure_check(monkeypatch):
     real_abc = spectrum.abc
 

@@ -778,8 +778,10 @@ def test_unnatural_normalized(which="h0"):
 def test_unnatural_requires_supported_regime():
     with pytest.raises(UnsupportedRegime):
         unnatural_solution(REF, 0, "phi")  # lambda0 != 0
-    with pytest.raises(ValueError):
-        unnatural_solution(UNNAT, 0, "weird")
+    for which in ("weird", "natural"):
+        with pytest.raises(UnsupportedRegime,
+                           match=f"^sector '{which}' is not one of phi, h0$"):
+            unnatural_solution(UNNAT, 0, which)
 
 
 def _h0_at(x: float) -> ModelParams:
